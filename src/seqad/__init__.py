@@ -6,7 +6,7 @@ the preprocessing, labeling, and evaluation machinery around it.
 
 from .core_math import AdamState, Rng, adam_step, glorot_init, matmul, sigmoid, tanh
 from .detector import DetectionReport, Threshold, detect, fit_threshold
-from .lstm import LstmLayerParams, LstmStepState, lstm_backward, lstm_forward, lstm_step
+from .lstm import LstmLayerParams, LstmStepState, lstm_backward, lstm_forward
 from .metrics import (
     ClassificationMetrics,
     ConfusionCounts,

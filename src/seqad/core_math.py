@@ -52,24 +52,30 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Elementwise logistic function, stable for large |x| (no overflow).
 
-    Branches on sign so exp() is only ever evaluated on non-positive
-    arguments; saturates to 0/1 instead of overflowing.
+    Branch-free: with e = exp(-|x|) and r = 1/(1+e), the result is r
+    where x >= 0 and e*r where x < 0, computed as exp(min(x, 0)) * r,
+    since that factor is exactly 1 for x >= 0 and exactly e for x < 0.
+    exp() never sees a positive argument, so nothing overflows, and large
+    negative inputs stay strictly positive instead of rounding to 0.
+    `out` may be `x` itself, which activates an array in place.
     """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    r = np.abs(x)
+    np.negative(r, out=r)
+    np.exp(r, out=r)
+    r += 1.0
+    np.divide(1.0, r, out=r)
+    factor = np.minimum(x, 0.0, out=out)
+    np.exp(factor, out=factor)
+    return np.multiply(factor, r, out=factor)
 
 
-def tanh(x: np.ndarray) -> np.ndarray:
-    """Elementwise hyperbolic tangent."""
-    return np.tanh(np.asarray(x, dtype=np.float64))
+def tanh(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise hyperbolic tangent; `out` as for sigmoid."""
+    return np.tanh(np.asarray(x, dtype=np.float64), out=out)
 
 
 class Rng:

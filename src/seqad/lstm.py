@@ -1,21 +1,29 @@
-"""A single LSTM layer: gated cell step, unrolled forward pass, and exact
-backpropagation through time.
+"""A single LSTM layer: unrolled forward pass and exact backpropagation
+through time, with the four gates fused into one weight matrix.
 
-The cell follows the standard formulation: forget, input, and output
-gates squash an affine map of the concatenated [previous hidden, input]
-through a sigmoid; the candidate update and the hidden output go through
-tanh:
+The layer holds one weight W of shape (4H, H+D) and one bias b of shape
+(4H,), H hidden units and D inputs. Gate rows are ordered f, i, o, g,
+so the three sigmoid gates are one contiguous block; columns are
+[h, x], so W = [W_h | W_x]. Each step computes
 
-    f = sigmoid(W_f [h, x] + b_f)
-    i = sigmoid(W_i [h, x] + b_i)
-    g = tanh   (W_c [h, x] + b_c)
+    a = W_h h + W_x x + b            (4H pre-activations)
+    f, i, o = sigmoid(a[:3H])        (forget, input, output gates)
+    g = tanh(a[3H:])                 (candidate update)
     c' = f * c + i * g
-    o = sigmoid(W_o [h, x] + b_o)
     h' = o * tanh(c')
 
-All arrays are batch-first: a batch of B independent sequences is
-processed at once, with states of shape (B, hidden) and inputs of shape
-(B, T, input). A single sequence is just B = 1.
+The input projection W_x x + b does not depend on the recurrence, so it
+runs as one GEMM over all T steps before the loop, straight into a
+preallocated (T, B, 4H) gate buffer; each step then adds one W_h h and
+activates its slice of the buffer in place. The backward pass computes
+every gate's local derivative for all steps at once, fills a (T, B, 4H)
+buffer of gate gradients in a loop whose only GEMM is the W_h product
+for the hidden-state gradient, and then takes the weight gradient and
+the input gradient as one GEMM each.
+
+All arrays are batch-first at the interface: a batch of B independent
+sequences is processed at once, with states of shape (B, hidden) and
+inputs of shape (B, T, input). A single sequence is just B = 1.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ __all__ = [
     "LstmLayerParams",
     "LstmStepState",
     "LstmStepCache",
-    "lstm_step",
+    "LstmCache",
     "lstm_forward",
     "lstm_backward",
 ]
@@ -39,82 +47,58 @@ __all__ = [
 
 @dataclass
 class LstmLayerParams:
-    """Per-gate weight matrices (hidden x (hidden + input)) and biases."""
+    """Fused gate weights (4H, H+D) and biases (4H,); rows f, i, o, g."""
 
-    w_f: np.ndarray
-    w_i: np.ndarray
-    w_c: np.ndarray
-    w_o: np.ndarray
-    b_f: np.ndarray
-    b_i: np.ndarray
-    b_c: np.ndarray
-    b_o: np.ndarray
+    w: np.ndarray
+    b: np.ndarray
 
     @property
     def hidden_size(self) -> int:
-        return self.w_f.shape[0]
+        return self.w.shape[0] // 4
 
     @property
     def input_size(self) -> int:
-        return self.w_f.shape[1] - self.w_f.shape[0]
-
-    def weights(self):
-        return [self.w_f, self.w_i, self.w_c, self.w_o]
-
-    def biases(self):
-        return [self.b_f, self.b_i, self.b_c, self.b_o]
+        return self.w.shape[1] - self.hidden_size
 
     def arrays(self):
-        return self.weights() + self.biases()
+        return [self.w, self.b]
 
     def validate(self) -> None:
-        h = self.w_f.shape[0]
-        shape = self.w_f.shape
+        shape = self.w.shape
+        if len(shape) != 2 or shape[0] == 0 or shape[0] % 4:
+            raise ShapeError(f"weight shape {shape} is not (4*hidden, hidden+input)")
+        h = shape[0] // 4
         if shape[1] <= h:
             raise ShapeError(f"weight shape {shape} leaves no input columns")
-        for w in self.weights():
-            if w.shape != shape:
-                raise ShapeError(f"gate weight shapes differ: {w.shape} vs {shape}")
-        for b in self.biases():
-            if b.shape != (h,):
-                raise ShapeError(f"gate bias shape {b.shape} does not match hidden size {h}")
+        if self.b.shape != (4 * h,):
+            raise ShapeError(f"bias shape {self.b.shape} does not match 4*hidden = {4 * h}")
         for a in self.arrays():
             if not np.all(np.isfinite(a)):
                 raise ShapeError("non-finite value in LSTM parameters")
 
     @classmethod
     def init(cls, hidden_size: int, input_size: int, rng: Rng) -> "LstmLayerParams":
-        """Glorot-uniform weights, zero biases."""
+        """Glorot-uniform weights per gate, zero biases.
+
+        The gate blocks are drawn in f, i, g, o order, so a seed gives the
+        same values as a layout with one matrix per gate, and are stacked
+        as f, i, o, g.
+        """
         cols = hidden_size + input_size
-        return cls(
-            w_f=glorot_init(hidden_size, cols, rng),
-            w_i=glorot_init(hidden_size, cols, rng),
-            w_c=glorot_init(hidden_size, cols, rng),
-            w_o=glorot_init(hidden_size, cols, rng),
-            b_f=np.zeros(hidden_size),
-            b_i=np.zeros(hidden_size),
-            b_c=np.zeros(hidden_size),
-            b_o=np.zeros(hidden_size),
-        )
+        w_f, w_i, w_g, w_o = (glorot_init(hidden_size, cols, rng) for _ in range(4))
+        return cls(w=np.concatenate([w_f, w_i, w_o, w_g]), b=np.zeros(4 * hidden_size))
 
     @classmethod
     def zeros(cls, hidden_size: int, input_size: int) -> "LstmLayerParams":
-        cols = hidden_size + input_size
         return cls(
-            w_f=np.zeros((hidden_size, cols)),
-            w_i=np.zeros((hidden_size, cols)),
-            w_c=np.zeros((hidden_size, cols)),
-            w_o=np.zeros((hidden_size, cols)),
-            b_f=np.zeros(hidden_size),
-            b_i=np.zeros(hidden_size),
-            b_c=np.zeros(hidden_size),
-            b_o=np.zeros(hidden_size),
+            w=np.zeros((4 * hidden_size, hidden_size + input_size)),
+            b=np.zeros(4 * hidden_size),
         )
 
 
 @dataclass
 class LstmStepState:
-    """Hidden and cell state after a step, each (batch, hidden)."""
+    """Hidden and cell state, each (batch, hidden)."""
 
     hidden: np.ndarray
     cell: np.ndarray
@@ -126,63 +110,32 @@ class LstmStepState:
 
 @dataclass
 class LstmStepCache:
-    """Everything the backward pass needs from one forward step."""
+    """One forward step, as views into the layer's buffers."""
 
-    z: np.ndarray  # concatenated [h_prev, x], (B, hidden+input)
-    f: np.ndarray
-    i: np.ndarray
-    g: np.ndarray  # candidate update, tanh-activated
-    o: np.ndarray
-    c_prev: np.ndarray
-    c: np.ndarray
-    tanh_c: np.ndarray
+    z: np.ndarray  # [h_prev, x], (B, hidden+input)
+    gates: np.ndarray  # activated f, i, o, g, (B, 4*hidden)
+    c: np.ndarray  # cell state after the step, (B, hidden)
 
 
-def _check_step_shapes(params: LstmLayerParams, prev: LstmStepState, x: np.ndarray):
-    h, d = params.hidden_size, params.input_size
-    if x.ndim != 2 or x.shape[1] != d:
-        raise ShapeError(f"input shape {x.shape} does not match input size {d}")
-    b = x.shape[0]
-    if prev.hidden.shape != (b, h) or prev.cell.shape != (b, h):
-        raise ShapeError(
-            f"state shapes {prev.hidden.shape}/{prev.cell.shape} "
-            f"do not match (batch={b}, hidden={h})"
-        )
+@dataclass
+class LstmCache:
+    """The buffers of one forward pass, which the backward pass reads whole.
 
-
-def lstm_step(
-    params: LstmLayerParams,
-    prev: LstmStepState,
-    x: np.ndarray,
-    gate_override: dict | None = None,
-) -> tuple[LstmStepState, LstmStepCache]:
-    """One gated cell update.
-
-    `gate_override` is a test hook: a dict mapping gate names among
-    {"f", "i", "o"} to fixed activation arrays, substituted for the
-    computed sigmoids. It makes cell-memory properties (f=1, i=0 keeps
-    the cell bit-exact) directly assertable; production code never
-    passes it.
+    A sequence of T steps: `cache[t]` is step t's LstmStepCache, made of
+    views into these buffers.
     """
-    x = np.asarray(x, dtype=np.float64)
-    _check_step_shapes(params, prev, x)
-    z = np.concatenate([prev.hidden, x], axis=1)
 
-    f = sigmoid(z @ params.w_f.T + params.b_f)
-    i = sigmoid(z @ params.w_i.T + params.b_i)
-    g = tanh(z @ params.w_c.T + params.b_c)
-    o = sigmoid(z @ params.w_o.T + params.b_o)
-    if gate_override:
-        f = np.broadcast_to(np.asarray(gate_override.get("f", f), dtype=np.float64), f.shape)
-        i = np.broadcast_to(np.asarray(gate_override.get("i", i), dtype=np.float64), i.shape)
-        o = np.broadcast_to(np.asarray(gate_override.get("o", o), dtype=np.float64), o.shape)
+    z: np.ndarray  # (T+1, B, H+D): z[t] = [h_{t-1}, x_t]; h_t is z[t+1, :, :H]; z[T, :, H:] unused
+    gates: np.ndarray  # (T, B, 4H), activated f, i, o, g
+    c: np.ndarray  # (T+1, B, H): c[0] is the initial cell state
+    tanh_c: np.ndarray  # (T, B, H)
 
-    c = f * prev.cell + i * g
-    tanh_c = tanh(c)
-    h = o * tanh_c
-    state = LstmStepState(hidden=h, cell=c)
-    cache = LstmStepCache(z=z, f=f, i=i, g=g, o=o, c_prev=prev.cell, c=c, tanh_c=tanh_c)
-    return state, cache
+    def __len__(self) -> int:
+        return self.gates.shape[0]
+
+    def __getitem__(self, t: int) -> LstmStepCache:
+        t = range(len(self))[t]
+        return LstmStepCache(z=self.z[t], gates=self.gates[t], c=self.c[t + 1])
 
 
 def lstm_forward(
@@ -190,34 +143,68 @@ def lstm_forward(
     inputs: np.ndarray,
     init_state: LstmStepState | None = None,
     return_sequences: bool = True,
-) -> tuple[np.ndarray, list[LstmStepCache]]:
+) -> tuple[np.ndarray, LstmCache]:
     """Unroll the cell over a (batch, T, input) array.
 
-    Returns (outputs, caches) where outputs is (batch, T, hidden) when
+    Returns (outputs, cache) where outputs is (batch, T, hidden) when
     `return_sequences` is set, else just the final hidden state
-    (batch, hidden). The initial state defaults to zeros.
+    (batch, hidden). The initial state defaults to zeros. Outputs are
+    views into the cache's buffers.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 3:
         raise ShapeError(f"expected (batch, T, input) array, got shape {inputs.shape}")
-    b, t_len, _ = inputs.shape
+    b, t_len, d = inputs.shape
+    h = params.hidden_size
+    if d != params.input_size:
+        raise ShapeError(f"input shape {inputs.shape} does not match input size {params.input_size}")
     if t_len == 0:
         raise EmptyInputError("cannot run an LSTM over an empty sequence")
-    state = init_state if init_state is not None else LstmStepState.zeros(b, params.hidden_size)
-    caches = []
-    hiddens = np.empty((b, t_len, params.hidden_size))
+    if init_state is not None and (
+        init_state.hidden.shape != (b, h) or init_state.cell.shape != (b, h)
+    ):
+        raise ShapeError(
+            f"state shapes {init_state.hidden.shape}/{init_state.cell.shape} "
+            f"do not match (batch={b}, hidden={h})"
+        )
+
+    zbuf = np.empty((t_len + 1, b, h + d))
+    zbuf[:t_len, :, h:] = inputs.transpose(1, 0, 2)
+    cbuf = np.empty((t_len + 1, b, h))
+    if init_state is None:
+        zbuf[0, :, :h] = 0.0
+        cbuf[0] = 0.0
+    else:
+        zbuf[0, :, :h] = init_state.hidden
+        cbuf[0] = init_state.cell
+    gates = np.empty((t_len, b, 4 * h))
+    tanh_c = np.empty((t_len, b, h))
+
+    x_flat = zbuf[:t_len].reshape(t_len * b, h + d)[:, h:]
+    np.matmul(x_flat, params.w[:, h:].T, out=gates.reshape(t_len * b, 4 * h))
+    gates += params.b
+
+    w_h_t = params.w[:, :h].T
+    s = 3 * h
+    work = np.empty((b, 4 * h))
     for t in range(t_len):
-        state, cache = lstm_step(params, state, inputs[:, t, :])
-        hiddens[:, t, :] = state.hidden
-        caches.append(cache)
+        a, c, tc = gates[t], cbuf[t + 1], tanh_c[t]
+        a += np.matmul(zbuf[t, :, :h], w_h_t, out=work)
+        sigmoid(a[:, :s], out=a[:, :s])
+        tanh(a[:, s:], out=a[:, s:])
+        np.multiply(a[:, :h], cbuf[t], out=c)
+        c += np.multiply(a[:, h : 2 * h], a[:, s:], out=work[:, :h])
+        tanh(c, out=tc)
+        np.multiply(a[:, 2 * h : s], tc, out=zbuf[t + 1, :, :h])
+    cache = LstmCache(z=zbuf, gates=gates, c=cbuf, tanh_c=tanh_c)
     if return_sequences:
-        return hiddens, caches
-    return state.hidden, caches
+        return zbuf[1:, :, :h].transpose(1, 0, 2), cache
+    return zbuf[t_len, :, :h], cache
 
 
 def lstm_backward(
     params: LstmLayerParams,
-    caches: list[LstmStepCache],
+    cache: LstmCache,
     grad_outputs: np.ndarray,
 ) -> tuple[LstmLayerParams, np.ndarray, np.ndarray, np.ndarray]:
     """Exact gradients through an unrolled pass, weights shared across steps.
@@ -231,11 +218,13 @@ def lstm_backward(
     LstmLayerParams holding the accumulated gradients and d_inputs is
     (batch, T, input).
     """
-    t_len = len(caches)
+    t_len = len(cache)
     if t_len == 0:
         raise EmptyInputError("no cached steps to backpropagate through")
-    h = params.hidden_size
-    b = caches[0].z.shape[0]
+    h, d = params.hidden_size, params.input_size
+    b = cache.z.shape[1]
+    if cache.z.shape != (t_len + 1, b, h + d):
+        raise ShapeError(f"cache shape {cache.z.shape} does not match (T+1, batch, {h + d})")
 
     grad_outputs = np.asarray(grad_outputs, dtype=np.float64)
     if grad_outputs.shape == (b, t_len, h):
@@ -249,33 +238,39 @@ def lstm_backward(
             f"(batch={b}, T={t_len}, hidden={h}) nor (batch={b}, hidden={h})"
         )
 
-    grads = LstmLayerParams.zeros(h, params.input_size)
-    d_inputs = np.empty((b, t_len, params.input_size))
+    # Everything that does not depend on the recurrence, for all steps at
+    # once and in place, on a (T, B, gate, H) view with gates f, i, o, g:
+    # each gate's local derivative times the state it multiplies. The loop
+    # then scales the f, i and g blocks by dc and the o block by dh, which
+    # leaves the gate gradients in `d_gates`.
+    a = cache.gates.reshape(t_len, b, 4, h)
+    d4 = np.subtract(1.0, a)
+    d4[:, :, :3] *= a[:, :, :3]
+    d4[:, :, 0] *= cache.c[:-1]
+    d4[:, :, 1] *= a[:, :, 3]
+    d4[:, :, 2] *= cache.tanh_c
+    d_g = d4[:, :, 3]
+    np.multiply(a[:, :, 3], a[:, :, 3], out=d_g)
+    np.subtract(1.0, d_g, out=d_g)
+    d_g *= a[:, :, 1]
+    dc_per_dh = np.multiply(cache.tanh_c, cache.tanh_c)
+    np.subtract(1.0, dc_per_dh, out=dc_per_dh)
+    dc_per_dh *= a[:, :, 2]
+    d_gates = d4.reshape(t_len, b, 4 * h)
+
+    w_h = params.w[:, :h]
     dh_next = np.zeros((b, h))
     dc_next = np.zeros((b, h))
     for t in range(t_len - 1, -1, -1):
-        cc = caches[t]
-        if cc.z.shape != (b, h + params.input_size):
-            raise ShapeError(f"cache at step {t} has shape {cc.z.shape}, expected {(b, h + params.input_size)}")
         dh = seq_grads[:, t, :] + dh_next
-        dc = dh * cc.o * (1.0 - cc.tanh_c**2) + dc_next
+        dc = dh * dc_per_dh[t] + dc_next
+        d4[t, :, :2] *= dc[:, None, :]
+        d4[t, :, 2] *= dh
+        d4[t, :, 3] *= dc
+        dh_next = d_gates[t] @ w_h
+        dc_next = dc * a[t, :, 0]
 
-        da_o = dh * cc.tanh_c * cc.o * (1.0 - cc.o)
-        da_f = dc * cc.c_prev * cc.f * (1.0 - cc.f)
-        da_i = dc * cc.g * cc.i * (1.0 - cc.i)
-        da_g = dc * cc.i * (1.0 - cc.g**2)
-
-        grads.w_f += da_f.T @ cc.z
-        grads.w_i += da_i.T @ cc.z
-        grads.w_c += da_g.T @ cc.z
-        grads.w_o += da_o.T @ cc.z
-        grads.b_f += da_f.sum(axis=0)
-        grads.b_i += da_i.sum(axis=0)
-        grads.b_c += da_g.sum(axis=0)
-        grads.b_o += da_o.sum(axis=0)
-
-        dz = da_f @ params.w_f + da_i @ params.w_i + da_g @ params.w_c + da_o @ params.w_o
-        dh_next = dz[:, :h]
-        d_inputs[:, t, :] = dz[:, h:]
-        dc_next = dc * cc.f
-    return grads, d_inputs, dh_next, dc_next
+    d_flat = d_gates.reshape(t_len * b, 4 * h)
+    d_w = d_flat.T @ cache.z[:t_len].reshape(t_len * b, h + d)
+    d_inputs = (d_flat @ params.w[:, h:]).reshape(t_len, b, d).transpose(1, 0, 2)
+    return LstmLayerParams(w=d_w, b=d_flat.sum(axis=0)), d_inputs, dh_next, dc_next

@@ -52,7 +52,9 @@ def parse_timestamp(text: str) -> float:
 
 
 def format_timestamp(epoch: float) -> str:
-    return datetime.fromtimestamp(epoch, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%S")
+    """UTC epoch seconds -> ISO-8601, with microseconds only when non-zero."""
+    dt = datetime.fromtimestamp(epoch, tz=timezone.utc)
+    return dt.strftime("%Y-%m-%dT%H:%M:%S.%f" if dt.microsecond else "%Y-%m-%dT%H:%M:%S")
 
 
 @dataclass
@@ -89,8 +91,8 @@ def read_series_csv(path: str) -> TimeSeries:
     """Read a raw series; tolerates NaN markers, rejects garbage fields.
 
     Empty/NaN tokens in either column become NaN for clean() to handle;
-    any other unparseable field raises CsvParseError with its line
-    number.
+    infinite values (including overflowing ones such as 1e999) and any
+    other unparseable field raise CsvParseError with its line number.
     """
     timestamps, values, labels = [], [], []
     has_labels = False
@@ -131,6 +133,8 @@ def read_series_csv(path: str) -> TimeSeries:
                     val = float(val_text)
                 except ValueError:
                     raise CsvParseError(f"bad value {val_text!r}", line=lineno)
+                if math.isinf(val):
+                    raise CsvParseError(f"non-finite value {val_text!r}", line=lineno)
             timestamps.append(ts)
             values.append(val)
             if has_labels:

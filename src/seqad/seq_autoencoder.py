@@ -46,7 +46,7 @@ __all__ = [
     "MODEL_FORMAT_VERSION",
 ]
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 _ARCH_RE = re.compile(r"^(\d+)x(\d+(?:-\d+)*)$")
 
@@ -235,10 +235,10 @@ def _forward_batch(
     seq = batch
     enc_caches = []
     for layer in model.encoder[:-1]:
-        seq, caches = lstm_forward(layer, seq, return_sequences=True)
-        enc_caches.append(caches)
-    latent, caches = lstm_forward(model.encoder[-1], seq, return_sequences=False)
-    enc_caches.append(caches)
+        seq, layer_cache = lstm_forward(layer, seq, return_sequences=True)
+        enc_caches.append(layer_cache)
+    latent, layer_cache = lstm_forward(model.encoder[-1], seq, return_sequences=False)
+    enc_caches.append(layer_cache)
 
     latent_mask = _dropout_mask(latent.shape, rate, rng) if use_dropout else None
     latent_dropped = latent * latent_mask if use_dropout else latent
@@ -246,8 +246,8 @@ def _forward_batch(
     seq = np.repeat(latent_dropped[:, None, :], t_len, axis=1)
     dec_caches = []
     for layer in model.decoder:
-        seq, caches = lstm_forward(layer, seq, return_sequences=True)
-        dec_caches.append(caches)
+        seq, layer_cache = lstm_forward(layer, seq, return_sequences=True)
+        dec_caches.append(layer_cache)
 
     dec_mask = _dropout_mask(seq.shape, rate, rng) if use_dropout else None
     dec_dropped = seq * dec_mask if use_dropout else seq
@@ -280,8 +280,8 @@ def _backward_batch(model: SeqAutoencoderModel, cache: dict, d_recon: np.ndarray
         d_seq = d_seq * cache["dec_mask"]
 
     dec_grads = []
-    for layer, caches in zip(reversed(model.decoder), reversed(cache["dec_caches"])):
-        grads, d_seq, _, _ = lstm_backward(layer, caches, d_seq)
+    for layer, layer_cache in zip(reversed(model.decoder), reversed(cache["dec_caches"])):
+        grads, d_seq, _, _ = lstm_backward(layer, layer_cache, d_seq)
         dec_grads.append(grads)
     dec_grads.reverse()
 
@@ -291,8 +291,8 @@ def _backward_batch(model: SeqAutoencoderModel, cache: dict, d_recon: np.ndarray
 
     enc_grads = []
     grad_out = d_latent  # final-state-only gradient for the last encoder layer
-    for layer, caches in zip(reversed(model.encoder), reversed(cache["enc_caches"])):
-        grads, d_seq, _, _ = lstm_backward(layer, caches, grad_out)
+    for layer, layer_cache in zip(reversed(model.encoder), reversed(cache["enc_caches"])):
+        grads, d_seq, _, _ = lstm_backward(layer, layer_cache, grad_out)
         enc_grads.append(grads)
         grad_out = d_seq
     enc_grads.reverse()
@@ -329,7 +329,8 @@ def reconstruct_windows(
     out = np.empty_like(windows)
     for lo in range(0, windows.shape[0], chunk):
         hi = min(lo + chunk, windows.shape[0])
-        out[lo:hi], _ = _forward_batch(model, windows[lo:hi], train_mode=False)
+        # drop the backward cache at once, so one chunk's buffers live at a time
+        out[lo:hi] = _forward_batch(model, windows[lo:hi], train_mode=False)[0]
     return out
 
 
@@ -396,17 +397,18 @@ def train(
 
 
 def _layer_to_doc(layer: LstmLayerParams) -> dict:
-    return {name: getattr(layer, name).tolist() for name in
-            ("w_f", "w_i", "w_c", "w_o", "b_f", "b_i", "b_c", "b_o")}
+    return {"w": layer.w.tolist(), "b": layer.b.tolist()}
 
 
 def _layer_from_doc(doc: dict) -> LstmLayerParams:
     try:
-        arrays = {name: np.asarray(doc[name], dtype=np.float64) for name in
-                  ("w_f", "w_i", "w_c", "w_o", "b_f", "b_i", "b_c", "b_o")}
+        w = np.asarray(doc["w"], dtype=np.float64)
+        b = np.asarray(doc["b"], dtype=np.float64)
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFileError(f"bad layer record: {exc}") from exc
-    return LstmLayerParams(**arrays)
+    if w.ndim != 2 or b.ndim != 1:
+        raise ModelFileError(f"bad layer record: weight {w.shape}, bias {b.shape}")
+    return LstmLayerParams(w=w, b=b)
 
 
 def _model_doc(model: SeqAutoencoderModel) -> dict:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InsufficientDataError, ShapeError
 
@@ -50,7 +51,7 @@ def make_windows(values: np.ndarray, window_len: int) -> WindowSet:
         raise InsufficientDataError(f"series of length {n} is shorter than window length {t}")
     count = n - t + 1
     starts = np.arange(count)
-    windows = np.stack([values[s : s + t] for s in starts])
+    windows = np.ascontiguousarray(sliding_window_view(values, t, axis=0).transpose(0, 2, 1))
     return WindowSet(source_len=n, window_len=t, windows=windows, starts=starts)
 
 
@@ -65,8 +66,9 @@ def per_point_loss(windows: WindowSet, reconstructions: np.ndarray) -> np.ndarra
     """Mean absolute error per source point, averaged over covering windows.
 
     `reconstructions` must hold one (T, m) output per window, in window
-    order. Accumulation runs in fixed ascending window order so results
-    are bit-reproducible. Returns a length-N non-negative vector.
+    order. Each point accumulates its windows in ascending window order
+    (offset k within the window descending), so results are
+    bit-reproducible. Returns a length-N non-negative vector.
     """
     recon = np.asarray(reconstructions, dtype=np.float64)
     if recon.shape != windows.windows.shape:
@@ -75,8 +77,8 @@ def per_point_loss(windows: WindowSet, reconstructions: np.ndarray) -> np.ndarra
         )
     n, t = windows.source_len, windows.window_len
     err = np.abs(recon - windows.windows).mean(axis=2)  # (count, T): MAE across features
+    count = len(windows)
     total = np.zeros(n)
-    for idx in range(len(windows)):
-        s = int(windows.starts[idx])
-        total[s : s + t] += err[idx]
+    for k in range(t - 1, -1, -1):
+        total[k : k + count] += err[:, k]
     return total / coverage_counts(n, t)

@@ -96,8 +96,7 @@ def _lstm_gradcheck(seed):
     t_len = 1 + int(rng.uniform(0, 5))
     input_size = 1 + int(rng.uniform(0, 3))
     params = LstmLayerParams.init(hidden, input_size, rng)
-    for b in params.biases():
-        b += rng.uniform(-0.2, 0.2, b.shape)
+    params.b += rng.uniform(-0.2, 0.2, params.b.shape)
     x = rng.normal(0, 1, (2, t_len, input_size))
     proj = rng.normal(0, 1, (2, t_len, hidden))
 

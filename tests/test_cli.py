@@ -1,11 +1,12 @@
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
 from seqad import cli
-from seqad.pipeline import read_series_csv
+from seqad.pipeline import format_timestamp, parse_timestamp, read_series_csv
 
 
 def run(capsys, *argv):
@@ -216,6 +217,33 @@ class TestErrorCodes:
     def test_bad_sweep_list_is_config_error(self, workspace, capsys):
         code, _, err = run(capsys, "sweep", "--out", workspace, "--sweep-windows", "10,zero")
         assert code == cli.EXIT_CONFIG
+
+    def test_infinite_value_is_data_error_naming_line(self, tmp_path, capsys):
+        path = tmp_path / "inf.csv"
+        rows = ["timestamp,value"]
+        rows += [f"2018-01-01T00:{minute:02d}:00,{400 + minute}" for minute in range(40)]
+        rows[21] = "2018-01-01T00:20:00,inf"
+        path.write_text("\n".join(rows) + "\n")
+        code, _, err = run(capsys, "preprocess", "--out", str(tmp_path / "o"), "--input", str(path))
+        assert code == cli.EXIT_DATA
+        assert "line 22" in err and "non-finite" in err
+
+
+class TestSubSecondTimestamps:
+    def test_train_timestamps_stay_distinct(self, tmp_path, capsys):
+        path = tmp_path / "fast.csv"
+        start = parse_timestamp("2018-01-01T00:00:00")
+        rows = ["timestamp,value"]
+        for k in range(400):
+            stamp = format_timestamp(start + k * 0.1)
+            rows.append(f"{stamp},{400 + 50 * math.sin(k / 10)}")
+        path.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "o"
+        code, _, _ = run(capsys, "preprocess", "--out", str(out), "--input", str(path))
+        assert code == 0
+        train = read_series_csv(str(out / "train.csv"))
+        assert len(train) == 300
+        assert len(np.unique(train.timestamps)) == 300
 
 
 class TestDuplicateReporting:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gradcheck import REL_TOL, worst_relative_error
+from lstm_reference import reference_backward, reference_forward, reference_step, split_gates
 from seqad.core_math import Rng
 from seqad.errors import EmptyInputError, ShapeError
 from seqad.lstm import (
@@ -11,16 +12,19 @@ from seqad.lstm import (
     LstmStepState,
     lstm_backward,
     lstm_forward,
-    lstm_step,
 )
 
 
 def random_params(hidden, input_size, seed, bias_scale=0.1):
     rng = Rng(seed)
     params = LstmLayerParams.init(hidden, input_size, rng)
-    for b in params.biases():
-        b += rng.uniform(-bias_scale, bias_scale, b.shape)
+    params.b += rng.uniform(-bias_scale, bias_scale, params.b.shape)
     return params
+
+
+def gates_of(cache):
+    """Activated (f, i, o, g) blocks of one step record."""
+    return np.split(cache.gates, 4, axis=1)
 
 
 def scalar_step_oracle(w, b, h_prev, c_prev, x):
@@ -35,68 +39,72 @@ def scalar_step_oracle(w, b, h_prev, c_prev, x):
 
 
 class TestStep:
+    """Single cell updates, run as lstm_forward over T=1."""
+
     def test_zero_params_forces_half_gates(self):
         params = LstmLayerParams.zeros(3, 2)
         rng = Rng(4)
         prev = LstmStepState(rng.normal(0, 0.5, (2, 3)), rng.normal(0, 2, (2, 3)))
         x = rng.normal(0, 1, (2, 2))
-        state, cache = lstm_step(params, prev, x)
-        assert np.all(cache.f == 0.5) and np.all(cache.i == 0.5) and np.all(cache.o == 0.5)
-        assert np.all(cache.g == 0.0)
-        assert np.array_equal(state.cell, 0.5 * prev.cell)
-        assert np.array_equal(state.hidden, 0.5 * np.tanh(0.5 * prev.cell))
+        out, caches = lstm_forward(params, x[:, None, :], init_state=prev)
+        f, i, o, g = gates_of(caches[0])
+        assert np.all(f == 0.5) and np.all(i == 0.5) and np.all(o == 0.5)
+        assert np.all(g == 0.0)
+        assert np.array_equal(caches[0].c, 0.5 * prev.cell)
+        assert np.array_equal(out[:, 0, :], 0.5 * np.tanh(0.5 * prev.cell))
 
     def test_gate_override_preserves_cell_exactly(self):
+        # Saturating biases override the computed gates: sigmoid(+1e3) is
+        # exactly 1 and sigmoid(-1e3) exactly 0, so f=1, i=0 at every step.
         params = random_params(4, 3, seed=8)
+        params.b[:4] = 1e3
+        params.b[4:8] = -1e3
         rng = Rng(9)
         state = LstmStepState(rng.normal(0, 0.5, (1, 4)), rng.normal(0, 1.5, (1, 4)))
         c_start = state.cell.copy()
-        for _ in range(6):
-            state, _ = lstm_step(
-                params, state, rng.normal(0, 1, (1, 3)),
-                gate_override={"f": np.ones(4), "i": np.zeros(4)},
-            )
-            assert np.array_equal(state.cell, c_start)
+        _, caches = lstm_forward(params, rng.normal(0, 1, (1, 6, 3)), init_state=state)
+        for cache in caches:
+            f, i, _, _ = gates_of(cache)
+            assert np.all(f == 1.0) and np.all(i == 0.0)
+            assert np.array_equal(cache.c, c_start)
 
     def test_scalar_unit_weights_hand_example(self):
         # hidden=1, input=1, every weight 1, biases 0, h0=c0=0, x=1:
         # all gates sigma(1), candidate tanh(1); digits confirmed by the
         # independent scalar oracle below.
-        params = LstmLayerParams(
-            w_f=np.ones((1, 2)), w_i=np.ones((1, 2)), w_c=np.ones((1, 2)), w_o=np.ones((1, 2)),
-            b_f=np.zeros(1), b_i=np.zeros(1), b_c=np.zeros(1), b_o=np.zeros(1),
-        )
-        state, cache = lstm_step(params, LstmStepState.zeros(1, 1), np.array([[1.0]]))
+        params = LstmLayerParams(w=np.ones((4, 2)), b=np.zeros(4))
+        out, caches = lstm_forward(params, np.array([[[1.0]]]))
+        f, _, _, g = gates_of(caches[0])
         sig1 = 1.0 / (1.0 + math.exp(-1.0))
-        assert cache.f[0, 0] == pytest.approx(sig1, abs=1e-15)
-        assert cache.f[0, 0] == pytest.approx(0.7310585786300049, abs=1e-15)
-        assert cache.g[0, 0] == pytest.approx(math.tanh(1.0), abs=1e-15)
-        assert cache.g[0, 0] == pytest.approx(0.7615941559557649, abs=1e-15)
+        assert f[0, 0] == pytest.approx(sig1, abs=1e-15)
+        assert f[0, 0] == pytest.approx(0.7310585786300049, abs=1e-15)
+        assert g[0, 0] == pytest.approx(math.tanh(1.0), abs=1e-15)
+        assert g[0, 0] == pytest.approx(0.7615941559557649, abs=1e-15)
         h_ref, c_ref = scalar_step_oracle(1.0, 0.0, 0.0, 0.0, 1.0)
-        assert state.cell[0, 0] == pytest.approx(c_ref, abs=1e-15)
-        assert state.cell[0, 0] == pytest.approx(0.5567699411459397, abs=1e-15)
-        assert state.hidden[0, 0] == pytest.approx(h_ref, abs=1e-15)
-        assert state.hidden[0, 0] == pytest.approx(0.36960635293570576, abs=1e-15)
+        assert caches[0].c[0, 0] == pytest.approx(c_ref, abs=1e-15)
+        assert caches[0].c[0, 0] == pytest.approx(0.5567699411459397, abs=1e-15)
+        assert out[0, 0, 0] == pytest.approx(h_ref, abs=1e-15)
+        assert out[0, 0, 0] == pytest.approx(0.36960635293570576, abs=1e-15)
 
     def test_gate_and_state_ranges(self):
         rng = Rng(21)
         for seed in range(5):
             params = random_params(3, 2, seed=seed, bias_scale=1.0)
-            state = LstmStepState.zeros(4, 3)
-            for _ in range(7):
-                state, cache = lstm_step(params, state, rng.normal(0, 3, (4, 2)))
-                for gate in (cache.f, cache.i, cache.o):
+            out, caches = lstm_forward(params, rng.normal(0, 3, (4, 7, 2)))
+            for cache in caches:
+                f, i, o, g = gates_of(cache)
+                for gate in (f, i, o):
                     assert np.all(gate > 0.0) and np.all(gate < 1.0)
-                assert np.all(np.abs(cache.g) < 1.0)
-                assert np.all(np.abs(state.hidden) < 1.0)
-                assert np.all(np.isfinite(state.cell))
+                assert np.all(np.abs(g) < 1.0)
+                assert np.all(np.isfinite(cache.c))
+            assert np.all(np.abs(out) < 1.0)
 
     def test_size_mismatch(self):
         params = LstmLayerParams.zeros(3, 2)
         with pytest.raises(ShapeError):
-            lstm_step(params, LstmStepState.zeros(1, 3), np.zeros((1, 5)))
+            lstm_forward(params, np.zeros((1, 1, 5)), init_state=LstmStepState.zeros(1, 3))
         with pytest.raises(ShapeError):
-            lstm_step(params, LstmStepState.zeros(2, 4), np.zeros((2, 2)))
+            lstm_forward(params, np.zeros((2, 1, 2)), init_state=LstmStepState.zeros(2, 4))
 
 
 class TestForward:
@@ -104,9 +112,9 @@ class TestForward:
         params = random_params(3, 2, seed=0)
         x = Rng(1).normal(0, 1, (2, 1, 2))
         out, caches = lstm_forward(params, x, return_sequences=True)
-        state, _ = lstm_step(params, LstmStepState.zeros(2, 3), x[:, 0, :])
+        h, _, _ = reference_step(params, np.zeros((2, 3)), np.zeros((2, 3)), x[:, 0, :])
         assert len(caches) == 1
-        assert np.array_equal(out[:, 0, :], state.hidden)
+        assert np.max(np.abs(out[:, 0, :] - h)) <= 1e-12
 
     def test_zero_params_bounds_hidden(self):
         params = LstmLayerParams.zeros(2, 1)
@@ -135,15 +143,65 @@ class TestForward:
         init = LstmStepState(rng.normal(0, 0.3, (2, 3)), rng.normal(0, 1, (2, 3)))
         x = rng.normal(0, 1, (2, 3, 2))
         out, _ = lstm_forward(params, x, init_state=init, return_sequences=True)
-        state = init
+        h, c = init.hidden, init.cell
         for t in range(3):
-            state, _ = lstm_step(params, state, x[:, t, :])
-            assert np.array_equal(out[:, t, :], state.hidden)
+            h, c, _ = reference_step(params, h, c, x[:, t, :])
+            assert np.max(np.abs(out[:, t, :] - h)) <= 1e-12
 
     def test_empty_sequence_rejected(self):
         params = LstmLayerParams.zeros(2, 1)
         with pytest.raises(EmptyInputError):
             lstm_forward(params, np.zeros((1, 0, 1)))
+
+
+class TestAgainstReference:
+    """The fused layer against the plain four-gate oracle, to 1e-12."""
+
+    @pytest.mark.parametrize("return_sequences", [True, False])
+    @pytest.mark.parametrize("explicit_state", [False, True])
+    def test_forward_and_backward_match(self, return_sequences, explicit_state):
+        b, t_len, hidden, d = 3, 5, 4, 2
+        params = random_params(hidden, d, seed=40, bias_scale=0.5)
+        rng = Rng(41)
+        x = rng.normal(0, 1, (b, t_len, d))
+        h0, c0 = np.zeros((b, hidden)), np.zeros((b, hidden))
+        init = None
+        if explicit_state:
+            h0, c0 = rng.normal(0, 0.5, (b, hidden)), rng.normal(0, 1, (b, hidden))
+            init = LstmStepState(h0, c0)
+        seq_grads = rng.normal(0, 1, (b, t_len, hidden))
+        if not return_sequences:
+            seq_grads[:, :-1, :] = 0.0
+
+        out, caches = lstm_forward(params, x, init_state=init, return_sequences=return_sequences)
+        grad_out = seq_grads if return_sequences else seq_grads[:, -1, :]
+        grads, d_in, dh0, dc0 = lstm_backward(params, caches, grad_out)
+
+        ref_out, ref_caches = reference_forward(params, x, h0, c0)
+        ref_dw, ref_db, ref_din, ref_dh0, ref_dc0 = reference_backward(params, ref_caches, seq_grads)
+
+        def close(a, b):
+            return np.shape(a) == np.shape(b) and np.max(np.abs(a - b)) <= 1e-12
+
+        assert close(out, ref_out if return_sequences else ref_out[:, -1, :])
+        assert close(d_in, ref_din)
+        assert close(dh0, ref_dh0)
+        assert close(dc0, ref_dc0)
+        dw, db = split_gates(grads.w), split_gates(grads.b)
+        for gate in ("f", "i", "o", "g"):
+            assert close(dw[gate], ref_dw[gate]), gate
+            assert close(db[gate], ref_db[gate]), gate
+
+    def test_init_matches_per_gate_draws(self):
+        # one Glorot block per gate, drawn in f, i, c, o order
+        rng = Rng(42)
+        blocks = [rng.uniform(-np.sqrt(6.0 / 10), np.sqrt(6.0 / 10), (3, 7)) for _ in range(4)]
+        w_f, w_i, w_c, w_o = blocks
+        params = LstmLayerParams.init(3, 4, Rng(42))
+        w = split_gates(params.w)
+        assert np.array_equal(w["f"], w_f) and np.array_equal(w["i"], w_i)
+        assert np.array_equal(w["o"], w_o) and np.array_equal(w["g"], w_c)
+        assert np.array_equal(params.b, np.zeros(12))
 
 
 class TestBackward:

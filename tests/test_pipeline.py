@@ -27,6 +27,15 @@ class TestTimestamps:
             "2018-03-05T14:30:00"
         )
 
+    def test_sub_second_round_trip(self):
+        start = pl.parse_timestamp("2018-01-01T00:00:00")
+        assert pl.format_timestamp(start) == "2018-01-01T00:00:00"
+        assert pl.format_timestamp(start + 0.25) == "2018-01-01T00:00:00.250000"
+        for k in range(1, 50):
+            epoch = start + k * 0.1
+            back = pl.parse_timestamp(pl.format_timestamp(epoch))
+            assert abs(back - epoch) < 1e-6
+
 
 class TestCsv:
     def test_read_write_round_trip(self, tmp_path):
@@ -62,6 +71,13 @@ class TestCsv:
         path = tmp_path / "bad.csv"
         path.write_text("timestamp,value,label\n2018-01-01T00:00:00,400,2\n")
         with pytest.raises(CsvParseError):
+            pl.read_series_csv(str(path))
+
+    @pytest.mark.parametrize("token", ["inf", "-inf", "Infinity", "1e999", "-1e999"])
+    def test_non_finite_value_reports_line(self, tmp_path, token):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"timestamp,value\n2018-01-01T00:00:00,400\n2018-01-01T00:01:00,{token}\n")
+        with pytest.raises(CsvParseError, match=r"line 3.*non-finite"):
             pl.read_series_csv(str(path))
 
     def test_nan_tokens_become_nan(self, tmp_path):

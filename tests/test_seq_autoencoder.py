@@ -231,7 +231,19 @@ class TestPersistence:
         doc = json.loads(path.read_text())
         doc["format_version"] = 99
         path.write_text(json.dumps(doc))
-        with pytest.raises(ModelVersionError, match=r"99.*1"):
+        with pytest.raises(ModelVersionError, match=r"99.*2"):
+            sa.load_model(str(path))
+
+    def test_non_matrix_weight_rejected(self, tmp_path):
+        import json
+
+        model = sa.build_model("1x16", timesteps=5, seed=24)
+        path = tmp_path / "model.json"
+        sa.save_model(model, str(path))
+        doc = json.loads(path.read_text())
+        doc["decoder"][0]["w"] = 5.0
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFileError):
             sa.load_model(str(path))
 
     def test_shape_inconsistency_rejected(self, tmp_path):
@@ -241,7 +253,7 @@ class TestPersistence:
         path = tmp_path / "model.json"
         sa.save_model(model, str(path))
         doc = json.loads(path.read_text())
-        doc["encoder"][0]["b_f"] = [0.0, 0.0]  # wrong length
+        doc["encoder"][0]["b"] = [0.0, 0.0]  # wrong length
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelFileError):
             sa.load_model(str(path))
