@@ -4,7 +4,7 @@ aggregation over overlapping windows, and max-loss thresholding, with
 the preprocessing, labeling, and evaluation machinery around it.
 """
 
-from .core_math import AdamState, Rng, adam_step, glorot_init, matmul, sigmoid, tanh
+from .core_math import AdamState, Rng, adam_step, glorot_init, sigmoid, tanh
 from .detector import DetectionReport, Threshold, detect, fit_threshold
 from .lstm import LstmLayerParams, LstmStepState, lstm_backward, lstm_forward
 from .metrics import (

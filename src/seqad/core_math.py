@@ -1,4 +1,4 @@
-"""Dense float64 kernels: matmul, stable activations, seeded RNG, Adam.
+"""Dense float64 kernels: stable activations, seeded RNG, Glorot init, Adam.
 
 Everything runs in 64-bit precision so that finite-difference gradient
 checks are meaningful at 1e-4 relative tolerance. Matrices are plain
@@ -15,9 +15,6 @@ import numpy as np
 from .errors import ShapeError
 
 __all__ = [
-    "as_matrix",
-    "as_vector",
-    "matmul",
     "sigmoid",
     "tanh",
     "Rng",
@@ -25,31 +22,6 @@ __all__ = [
     "AdamState",
     "adam_step",
 ]
-
-
-def as_matrix(a) -> np.ndarray:
-    """Coerce to a 2-D float64 array, rejecting anything else."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise ShapeError(f"expected a matrix, got array of shape {a.shape}")
-    return a
-
-
-def as_vector(a) -> np.ndarray:
-    """Coerce to a 1-D float64 array, rejecting anything else."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 1:
-        raise ShapeError(f"expected a vector, got array of shape {a.shape}")
-    return a
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit conformability check."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
 
 
 def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -19,6 +19,12 @@ class ConfigError(ToolkitError):
     """Invalid configuration value, flag, or profile."""
 
 
+class TrainingDivergedError(ConfigError):
+    """Training diverged: a non-finite loss or parameter, or a final loss
+    far above that of reconstructing every window as zeros. The usual
+    cause is a learning rate that is too high."""
+
+
 class DataError(ToolkitError):
     """The input data cannot be processed as requested."""
 

@@ -21,9 +21,16 @@ buffer of gate gradients in a loop whose only GEMM is the W_h product
 for the hidden-state gradient, and then takes the weight gradient and
 the input gradient as one GEMM each.
 
+`lstm_infer` is the forward pass without the backward pass's buffers:
+it keeps the hoisted projection into the (T, B, 4H) gate buffer but
+carries h and c as (B, H) state and writes only the hidden outputs, so
+scoring keeps no [h, x], cell or tanh(c) history.
+
 All arrays are batch-first at the interface: a batch of B independent
 sequences is processed at once, with states of shape (B, hidden) and
-inputs of shape (B, T, input). A single sequence is just B = 1.
+inputs of shape (B, T, input). A single sequence is just B = 1. The
+exception is `lstm_infer`, which is time-major, (T, B, input), so that
+layers chain without a transpose.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ __all__ = [
     "LstmCache",
     "lstm_forward",
     "lstm_backward",
+    "lstm_infer",
 ]
 
 
@@ -274,3 +282,46 @@ def lstm_backward(
     d_w = d_flat.T @ cache.z[:t_len].reshape(t_len * b, h + d)
     d_inputs = (d_flat @ params.w[:, h:]).reshape(t_len, b, d).transpose(1, 0, 2)
     return LstmLayerParams(w=d_w, b=d_flat.sum(axis=0)), d_inputs, dh_next, dc_next
+
+
+def lstm_infer(
+    params: LstmLayerParams, inputs: np.ndarray, return_sequences: bool = True
+) -> np.ndarray:
+    """Forward-only pass over a time-major (T, batch, input) array.
+
+    Starts from zero state and keeps no cache. Returns the hidden
+    outputs (T, batch, hidden) when `return_sequences` is set, else the
+    final hidden state (batch, hidden). Equals `lstm_forward` on the
+    transposed input to rounding.
+    """
+    inputs = np.asarray(inputs, dtype=np.float64)
+    if inputs.ndim != 3:
+        raise ShapeError(f"expected (T, batch, input) array, got shape {inputs.shape}")
+    t_len, b, d = inputs.shape
+    h = params.hidden_size
+    if d != params.input_size:
+        raise ShapeError(f"input shape {inputs.shape} does not match input size {params.input_size}")
+    if t_len == 0:
+        raise EmptyInputError("cannot run an LSTM over an empty sequence")
+
+    gates = np.empty((t_len, b, 4 * h))
+    np.matmul(inputs.reshape(t_len * b, d), params.w[:, h:].T, out=gates.reshape(t_len * b, 4 * h))
+    gates += params.b
+    outputs = np.empty((t_len, b, h)) if return_sequences else None
+
+    w_h_t = params.w[:, :h].T
+    s = 3 * h
+    work = np.empty((b, 4 * h))
+    c = np.zeros((b, h))
+    h_prev = np.zeros((b, h))
+    for t in range(t_len):
+        a = gates[t]
+        a += np.matmul(h_prev, w_h_t, out=work)
+        sigmoid(a[:, :s], out=a[:, :s])
+        tanh(a[:, s:], out=a[:, s:])
+        c *= a[:, :h]
+        c += np.multiply(a[:, h : 2 * h], a[:, s:], out=work[:, :h])
+        tc = tanh(c, out=work[:, :h])
+        # h_prev was last read by this step's GEMM, so it can take the new state
+        h_prev = np.multiply(a[:, 2 * h : s], tc, out=outputs[t] if return_sequences else h_prev)
+    return outputs if return_sequences else h_prev

@@ -26,8 +26,9 @@ from .errors import (
     ModelFileError,
     ModelVersionError,
     ShapeError,
+    TrainingDivergedError,
 )
-from .lstm import LstmLayerParams, lstm_backward, lstm_forward
+from .lstm import LstmLayerParams, lstm_backward, lstm_forward, lstm_infer
 from .windowing import WindowSet
 
 __all__ = [
@@ -47,6 +48,10 @@ __all__ = [
 ]
 
 MODEL_FORMAT_VERSION = 2
+
+# training fails when its final train MAE exceeds this multiple of the
+# MAE of reconstructing every training window as zeros
+DIVERGENCE_FACTOR = 10.0
 
 _ARCH_RE = re.compile(r"^(\d+)x(\d+(?:-\d+)*)$")
 
@@ -216,10 +221,12 @@ def _forward_batch(
     rng: Rng | None = None,
     dropout_rate: float | None = None,
 ):
-    """Run a (B, T, m) batch through the full autoencoder.
+    """Run a (B, T, m) batch through the full autoencoder, keeping what
+    backpropagation needs: the training pass.
 
     Returns (reconstruction, cache); the cache is only meaningful for a
-    subsequent _backward_batch call.
+    subsequent _backward_batch call. Inference without a backward pass
+    goes through reconstruct_windows, which keeps no cache.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 3 or batch.shape[1:] != (model.timesteps, model.features):
@@ -317,20 +324,37 @@ def forward(
         raise ShapeError(
             f"window shape {window.shape} does not match ({model.timesteps}, {model.features})"
         )
-    recon, _ = _forward_batch(model, window[None], train_mode=train_mode, rng=rng)
+    if not train_mode:
+        return reconstruct_windows(model, window[None])[0]
+    recon, _ = _forward_batch(model, window[None], train_mode=True, rng=rng)
     return recon[0]
 
 
 def reconstruct_windows(
     model: SeqAutoencoderModel, windows: np.ndarray, chunk: int = 1024
 ) -> np.ndarray:
-    """Inference-mode reconstruction of a (count, T, m) stack, chunked."""
+    """Inference-mode reconstruction of a (count, T, m) stack, chunked.
+
+    A forward-only pass: each layer keeps only its outputs, so one
+    chunk holds at most one layer's (T, chunk, 4H) gate buffer and the
+    hidden outputs either side of it.
+    """
     windows = np.asarray(windows, dtype=np.float64)
+    if windows.ndim != 3 or windows.shape[1:] != (model.timesteps, model.features):
+        raise ShapeError(
+            f"windows shape {windows.shape} does not match "
+            f"(count, {model.timesteps}, {model.features})"
+        )
     out = np.empty_like(windows)
     for lo in range(0, windows.shape[0], chunk):
-        hi = min(lo + chunk, windows.shape[0])
-        # drop the backward cache at once, so one chunk's buffers live at a time
-        out[lo:hi] = _forward_batch(model, windows[lo:hi], train_mode=False)[0]
+        seq = windows[lo : lo + chunk].transpose(1, 0, 2)
+        for layer in model.encoder[:-1]:
+            seq = lstm_infer(layer, seq)
+        latent = lstm_infer(model.encoder[-1], seq, return_sequences=False)
+        seq = np.broadcast_to(latent, (model.timesteps, *latent.shape))
+        for layer in model.decoder:
+            seq = lstm_infer(layer, seq)
+        out[lo : lo + chunk] = (seq @ model.head_w.T + model.head_b).transpose(1, 0, 2)
     return out
 
 
@@ -352,6 +376,11 @@ def train(
     (never shuffled); training batches are re-shuffled every epoch from
     a seed-derived stream, so the whole run is deterministic given
     cfg.seed. Returns the model together with the per-epoch trace.
+
+    Raises TrainingDivergedError, leaving the model unusable, when an
+    epoch ends with a non-finite loss or parameter, or when the final
+    train MAE exceeds DIVERGENCE_FACTOR times the MAE of an all-zero
+    reconstruction of the training windows.
     """
     cfg.validate()
     if len(windows) == 0:
@@ -374,7 +403,7 @@ def train(
     dropout_rng = Rng(cfg.seed).spawn("dropout")
     denom = train_data.shape[0] * model.timesteps * model.features
 
-    for _ in range(cfg.epochs):
+    for epoch in range(1, cfg.epochs + 1):
         order = shuffle_rng.permutation(n_train)
         epoch_abs_err = 0.0
         for lo in range(0, n_train, cfg.batch_size):
@@ -387,12 +416,26 @@ def train(
             d_recon = np.sign(diff) / diff.size
             grads = _backward_batch(model, cache, d_recon)
             adam_step(params, grads, state, cfg.learning_rate)
-        trace.train_loss.append(epoch_abs_err / denom)
+        train_mae = epoch_abs_err / denom
+        if not (np.isfinite(train_mae) and all(np.isfinite(p).all() for p in params)):
+            raise TrainingDivergedError(
+                f"training diverged at epoch {epoch}: train MAE {train_mae!r} with a "
+                f"non-finite loss or parameter at learning rate {cfg.learning_rate!r}"
+            )
+        trace.train_loss.append(train_mae)
         if n_val:
             val_recon = reconstruct_windows(model, val_data)
             trace.val_loss.append(mae(val_recon, val_data))
         else:
             trace.val_loss.append(float("nan"))
+
+    zero_mae = float(np.abs(train_data).mean())
+    if train_mae > DIVERGENCE_FACTOR * zero_mae:
+        raise TrainingDivergedError(
+            f"training diverged: final epoch {cfg.epochs} ended at train MAE {train_mae!r}, "
+            f"over {DIVERGENCE_FACTOR:g} times the {zero_mae!r} of an all-zero reconstruction, "
+            f"at learning rate {cfg.learning_rate!r}"
+        )
     return model, trace
 
 
@@ -411,7 +454,7 @@ def _layer_from_doc(doc: dict) -> LstmLayerParams:
     return LstmLayerParams(w=w, b=b)
 
 
-def _model_doc(model: SeqAutoencoderModel) -> dict:
+def _model_header(model: SeqAutoencoderModel) -> dict:
     return {
         "format_version": MODEL_FORMAT_VERSION,
         "kind": "lstm-autoencoder",
@@ -420,6 +463,12 @@ def _model_doc(model: SeqAutoencoderModel) -> dict:
         "features": model.features,
         "dropout_rate": model.dropout_rate,
         "init_seed": model.init_seed,
+    }
+
+
+def _model_doc(model: SeqAutoencoderModel) -> dict:
+    return {
+        **_model_header(model),
         "encoder": [_layer_to_doc(l) for l in model.encoder],
         "decoder": [_layer_to_doc(l) for l in model.decoder],
         "head_weight": model.head_w.tolist(),
@@ -481,6 +530,16 @@ def load_model(path: str) -> SeqAutoencoderModel:
 
 
 def model_digest(model: SeqAutoencoderModel) -> str:
-    """Stable identity of a model: sha256 of its canonical serialization."""
-    blob = json.dumps(_model_doc(model), sort_keys=True).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
+    """Stable identity of a model, without serialising it.
+
+    sha256 over a canonical JSON header (format version, kind, arch,
+    timesteps, features, dropout rate, init seed and the shape of every
+    array of `params()`), a newline, then each array as little-endian
+    float64 bytes in `params()` order.
+    """
+    params = model.params()
+    header = {**_model_header(model), "shapes": [list(p.shape) for p in params]}
+    digest = hashlib.sha256(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
+    for p in params:
+        digest.update(np.ascontiguousarray(p, dtype="<f8").tobytes())
+    return digest.hexdigest()

@@ -218,6 +218,28 @@ class TestErrorCodes:
         code, _, err = run(capsys, "sweep", "--out", workspace, "--sweep-windows", "10,zero")
         assert code == cli.EXIT_CONFIG
 
+    def test_diverging_training_is_config_error_and_saves_no_model(self, workspace, tmp_path, capsys):
+        import shutil
+
+        out = tmp_path / "diverge"
+        out.mkdir()
+        for name in ("train.csv", "scaler.json"):
+            shutil.copy(os.path.join(workspace, name), out / name)
+        code, _, err = run(
+            capsys, "train", "--out", str(out), "--window", "6",
+            "--epochs", "3", "--learning-rate", "1e6",
+        )  # fmt: skip
+        assert code == cli.EXIT_CONFIG
+        assert "diverged" in err and "epoch 3" in err and "MAE" in err and "1000000.0" in err
+        assert not (out / "model.json").exists()
+        assert not (out / "training_trace.csv").exists()
+        code, _, _ = run(
+            capsys, "train", "--out", str(out), "--window", "6",
+            "--epochs", "3", "--learning-rate", "1.0",
+        )  # fmt: skip
+        assert code == 0
+        assert (out / "model.json").exists()
+
     def test_infinite_value_is_data_error_naming_line(self, tmp_path, capsys):
         path = tmp_path / "inf.csv"
         rows = ["timestamp,value"]

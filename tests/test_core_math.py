@@ -3,49 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from seqad.core_math import AdamState, Rng, adam_step, glorot_init, matmul, sigmoid, tanh
+from seqad.core_math import AdamState, Rng, adam_step, glorot_init, sigmoid, tanh
 from seqad.errors import ShapeError
-
-
-def matmul_oracle(a, b):
-    """Triple-loop reference product."""
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            for k in range(a.shape[1]):
-                out[i, j] += a[i, k] * b[k, j]
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(matmul(np.eye(2), m), m)
-
-    def test_hand_computed(self):
-        out = matmul(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]]))
-        assert out.shape == (1, 1)
-        assert out[0, 0] == 11.0
-
-    def test_matches_triple_loop_oracle(self):
-        rng = Rng(11)
-        a = rng.normal(0, 1, (3, 4))
-        b = rng.normal(0, 1, (4, 2))
-        assert np.allclose(matmul(a, b), matmul_oracle(a, b), rtol=0, atol=1e-12)
-
-    def test_dimension_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-            matmul(np.zeros((2, 3)), np.zeros((2, 2)))
-
-    def test_associativity(self):
-        rng = Rng(5)
-        for _ in range(20):
-            a = rng.normal(0, 1, (4, 3))
-            b = rng.normal(0, 1, (3, 5))
-            c = rng.normal(0, 1, (5, 2))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            assert np.max(np.abs(left - right)) <= 1e-9 * max(1.0, np.max(np.abs(left)))
 
 
 class TestActivations:

@@ -12,6 +12,7 @@ from seqad.lstm import (
     LstmStepState,
     lstm_backward,
     lstm_forward,
+    lstm_infer,
 )
 
 
@@ -152,6 +153,35 @@ class TestForward:
         params = LstmLayerParams.zeros(2, 1)
         with pytest.raises(EmptyInputError):
             lstm_forward(params, np.zeros((1, 0, 1)))
+
+
+class TestInfer:
+    """The forward-only pass against the training forward, to 1e-12."""
+
+    @pytest.mark.parametrize("t_len", [1, 7])
+    def test_sequences_match_training_forward(self, t_len):
+        params = random_params(4, 3, seed=8)
+        x = Rng(9).normal(0, 1, (5, t_len, 3))
+        expected, _ = lstm_forward(params, x, return_sequences=True)
+        got = lstm_infer(params, x.transpose(1, 0, 2), return_sequences=True)
+        assert got.shape == (t_len, 5, 4)
+        assert np.max(np.abs(got.transpose(1, 0, 2) - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("t_len", [1, 7])
+    def test_final_state_matches_training_forward(self, t_len):
+        params = random_params(4, 3, seed=10)
+        x = Rng(11).normal(0, 1, (5, t_len, 3))
+        expected, _ = lstm_forward(params, x, return_sequences=False)
+        got = lstm_infer(params, x.transpose(1, 0, 2), return_sequences=False)
+        assert got.shape == (5, 4)
+        assert np.max(np.abs(got - expected)) <= 1e-12
+
+    def test_bad_shapes_rejected(self):
+        params = LstmLayerParams.zeros(2, 1)
+        with pytest.raises(ShapeError):
+            lstm_infer(params, np.zeros((3, 1, 2)))
+        with pytest.raises(EmptyInputError):
+            lstm_infer(params, np.zeros((0, 1, 1)))
 
 
 class TestAgainstReference:

@@ -1,11 +1,19 @@
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gradcheck import REL_TOL, worst_relative_error
 from seqad.core_math import Rng
-from seqad.errors import ConfigError, EmptyInputError, ModelFileError, ModelVersionError
+from seqad.errors import (
+    ConfigError,
+    EmptyInputError,
+    ModelFileError,
+    ModelVersionError,
+    ShapeError,
+    TrainingDivergedError,
+)
 from seqad import seq_autoencoder as sa
 from seqad.windowing import make_windows
 
@@ -92,6 +100,63 @@ class TestForward:
         model = sa.build_model("1x16", timesteps=10, seed=12)
         with pytest.raises(Exception):
             sa.forward(model, np.zeros((9, 1)))
+
+
+def perturbed(model, seed):
+    """The model with every parameter, biases included, moved off its init."""
+    rng = Rng(seed)
+    for p in model.params():
+        p += rng.normal(0, 0.2, p.shape)
+    return model
+
+
+class TestInferencePass:
+    @pytest.mark.parametrize("tag", ["1x3", "2x8-4", "3x8-6-4"])
+    @pytest.mark.parametrize("t_len", [1, 7])
+    def test_matches_training_forward(self, tag, t_len):
+        model = perturbed(sa.build_model(tag, timesteps=t_len, features=2, seed=30), 31)
+        windows = Rng(32).normal(0, 1, (5, t_len, 2))
+        expected, _ = sa._forward_batch(model, windows, train_mode=False)
+        got = sa.reconstruct_windows(model, windows)
+        assert np.max(np.abs(got - expected)) <= 1e-12
+
+    def test_chunk_boundary(self):
+        model = perturbed(sa.build_model("2x8-4", timesteps=7, seed=33), 34)
+        windows = Rng(35).normal(0, 1, (4, 7, 1))
+        expected, _ = sa._forward_batch(model, windows, train_mode=False)
+        got = sa.reconstruct_windows(model, windows, chunk=3)
+        assert np.max(np.abs(got - expected)) <= 1e-12
+
+    def test_repeated_calls_bit_identical(self):
+        model = perturbed(sa.build_model("3x8-6-4", timesteps=7, seed=36), 37)
+        windows = Rng(38).normal(0, 1, (9, 7, 1))
+        first = sa.reconstruct_windows(model, windows, chunk=4)
+        assert np.array_equal(first, sa.reconstruct_windows(model, windows, chunk=4))
+        assert np.array_equal(sa.forward(model, windows[2]), sa.forward(model, windows[2]))
+
+    def test_forward_uses_the_inference_pass(self):
+        model = perturbed(sa.build_model("2x8-4", timesteps=7, seed=39), 40)
+        window = Rng(41).normal(0, 1, (7, 1))
+        assert np.array_equal(sa.forward(model, window), sa.reconstruct_windows(model, window[None])[0])
+
+    def test_peak_memory_below_two_gate_buffers(self):
+        # the widest layer's (T, B, 4H) gate buffer: 10 x 1024 x 256 float64, 20 MiB;
+        # a pass that keeps the backward caches of every layer peaks near 100 MiB
+        model = sa.build_model("2x64-16", timesteps=10, seed=42)
+        windows = Rng(43).normal(0, 1, (1024, 10, 1))
+        gate_buffer = 10 * 1024 * 4 * 64 * 8
+        tracemalloc.start()
+        try:
+            sa.reconstruct_windows(model, windows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * gate_buffer
+
+    def test_wrong_window_shape_rejected(self):
+        model = sa.build_model("1x3", timesteps=4, seed=44)
+        with pytest.raises(ShapeError):
+            sa.reconstruct_windows(model, np.zeros((3, 5, 1)))
 
 
 class TestGradients:
@@ -190,6 +255,19 @@ class TestTrain:
         for p in model.params():
             assert np.all(np.isfinite(p))
 
+    def test_diverging_optimiser_raises(self):
+        windows = sinusoid_windows(n=300)
+        model = sa.build_model("1x16", timesteps=10, seed=7)
+        with pytest.raises(TrainingDivergedError, match=r"epoch 2.*MAE.*learning rate 1000000\.0"):
+            sa.train(model, windows, sa.TrainConfig(epochs=2, learning_rate=1e6, seed=7))
+
+    def test_non_finite_parameter_raises_at_its_epoch(self):
+        windows = sinusoid_windows(n=300)
+        model = sa.build_model("1x16", timesteps=10, seed=8)
+        model.head_b[0] = np.inf
+        with pytest.raises(TrainingDivergedError, match=r"epoch 1: .*non-finite"):
+            sa.train(model, windows, sa.TrainConfig(epochs=3, seed=8))
+
     def test_no_validation_split(self):
         windows = sinusoid_windows(n=120)
         _, trace = sa.train(
@@ -212,6 +290,19 @@ class TestPersistence:
         assert loaded.dropout_rate == 0.2
         assert loaded.init_seed == 21
         assert sa.model_digest(loaded) == sa.model_digest(model)
+
+    def test_digest_changes_with_one_ulp_of_any_weight(self):
+        model = sa.build_model("2x8-4", timesteps=5, seed=25)
+        base = sa.model_digest(model)
+        seen = {base}
+        for p in model.params():
+            for k in range(p.size):
+                old = p.flat[k]
+                p.flat[k] = np.nextafter(old, np.inf)
+                seen.add(sa.model_digest(model))
+                p.flat[k] = old
+        assert len(seen) == 1 + sum(p.size for p in model.params())
+        assert sa.model_digest(model) == base
 
     def test_truncated_file_rejected_whole(self, tmp_path):
         model = sa.build_model("1x16", timesteps=5, seed=22)
