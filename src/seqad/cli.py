@@ -2,6 +2,11 @@
 sweep over window lengths and architectures and a synthetic-data
 generator.
 
+`train` fixes the max-loss threshold on the windows it trained on and
+stores it in the model file; `detect` scores the test series against
+that stored threshold and never reads the training series, so a
+`--model` from another workspace brings its own threshold.
+
 Configuration is a flat `key = value` text file; every key is also a
 same-named command-line flag (dashes for underscores) and flags win.
 All randomness flows from the single `seed` key through named
@@ -12,6 +17,7 @@ substreams. Exit codes: 0 success, 2 configuration error, 3 data error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -236,6 +242,10 @@ def cmd_preprocess(cfg: RunConfig) -> None:
 
 
 def cmd_train(cfg: RunConfig) -> None:
+    # a train that fails leaves no earlier model behind for detect to score with
+    for stale in (cfg.model_path(), os.path.join(cfg.out, "training_trace.csv")):
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(stale)
     if cfg.window < 1:
         raise ConfigError(f"window length must be >= 1, got {cfg.window}")
     train_series = _read_workspace_series(cfg, "train.csv")
@@ -258,6 +268,12 @@ def cmd_train(cfg: RunConfig) -> None:
         seed=cfg.seed,
     )
     model, trace = seq_autoencoder.train(model, windows, train_cfg)
+    threshold = detector.fit_threshold(model, windows)
+    model.threshold = seq_autoencoder.ThresholdRecord(
+        value=threshold.value,
+        train_points=threshold.train_points,
+        window_len=threshold.window_len,
+    )
 
     os.makedirs(cfg.out, exist_ok=True)
     seq_autoencoder.save_model(model, cfg.model_path())
@@ -274,14 +290,15 @@ def cmd_train(cfg: RunConfig) -> None:
 
 def cmd_detect(cfg: RunConfig) -> None:
     model = seq_autoencoder.load_model(cfg.model_path())
-    train_series = _read_workspace_series(cfg, "train.csv")
     test_series = _read_workspace_series(cfg, "test.csv")
     scaler = _read_scaler(cfg)
 
-    train_windows = windowing.make_windows(
-        pipeline.apply_scaler(train_series.values, scaler), model.timesteps
+    threshold = detector.Threshold(
+        value=model.threshold.value,
+        train_points=model.threshold.train_points,
+        window_len=model.threshold.window_len,
+        model_digest=seq_autoencoder.model_digest(model),
     )
-    threshold = detector.fit_threshold(model, train_windows)
     report = detector.detect(model, threshold, test_series, scaler)
 
     os.makedirs(cfg.out, exist_ok=True)
@@ -449,8 +466,8 @@ _COMMANDS = {
 
 _HELP = {
     "preprocess": "clean, split, sigma-filter/label, and scale a raw series",
-    "train": "fit the autoencoder on the preprocessed training series",
-    "detect": "fit the max-loss threshold and score the test series",
+    "train": "fit the autoencoder and its max-loss threshold on the training series",
+    "detect": "score the test series against the threshold stored with the model",
     "evaluate": "confusion matrix, percent metrics, and ROC from a report",
     "sweep": "train/score a grid of window lengths and architectures",
     "synth": "generate a synthetic series with injected anomalies",

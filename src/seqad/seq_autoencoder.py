@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .windowing import WindowSet
 
 __all__ = [
     "SeqAutoencoderModel",
+    "ThresholdRecord",
     "TrainConfig",
     "TrainTrace",
     "parse_arch",
@@ -47,7 +49,7 @@ __all__ = [
     "MODEL_FORMAT_VERSION",
 ]
 
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 
 # training fails when its final train MAE exceeds this multiple of the
 # MAE of reconstructing every training window as zeros
@@ -77,6 +79,16 @@ def parse_arch(tag: str) -> list[int]:
 
 
 @dataclass
+class ThresholdRecord:
+    """The max-loss threshold that training fixed for a model: the value,
+    the number of training points it was fit on and the window length."""
+
+    value: float
+    train_points: int
+    window_len: int
+
+
+@dataclass
 class SeqAutoencoderModel:
     encoder: list[LstmLayerParams]
     decoder: list[LstmLayerParams]
@@ -87,6 +99,7 @@ class SeqAutoencoderModel:
     dropout_rate: float
     arch: str
     init_seed: int
+    threshold: ThresholdRecord | None = None  # set after training, saved with the model
 
     @property
     def latent_size(self) -> int:
@@ -377,6 +390,9 @@ def train(
     a seed-derived stream, so the whole run is deterministic given
     cfg.seed. Returns the model together with the per-epoch trace.
 
+    Training drops any threshold record the model carried, which the
+    caller fits again for the new parameters.
+
     Raises TrainingDivergedError, leaving the model unusable, when an
     epoch ends with a non-finite loss or parameter, or when the final
     train MAE exceeds DIVERGENCE_FACTOR times the MAE of an all-zero
@@ -397,6 +413,7 @@ def train(
     if cfg.epochs == 0:
         return model, trace
 
+    model.threshold = None  # fit on the parameters this run replaces
     params = model.params()
     state = AdamState.for_params(params)
     shuffle_rng = Rng(cfg.seed).spawn("shuffle")
@@ -454,6 +471,22 @@ def _layer_from_doc(doc: dict) -> LstmLayerParams:
     return LstmLayerParams(w=w, b=b)
 
 
+def _threshold_from_doc(doc, path: str) -> ThresholdRecord:
+    if doc is None:
+        raise ModelFileError(f"model file {path} has no threshold record; retrain the model")
+    try:
+        record = ThresholdRecord(
+            value=float(doc["value"]),
+            train_points=int(doc["train_points"]),
+            window_len=int(doc["window_len"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ModelFileError(f"bad threshold record in model file {path}: {exc}") from exc
+    if not math.isfinite(record.value):
+        raise ModelFileError(f"model file {path} has a non-finite threshold {record.value!r}")
+    return record
+
+
 def _model_header(model: SeqAutoencoderModel) -> dict:
     return {
         "format_version": MODEL_FORMAT_VERSION,
@@ -463,6 +496,7 @@ def _model_header(model: SeqAutoencoderModel) -> dict:
         "features": model.features,
         "dropout_rate": model.dropout_rate,
         "init_seed": model.init_seed,
+        "threshold": None if model.threshold is None else asdict(model.threshold),
     }
 
 
@@ -477,22 +511,27 @@ def _model_doc(model: SeqAutoencoderModel) -> dict:
 
 
 def save_model(model: SeqAutoencoderModel, path: str) -> None:
-    """Write the model as a versioned JSON document.
+    """Write the model and its threshold record as a versioned JSON document.
 
     Floats are serialized as shortest round-tripping decimals, so a
     load returns bit-identical parameters. The write goes through a
     temp file + rename so a crashed save never leaves a partial model.
+    Raises ModelFileError for a model without a threshold record, which
+    load_model would reject.
     """
-    doc = _model_doc(model)
+    if model.threshold is None:
+        raise ModelFileError("cannot save a model without its threshold record")
+    # one-shot dumps runs CPython's C encoder; json.dump to a file never does
+    text = json.dumps(_model_doc(model))
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        fh.write(text + "\n")
     os.replace(tmp, path)
 
 
 def load_model(path: str) -> SeqAutoencoderModel:
-    """Read a model saved by save_model, checking version and shapes."""
+    """Read a model saved by save_model, checking version, shapes and the
+    threshold record, which comes back as the model's `threshold`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -508,6 +547,7 @@ def load_model(path: str) -> SeqAutoencoderModel:
             f"model file {path} has format version {version!r}, "
             f"this build supports {MODEL_FORMAT_VERSION}"
         )
+    threshold = _threshold_from_doc(doc.get("threshold"), path)
     try:
         model = SeqAutoencoderModel(
             encoder=[_layer_from_doc(l) for l in doc["encoder"]],
@@ -519,6 +559,7 @@ def load_model(path: str) -> SeqAutoencoderModel:
             dropout_rate=float(doc["dropout_rate"]),
             arch=str(doc["arch"]),
             init_seed=int(doc["init_seed"]),
+            threshold=threshold,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFileError(f"malformed model file {path}: {exc}") from exc
@@ -526,6 +567,11 @@ def load_model(path: str) -> SeqAutoencoderModel:
         model.validate()
     except (ShapeError, ConfigError) as exc:
         raise ModelFileError(f"inconsistent model file {path}: {exc}") from exc
+    if threshold.window_len != model.timesteps:
+        raise ModelFileError(
+            f"inconsistent model file {path}: threshold fit on windows of "
+            f"{threshold.window_len}, model has {model.timesteps} timesteps"
+        )
     return model
 
 
@@ -533,9 +579,9 @@ def model_digest(model: SeqAutoencoderModel) -> str:
     """Stable identity of a model, without serialising it.
 
     sha256 over a canonical JSON header (format version, kind, arch,
-    timesteps, features, dropout rate, init seed and the shape of every
-    array of `params()`), a newline, then each array as little-endian
-    float64 bytes in `params()` order.
+    timesteps, features, dropout rate, init seed, threshold record and
+    the shape of every array of `params()`), a newline, then each array
+    as little-endian float64 bytes in `params()` order.
     """
     params = model.params()
     header = {**_model_header(model), "shapes": [list(p.shape) for p in params]}

@@ -1,18 +1,27 @@
 import json
 import math
 import os
+import shutil
 
 import numpy as np
 import pytest
 
-from seqad import cli
+from seqad import cli, detector, pipeline, seq_autoencoder
 from seqad.pipeline import format_timestamp, parse_timestamp, read_series_csv
+from seqad.windowing import make_windows
 
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def copy_workspace(workspace, tmp_path):
+    """A private copy of the shared workspace, for tests that change it."""
+    out = str(tmp_path / "ws")
+    shutil.copytree(workspace, out)
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -169,8 +178,6 @@ class TestErrorCodes:
         assert code == cli.EXIT_DATA
 
     def test_corrupt_scaler_is_data_error(self, workspace, tmp_path, capsys):
-        import shutil
-
         out = str(tmp_path / "broken")
         shutil.copytree(workspace, out)
         with open(os.path.join(out, "scaler.json"), "w") as fh:
@@ -179,8 +186,6 @@ class TestErrorCodes:
         assert code == cli.EXIT_DATA
 
     def test_single_class_labels_fail_evaluation_cleanly(self, workspace, tmp_path, capsys):
-        import shutil
-
         out = str(tmp_path / "oneclass")
         shutil.copytree(workspace, out)
         report_path = os.path.join(out, "report.csv")
@@ -193,10 +198,12 @@ class TestErrorCodes:
         assert code == cli.EXIT_DATA
 
     def test_bad_arch_is_config_error(self, tmp_path, workspace, capsys):
+        out = copy_workspace(workspace, tmp_path)
         code, _, err = run(
-            capsys, "train", "--out", workspace, "--arch", "2x64", "--epochs", "0"
+            capsys, "train", "--out", out, "--arch", "2x64", "--epochs", "0"
         )
         assert code == cli.EXIT_CONFIG
+        assert not os.path.exists(os.path.join(out, "model.json"))
 
     def test_no_input_given_is_config_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "preprocess", "--out", str(tmp_path))
@@ -210,8 +217,9 @@ class TestErrorCodes:
         )
         assert code == cli.EXIT_CONFIG
 
-    def test_zero_window_is_config_error(self, workspace, capsys):
-        code, _, err = run(capsys, "train", "--out", workspace, "--window", "0")
+    def test_zero_window_is_config_error(self, workspace, tmp_path, capsys):
+        out = copy_workspace(workspace, tmp_path)
+        code, _, err = run(capsys, "train", "--out", out, "--window", "0")
         assert code == cli.EXIT_CONFIG
 
     def test_bad_sweep_list_is_config_error(self, workspace, capsys):
@@ -219,12 +227,13 @@ class TestErrorCodes:
         assert code == cli.EXIT_CONFIG
 
     def test_diverging_training_is_config_error_and_saves_no_model(self, workspace, tmp_path, capsys):
-        import shutil
-
         out = tmp_path / "diverge"
         out.mkdir()
-        for name in ("train.csv", "scaler.json"):
+        for name in ("train.csv", "test.csv", "scaler.json"):
             shutil.copy(os.path.join(workspace, name), out / name)
+        code, _, _ = run(capsys, "train", "--out", str(out), "--window", "6", "--epochs", "1")
+        assert code == 0
+        assert (out / "model.json").exists()
         code, _, err = run(
             capsys, "train", "--out", str(out), "--window", "6",
             "--epochs", "3", "--learning-rate", "1e6",
@@ -233,6 +242,9 @@ class TestErrorCodes:
         assert "diverged" in err and "epoch 3" in err and "MAE" in err and "1000000.0" in err
         assert not (out / "model.json").exists()
         assert not (out / "training_trace.csv").exists()
+        code, _, err = run(capsys, "detect", "--out", str(out))
+        assert code == cli.EXIT_DATA
+        assert "model.json" in err
         code, _, _ = run(
             capsys, "train", "--out", str(out), "--window", "6",
             "--epochs", "3", "--learning-rate", "1.0",
@@ -249,6 +261,57 @@ class TestErrorCodes:
         code, _, err = run(capsys, "preprocess", "--out", str(tmp_path / "o"), "--input", str(path))
         assert code == cli.EXIT_DATA
         assert "line 22" in err and "non-finite" in err
+
+
+class TestStoredThreshold:
+    def test_stored_value_is_the_training_windows_max_loss(self, workspace):
+        model = seq_autoencoder.load_model(os.path.join(workspace, "model.json"))
+        train = read_series_csv(os.path.join(workspace, "train.csv"))
+        with open(os.path.join(workspace, "scaler.json")) as fh:
+            doc = json.load(fh)
+        scaler = pipeline.ScalerParams(mean=doc["mean"], std=doc["std"])
+        windows = make_windows(pipeline.apply_scaler(train.values, scaler), model.timesteps)
+        fitted = detector.fit_threshold(model, windows)
+        assert model.threshold.value == fitted.value
+        assert model.threshold.train_points == fitted.train_points == len(train)
+        assert model.threshold.window_len == fitted.window_len == 6
+        with open(os.path.join(workspace, "detection_summary.json")) as fh:
+            summary = json.load(fh)
+        assert summary["threshold"] == fitted.value
+        assert (summary["train_points"], summary["window"]) == (len(train), 6)
+        assert summary["model_digest"] == seq_autoencoder.model_digest(model)
+
+    def test_detect_reads_no_training_series(self, workspace, tmp_path, capsys):
+        out = copy_workspace(workspace, tmp_path)
+        os.remove(os.path.join(out, "train.csv"))
+        code, _, _ = run(capsys, "detect", "--out", out)
+        assert code == 0
+        for name in ("report.csv", "detection_summary.json"):
+            with open(os.path.join(out, name), "rb") as ours, open(
+                os.path.join(workspace, name), "rb"
+            ) as theirs:
+                assert ours.read() == theirs.read(), name
+
+    def test_model_from_another_workspace_brings_its_threshold(self, workspace, tmp_path, capsys):
+        other = tmp_path / "other"
+        other.mkdir()
+        with open(os.path.join(workspace, "train.csv")) as fh:
+            lines = fh.read().splitlines()
+        (other / "train.csv").write_text("\n".join(lines[:301]) + "\n")
+        shutil.copy(os.path.join(workspace, "scaler.json"), other / "scaler.json")
+        code, _, _ = run(
+            capsys, "train", "--out", str(other), "--window", "4", "--epochs", "1", "--seed", "3"
+        )
+        assert code == 0
+        out = copy_workspace(workspace, tmp_path)
+        code, _, _ = run(capsys, "detect", "--out", out, "--model", str(other / "model.json"))
+        assert code == 0
+        model = seq_autoencoder.load_model(str(other / "model.json"))
+        with open(os.path.join(out, "detection_summary.json")) as fh:
+            summary = json.load(fh)
+        assert summary["threshold"] == model.threshold.value
+        assert (summary["train_points"], summary["window"]) == (300, 4)
+        assert summary["model_digest"] == seq_autoencoder.model_digest(model)
 
 
 class TestSubSecondTimestamps:

@@ -24,6 +24,11 @@ def zeroed(model):
     return model
 
 
+def with_threshold(model, value=0.25):
+    model.threshold = sa.ThresholdRecord(value=value, train_points=100, window_len=model.timesteps)
+    return model
+
+
 def models_equal(a, b):
     pa, pb = a.params(), b.params()
     return len(pa) == len(pb) and all(np.array_equal(x, y) for x, y in zip(pa, pb))
@@ -268,6 +273,11 @@ class TestTrain:
         with pytest.raises(TrainingDivergedError, match=r"epoch 1: .*non-finite"):
             sa.train(model, windows, sa.TrainConfig(epochs=3, seed=8))
 
+    def test_training_drops_the_old_threshold_record(self):
+        model = with_threshold(sa.build_model("1x3", timesteps=10, seed=3))
+        sa.train(model, sinusoid_windows(n=40), sa.TrainConfig(epochs=1, seed=3))
+        assert model.threshold is None
+
     def test_no_validation_split(self):
         windows = sinusoid_windows(n=120)
         _, trace = sa.train(
@@ -282,6 +292,7 @@ class TestTrain:
 class TestPersistence:
     def test_round_trip_bit_exact(self, tmp_path):
         model = sa.build_model("2x64-16", timesteps=10, dropout_rate=0.2, seed=21)
+        with_threshold(model, np.nextafter(0.1, 1.0))
         path = tmp_path / "model.json"
         sa.save_model(model, str(path))
         loaded = sa.load_model(str(path))
@@ -289,7 +300,29 @@ class TestPersistence:
         assert (loaded.arch, loaded.timesteps, loaded.features) == ("2x64-16", 10, 1)
         assert loaded.dropout_rate == 0.2
         assert loaded.init_seed == 21
+        assert loaded.threshold == sa.ThresholdRecord(np.nextafter(0.1, 1.0), 100, 10)
         assert sa.model_digest(loaded) == sa.model_digest(model)
+
+    def test_save_without_threshold_rejected(self, tmp_path):
+        model = sa.build_model("1x3", timesteps=4, seed=21)
+        with pytest.raises(ModelFileError, match="threshold"):
+            sa.save_model(model, str(tmp_path / "model.json"))
+        assert not (tmp_path / "model.json").exists()
+
+    def test_digest_names_the_threshold_record(self):
+        model = with_threshold(sa.build_model("1x3", timesteps=4, seed=21), 0.25)
+        base = sa.model_digest(model)
+        for change in (
+            {"value": np.nextafter(0.25, 1.0)},
+            {"train_points": 101},
+            {"window_len": 5},
+        ):
+            record = model.threshold
+            model.threshold = sa.ThresholdRecord(**{**vars(record), **change})
+            assert sa.model_digest(model) != base, change
+            model.threshold = record
+        model.threshold = None
+        assert sa.model_digest(model) != base
 
     def test_digest_changes_with_one_ulp_of_any_weight(self):
         model = sa.build_model("2x8-4", timesteps=5, seed=25)
@@ -305,7 +338,7 @@ class TestPersistence:
         assert sa.model_digest(model) == base
 
     def test_truncated_file_rejected_whole(self, tmp_path):
-        model = sa.build_model("1x16", timesteps=5, seed=22)
+        model = with_threshold(sa.build_model("1x16", timesteps=5, seed=22))
         path = tmp_path / "model.json"
         sa.save_model(model, str(path))
         blob = path.read_bytes()
@@ -316,19 +349,60 @@ class TestPersistence:
     def test_version_mismatch_names_both_versions(self, tmp_path):
         import json
 
-        model = sa.build_model("1x16", timesteps=5, seed=23)
+        model = with_threshold(sa.build_model("1x16", timesteps=5, seed=23))
         path = tmp_path / "model.json"
         sa.save_model(model, str(path))
         doc = json.loads(path.read_text())
         doc["format_version"] = 99
         path.write_text(json.dumps(doc))
-        with pytest.raises(ModelVersionError, match=r"99.*2"):
+        with pytest.raises(ModelVersionError, match=r"99.*3"):
             sa.load_model(str(path))
+
+    def test_version_2_file_is_version_error(self, tmp_path):
+        import json
+
+        model = with_threshold(sa.build_model("1x16", timesteps=5, seed=23))
+        path = tmp_path / "model.json"
+        sa.save_model(model, str(path))
+        doc = json.loads(path.read_text())
+        doc["format_version"] = 2
+        del doc["threshold"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelVersionError, match=r"version 2"):
+            sa.load_model(str(path))
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            None,
+            {"train_points": 100, "window_len": 5},
+            {"value": float("nan"), "train_points": 100, "window_len": 5},
+            {"value": float("inf"), "train_points": 100, "window_len": 5},
+            {"value": "high", "train_points": 100, "window_len": 5},
+            {"value": 0.25, "train_points": 100, "window_len": 6},
+        ],
+        ids=["missing", "no-value", "nan", "inf", "not-a-number", "other-window"],
+    )
+    def test_bad_threshold_record_rejected(self, tmp_path, record):
+        import json
+
+        model = with_threshold(sa.build_model("1x16", timesteps=5, seed=24))
+        path = tmp_path / "model.json"
+        sa.save_model(model, str(path))
+        doc = json.loads(path.read_text())
+        if record is None:
+            del doc["threshold"]
+        else:
+            doc["threshold"] = record
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFileError, match="threshold") as info:
+            sa.load_model(str(path))
+        assert not isinstance(info.value, ModelVersionError)
 
     def test_non_matrix_weight_rejected(self, tmp_path):
         import json
 
-        model = sa.build_model("1x16", timesteps=5, seed=24)
+        model = with_threshold(sa.build_model("1x16", timesteps=5, seed=24))
         path = tmp_path / "model.json"
         sa.save_model(model, str(path))
         doc = json.loads(path.read_text())
@@ -340,7 +414,7 @@ class TestPersistence:
     def test_shape_inconsistency_rejected(self, tmp_path):
         import json
 
-        model = sa.build_model("1x16", timesteps=5, seed=24)
+        model = with_threshold(sa.build_model("1x16", timesteps=5, seed=24))
         path = tmp_path / "model.json"
         sa.save_model(model, str(path))
         doc = json.loads(path.read_text())
