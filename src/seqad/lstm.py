@@ -15,7 +15,8 @@ so the three sigmoid gates are one contiguous block; columns are
 The input projection W_x x + b does not depend on the recurrence, so it
 runs as one GEMM over all T steps before the loop, straight into a
 preallocated (T, B, 4H) gate buffer; each step then adds one W_h h and
-activates its slice of the buffer in place. The backward pass computes
+activates its slice of the buffer in place, all 4H rows with one tanh
+call, since sigmoid(x) = (1 + tanh(x / 2)) / 2. The backward pass computes
 every gate's local derivative for all steps at once, fills a (T, B, 4H)
 buffer of gate gradients in a loop whose only GEMM is the W_h product
 for the hidden-state gradient, and then takes the weight gradient and
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_math import Rng, glorot_init, sigmoid, tanh
+from .core_math import Rng, glorot_init, tanh
 from .errors import EmptyInputError, ShapeError
 
 __all__ = [
@@ -146,6 +147,18 @@ class LstmCache:
         return LstmStepCache(z=self.z[t], gates=self.gates[t], c=self.c[t + 1])
 
 
+def _activate_gates(a: np.ndarray, s: int) -> None:
+    """Activate one step's (B, 4H) pre-activations in place: sigmoid on
+    the first s = 3H columns, tanh on the rest, with one np.tanh call.
+
+    Uses sigmoid(x) = (1 + tanh(x / 2)) / 2, which cannot overflow.
+    """
+    a[:, :s] *= 0.5
+    np.tanh(a, out=a)
+    a[:, :s] *= 0.5
+    a[:, :s] += 0.5
+
+
 def lstm_forward(
     params: LstmLayerParams,
     inputs: np.ndarray,
@@ -198,8 +211,7 @@ def lstm_forward(
     for t in range(t_len):
         a, c, tc = gates[t], cbuf[t + 1], tanh_c[t]
         a += np.matmul(zbuf[t, :, :h], w_h_t, out=work)
-        sigmoid(a[:, :s], out=a[:, :s])
-        tanh(a[:, s:], out=a[:, s:])
+        _activate_gates(a, s)
         np.multiply(a[:, :h], cbuf[t], out=c)
         c += np.multiply(a[:, h : 2 * h], a[:, s:], out=work[:, :h])
         tanh(c, out=tc)
@@ -317,8 +329,7 @@ def lstm_infer(
     for t in range(t_len):
         a = gates[t]
         a += np.matmul(h_prev, w_h_t, out=work)
-        sigmoid(a[:, :s], out=a[:, :s])
-        tanh(a[:, s:], out=a[:, s:])
+        _activate_gates(a, s)
         c *= a[:, :h]
         c += np.multiply(a[:, h : 2 * h], a[:, s:], out=work[:, :h])
         tc = tanh(c, out=work[:, :h])

@@ -344,7 +344,7 @@ def forward(
 
 
 def reconstruct_windows(
-    model: SeqAutoencoderModel, windows: np.ndarray, chunk: int = 1024
+    model: SeqAutoencoderModel, windows: np.ndarray, chunk: int = 256
 ) -> np.ndarray:
     """Inference-mode reconstruction of a (count, T, m) stack, chunked.
 

@@ -158,6 +158,18 @@ class TestInferencePass:
             tracemalloc.stop()
         assert peak < 2 * gate_buffer
 
+    def test_default_chunk_peaks_below_12_mib(self):
+        # 7.6 MiB with chunks of 256 windows; 29.6 MiB with chunks of 1024
+        model = sa.build_model("2x64-16", timesteps=10, seed=42)
+        windows = Rng(43).normal(0, 1, (1024, 10, 1))
+        tracemalloc.start()
+        try:
+            sa.reconstruct_windows(model, windows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
+
     def test_wrong_window_shape_rejected(self):
         model = sa.build_model("1x3", timesteps=4, seed=44)
         with pytest.raises(ShapeError):
