@@ -484,6 +484,8 @@ def _threshold_from_doc(doc, path: str) -> ThresholdRecord:
         raise ModelFileError(f"bad threshold record in model file {path}: {exc}") from exc
     if not math.isfinite(record.value):
         raise ModelFileError(f"model file {path} has a non-finite threshold {record.value!r}")
+    if record.value < 0 or record.train_points < record.window_len:
+        raise ModelFileError(f"model file {path} has an impossible threshold record {doc!r}")
     return record
 
 

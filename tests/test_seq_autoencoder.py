@@ -392,8 +392,13 @@ class TestPersistence:
             {"value": float("inf"), "train_points": 100, "window_len": 5},
             {"value": "high", "train_points": 100, "window_len": 5},
             {"value": 0.25, "train_points": 100, "window_len": 6},
+            {"value": -0.25, "train_points": 100, "window_len": 5},
+            {"value": 0.25, "train_points": 4, "window_len": 5},
         ],
-        ids=["missing", "no-value", "nan", "inf", "not-a-number", "other-window"],
+        ids=[
+            "missing", "no-value", "nan", "inf", "not-a-number", "other-window",
+            "negative", "fewer-points-than-window",
+        ],  # fmt: skip
     )
     def test_bad_threshold_record_rejected(self, tmp_path, record):
         import json
