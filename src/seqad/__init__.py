@@ -5,7 +5,7 @@ the preprocessing, labeling, and evaluation machinery around it.
 """
 
 from .core_math import AdamState, Rng, adam_step, glorot_init, sigmoid, tanh
-from .detector import DetectionReport, Threshold, detect, fit_threshold
+from .detector import DetectionReport, detect, fit_threshold
 from .lstm import LstmLayerParams, LstmStepState, lstm_backward, lstm_forward
 from .metrics import (
     ClassificationMetrics,

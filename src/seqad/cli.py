@@ -268,12 +268,7 @@ def cmd_train(cfg: RunConfig) -> None:
         seed=cfg.seed,
     )
     model, trace = seq_autoencoder.train(model, windows, train_cfg)
-    threshold = detector.fit_threshold(model, windows)
-    model.threshold = seq_autoencoder.ThresholdRecord(
-        value=threshold.value,
-        train_points=threshold.train_points,
-        window_len=threshold.window_len,
-    )
+    model.threshold = detector.fit_threshold(model, windows)
 
     os.makedirs(cfg.out, exist_ok=True)
     seq_autoencoder.save_model(model, cfg.model_path())
@@ -293,12 +288,7 @@ def cmd_detect(cfg: RunConfig) -> None:
     test_series = _read_workspace_series(cfg, "test.csv")
     scaler = _read_scaler(cfg)
 
-    threshold = detector.Threshold(
-        value=model.threshold.value,
-        train_points=model.threshold.train_points,
-        window_len=model.threshold.window_len,
-        model_digest=seq_autoencoder.model_digest(model),
-    )
+    threshold = model.threshold
     report = detector.detect(model, threshold, test_series, scaler)
 
     os.makedirs(cfg.out, exist_ok=True)
@@ -307,7 +297,7 @@ def cmd_detect(cfg: RunConfig) -> None:
         "threshold": threshold.value,
         "train_points": threshold.train_points,
         "window": threshold.window_len,
-        "model_digest": threshold.model_digest,
+        "model_digest": seq_autoencoder.model_digest(model),
         "test_points": int(report.values.shape[0]),
         "flagged": int(report.verdicts.sum()),
     }

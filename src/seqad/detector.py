@@ -13,11 +13,10 @@ import numpy as np
 from .errors import CsvParseError, EmptyInputError, InsufficientDataError
 from .metrics import ConfusionCounts, confusion
 from .pipeline import ScalerParams, TimeSeries, apply_scaler, format_timestamp, parse_timestamp
-from .seq_autoencoder import SeqAutoencoderModel, model_digest, reconstruct_windows
+from .seq_autoencoder import SeqAutoencoderModel, ThresholdRecord, reconstruct_windows
 from .windowing import WindowSet, make_windows, per_point_loss
 
 __all__ = [
-    "Threshold",
     "DetectionReport",
     "fit_threshold",
     "point_losses",
@@ -25,14 +24,6 @@ __all__ = [
     "write_report_csv",
     "read_report_csv",
 ]
-
-
-@dataclass
-class Threshold:
-    value: float  # normalized-unit reconstruction loss
-    train_points: int
-    window_len: int
-    model_digest: str
 
 
 @dataclass
@@ -56,22 +47,22 @@ def point_losses(model: SeqAutoencoderModel, windows: WindowSet) -> np.ndarray:
     return per_point_loss(windows, recon)
 
 
-def fit_threshold(model: SeqAutoencoderModel, train_windows: WindowSet) -> Threshold:
-    """Maximum per-point training loss; training data never exceeds it."""
+def fit_threshold(model: SeqAutoencoderModel, train_windows: WindowSet) -> ThresholdRecord:
+    """Maximum per-point training loss, in normalized units; training data
+    never exceeds it. The record is what `train` stores with the model."""
     if len(train_windows) == 0:
         raise EmptyInputError("cannot fit a threshold on an empty window set")
     losses = point_losses(model, train_windows)
-    return Threshold(
+    return ThresholdRecord(
         value=float(losses.max()),
         train_points=train_windows.source_len,
         window_len=train_windows.window_len,
-        model_digest=model_digest(model),
     )
 
 
 def detect(
     model: SeqAutoencoderModel,
-    threshold: Threshold,
+    threshold: ThresholdRecord,
     test_series: TimeSeries,
     scaler: ScalerParams,
 ) -> DetectionReport:

@@ -12,26 +12,32 @@ so the three sigmoid gates are one contiguous block; columns are
     c' = f * c + i * g
     h' = o * tanh(c')
 
+Layout. At the interface, sequences are time-major, (T, batch, features),
+and states are (batch, hidden). Inside, every array is feature-major,
+one row per unit and one column per sequence of the batch: a step works
+on (4H, B) gates and (H, B) states, so the sigmoid block a[:3H], each
+gate a[kH:(k+1)H] and every cell operand is one contiguous run. The
+pre-activations of all steps are a (T, 4H, B) buffer, [h, x] is kept as
+(H+D, T+1, B) and the cell state and tanh(c) as (T+1, H, B) and
+(T, H, B). The outputs a pass returns are transposed views of its
+(H, T, B) hidden rows, so the next layer reads them back feature-major
+and layers chain without copying a transpose.
+
 The input projection W_x x + b does not depend on the recurrence, so it
-runs as one GEMM over all T steps before the loop, straight into a
-preallocated (T, B, 4H) gate buffer; each step then adds one W_h h and
-activates its slice of the buffer in place, all 4H rows with one tanh
-call, since sigmoid(x) = (1 + tanh(x / 2)) / 2. The backward pass computes
-every gate's local derivative for all steps at once, fills a (T, B, 4H)
-buffer of gate gradients in a loop whose only GEMM is the W_h product
-for the hidden-state gradient, and then takes the weight gradient and
-the input gradient as one GEMM each.
+runs for all T steps before the loop, straight into the gate buffer;
+each step then adds one W_h h and activates its (4H, B) block in place,
+all 4H rows with one tanh call, since sigmoid(x) = (1 + tanh(x / 2)) / 2.
+`lstm_forward`, the training pass, and `lstm_infer`, the forward-only
+pass, share that step body: the training pass writes every step's
+state into the buffers backpropagation reads, the forward-only pass
+carries h and c as (H, B) state and writes only the hidden outputs.
 
-`lstm_infer` is the forward pass without the backward pass's buffers:
-it keeps the hoisted projection into the (T, B, 4H) gate buffer but
-carries h and c as (B, H) state and writes only the hidden outputs, so
-scoring keeps no [h, x], cell or tanh(c) history.
-
-All arrays are batch-first at the interface: a batch of B independent
-sequences is processed at once, with states of shape (B, hidden) and
-inputs of shape (B, T, input). A single sequence is just B = 1. The
-exception is `lstm_infer`, which is time-major, (T, B, input), so that
-layers chain without a transpose.
+The backward pass computes every gate's local derivative for all steps
+at once, fills a (T, 4H, B) buffer of gate gradients in a loop whose
+only GEMM is the W_h product for the hidden-state gradient, transposes
+those gradients to (4H, T*B) in the gate buffer, which the loop no
+longer needs, and then takes the weight gradient and the input gradient
+as one GEMM each.
 """
 
 from __future__ import annotations
@@ -119,7 +125,7 @@ class LstmStepState:
 
 @dataclass
 class LstmStepCache:
-    """One forward step, as views into the layer's buffers."""
+    """One forward step, as batch-first views into the layer's buffers."""
 
     z: np.ndarray  # [h_prev, x], (B, hidden+input)
     gates: np.ndarray  # activated f, i, o, g, (B, 4*hidden)
@@ -128,35 +134,67 @@ class LstmStepCache:
 
 @dataclass
 class LstmCache:
-    """The buffers of one forward pass, which the backward pass reads whole.
+    """The feature-major buffers of one forward pass, which the backward
+    pass reads whole.
 
     A sequence of T steps: `cache[t]` is step t's LstmStepCache, made of
-    views into these buffers.
+    views into these buffers. The backward pass reuses the gate buffer,
+    so a cache backpropagates once.
     """
 
-    z: np.ndarray  # (T+1, B, H+D): z[t] = [h_{t-1}, x_t]; h_t is z[t+1, :, :H]; z[T, :, H:] unused
-    gates: np.ndarray  # (T, B, 4H), activated f, i, o, g
-    c: np.ndarray  # (T+1, B, H): c[0] is the initial cell state
-    tanh_c: np.ndarray  # (T, B, H)
+    z: np.ndarray  # (H+D, T+1, B): z[:, t] = [h_{t-1}; x_t]; h_t is z[:H, t+1]; z[H:, T] unused
+    gates: np.ndarray  # (T, 4H, B), activated f, i, o, g
+    c: np.ndarray  # (T+1, H, B): c[0] is the initial cell state
+    tanh_c: np.ndarray  # (T, H, B)
 
     def __len__(self) -> int:
         return self.gates.shape[0]
 
     def __getitem__(self, t: int) -> LstmStepCache:
         t = range(len(self))[t]
-        return LstmStepCache(z=self.z[t], gates=self.gates[t], c=self.c[t + 1])
+        return LstmStepCache(z=self.z[:, t].T, gates=self.gates[t].T, c=self.c[t + 1].T)
 
 
-def _activate_gates(a: np.ndarray, s: int) -> None:
-    """Activate one step's (B, 4H) pre-activations in place: sigmoid on
-    the first s = 3H columns, tanh on the rest, with one np.tanh call.
+def _check_inputs(params: LstmLayerParams, inputs) -> np.ndarray:
+    inputs = np.asarray(inputs, dtype=np.float64)
+    if inputs.ndim != 3:
+        raise ShapeError(f"expected (T, batch, input) array, got shape {inputs.shape}")
+    if inputs.shape[2] != params.input_size:
+        raise ShapeError(f"input shape {inputs.shape} does not match input size {params.input_size}")
+    if inputs.shape[0] == 0:
+        raise EmptyInputError("cannot run an LSTM over an empty sequence")
+    return inputs
 
-    Uses sigmoid(x) = (1 + tanh(x / 2)) / 2, which cannot overflow.
+
+def _project_inputs(params: LstmLayerParams, x: np.ndarray) -> np.ndarray:
+    """W_x x + b for every step of a feature-major (D, T, B) input, as a
+    (T, 4H, B) gate buffer."""
+    gates = np.matmul(params.w[:, params.hidden_size :], x.transpose(1, 0, 2))
+    gates += params.b[:, None]
+    return gates
+
+
+def _step(w_h, a, h_prev, c_prev, c, tc, h, work) -> None:
+    """One cell update on feature-major arrays, in place.
+
+    `a` holds the step's (4H, B) input projection and leaves holding the
+    activated gates; the new cell state, its tanh and the new hidden
+    state are written to `c`, `tc` and `h`, each (H, B). `c` may be
+    `c_prev`, `h` may be `h_prev` and `tc` may be `work[:H]`; `work` is
+    a (4H, B) scratch buffer.
     """
-    a[:, :s] *= 0.5
+    n = c.shape[0]
+    s = 3 * n
+    a += np.matmul(w_h, h_prev, out=work)
+    # sigmoid(x) = (1 + tanh(x / 2)) / 2 on the f, i, o rows, which cannot overflow
+    a[:s] *= 0.5
     np.tanh(a, out=a)
-    a[:, :s] *= 0.5
-    a[:, :s] += 0.5
+    a[:s] *= 0.5
+    a[:s] += 0.5
+    np.multiply(a[:n], c_prev, out=c)
+    c += np.multiply(a[n : 2 * n], a[s:], out=work[:n])
+    tanh(c, out=tc)
+    np.multiply(a[2 * n : s], tc, out=h)
 
 
 def lstm_forward(
@@ -165,22 +203,16 @@ def lstm_forward(
     init_state: LstmStepState | None = None,
     return_sequences: bool = True,
 ) -> tuple[np.ndarray, LstmCache]:
-    """Unroll the cell over a (batch, T, input) array.
+    """Unroll the cell over a time-major (T, batch, input) array.
 
-    Returns (outputs, cache) where outputs is (batch, T, hidden) when
+    Returns (outputs, cache) where outputs is (T, batch, hidden) when
     `return_sequences` is set, else just the final hidden state
     (batch, hidden). The initial state defaults to zeros. Outputs are
     views into the cache's buffers.
     """
-    inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim != 3:
-        raise ShapeError(f"expected (batch, T, input) array, got shape {inputs.shape}")
-    b, t_len, d = inputs.shape
+    inputs = _check_inputs(params, inputs)
+    t_len, b, d = inputs.shape
     h = params.hidden_size
-    if d != params.input_size:
-        raise ShapeError(f"input shape {inputs.shape} does not match input size {params.input_size}")
-    if t_len == 0:
-        raise EmptyInputError("cannot run an LSTM over an empty sequence")
     if init_state is not None and (
         init_state.hidden.shape != (b, h) or init_state.cell.shape != (b, h)
     ):
@@ -189,37 +221,26 @@ def lstm_forward(
             f"do not match (batch={b}, hidden={h})"
         )
 
-    zbuf = np.empty((t_len + 1, b, h + d))
-    zbuf[:t_len, :, h:] = inputs.transpose(1, 0, 2)
-    cbuf = np.empty((t_len + 1, b, h))
+    zbuf = np.empty((h + d, t_len + 1, b))
+    zbuf[h:, :t_len] = inputs.transpose(2, 0, 1)
+    cbuf = np.empty((t_len + 1, h, b))
     if init_state is None:
-        zbuf[0, :, :h] = 0.0
+        zbuf[:h, 0] = 0.0
         cbuf[0] = 0.0
     else:
-        zbuf[0, :, :h] = init_state.hidden
-        cbuf[0] = init_state.cell
-    gates = np.empty((t_len, b, 4 * h))
-    tanh_c = np.empty((t_len, b, h))
+        zbuf[:h, 0] = init_state.hidden.T
+        cbuf[0] = init_state.cell.T
+    gates = _project_inputs(params, zbuf[h:, :t_len])
+    tanh_c = np.empty((t_len, h, b))
 
-    x_flat = zbuf[:t_len].reshape(t_len * b, h + d)[:, h:]
-    np.matmul(x_flat, params.w[:, h:].T, out=gates.reshape(t_len * b, 4 * h))
-    gates += params.b
-
-    w_h_t = params.w[:, :h].T
-    s = 3 * h
-    work = np.empty((b, 4 * h))
+    w_h = params.w[:, :h]
+    work = np.empty((4 * h, b))
     for t in range(t_len):
-        a, c, tc = gates[t], cbuf[t + 1], tanh_c[t]
-        a += np.matmul(zbuf[t, :, :h], w_h_t, out=work)
-        _activate_gates(a, s)
-        np.multiply(a[:, :h], cbuf[t], out=c)
-        c += np.multiply(a[:, h : 2 * h], a[:, s:], out=work[:, :h])
-        tanh(c, out=tc)
-        np.multiply(a[:, 2 * h : s], tc, out=zbuf[t + 1, :, :h])
+        _step(w_h, gates[t], zbuf[:h, t], cbuf[t], cbuf[t + 1], tanh_c[t], zbuf[:h, t + 1], work)
     cache = LstmCache(z=zbuf, gates=gates, c=cbuf, tanh_c=tanh_c)
     if return_sequences:
-        return zbuf[1:, :, :h].transpose(1, 0, 2), cache
-    return zbuf[t_len, :, :h], cache
+        return zbuf[:h, 1:].transpose(1, 2, 0), cache
+    return zbuf[:h, t_len].T, cache
 
 
 def lstm_backward(
@@ -230,70 +251,78 @@ def lstm_backward(
     """Exact gradients through an unrolled pass, weights shared across steps.
 
     `grad_outputs` must be shaped like the forward pass's outputs:
-    (batch, T, hidden) for a return-sequences pass, or (batch, hidden)
-    for a final-state-only pass (treated as a gradient on step T-1 with
-    zeros elsewhere).
+    (T, batch, hidden) for a return-sequences pass, or (batch, hidden)
+    for a final-state-only pass (a gradient on step T-1 only).
 
     Returns (param_grads, d_inputs, d_h0, d_c0) where param_grads is an
-    LstmLayerParams holding the accumulated gradients and d_inputs is
-    (batch, T, input).
+    LstmLayerParams holding the accumulated gradients, d_inputs is
+    (T, batch, input) and d_h0, d_c0 are (batch, hidden). The cache's
+    gate buffer is overwritten.
     """
     t_len = len(cache)
     if t_len == 0:
         raise EmptyInputError("no cached steps to backpropagate through")
     h, d = params.hidden_size, params.input_size
-    b = cache.z.shape[1]
-    if cache.z.shape != (t_len + 1, b, h + d):
-        raise ShapeError(f"cache shape {cache.z.shape} does not match (T+1, batch, {h + d})")
+    b = cache.z.shape[2]
+    if cache.z.shape != (h + d, t_len + 1, b):
+        raise ShapeError(f"cache shape {cache.z.shape} does not match ({h + d}, T+1, batch)")
 
     grad_outputs = np.asarray(grad_outputs, dtype=np.float64)
-    if grad_outputs.shape == (b, t_len, h):
-        seq_grads = grad_outputs
+    dh = np.zeros((h, b))
+    if grad_outputs.shape == (t_len, b, h):
+        seq_grads = grad_outputs.transpose(2, 0, 1)
     elif grad_outputs.shape == (b, h):
-        seq_grads = np.zeros((b, t_len, h))
-        seq_grads[:, -1, :] = grad_outputs
+        seq_grads = None
+        dh[...] = grad_outputs.T
     else:
         raise ShapeError(
             f"grad_outputs shape {grad_outputs.shape} matches neither "
-            f"(batch={b}, T={t_len}, hidden={h}) nor (batch={b}, hidden={h})"
+            f"(T={t_len}, batch={b}, hidden={h}) nor (batch={b}, hidden={h})"
         )
 
     # Everything that does not depend on the recurrence, for all steps at
-    # once and in place, on a (T, B, gate, H) view with gates f, i, o, g:
+    # once and in place, on a (T, gate, H, B) view with gates f, i, o, g:
     # each gate's local derivative times the state it multiplies. The loop
     # then scales the f, i and g blocks by dc and the o block by dh, which
     # leaves the gate gradients in `d_gates`.
-    a = cache.gates.reshape(t_len, b, 4, h)
+    a = cache.gates.reshape(t_len, 4, h, b)
     d4 = np.subtract(1.0, a)
-    d4[:, :, :3] *= a[:, :, :3]
-    d4[:, :, 0] *= cache.c[:-1]
-    d4[:, :, 1] *= a[:, :, 3]
-    d4[:, :, 2] *= cache.tanh_c
-    d_g = d4[:, :, 3]
-    np.multiply(a[:, :, 3], a[:, :, 3], out=d_g)
+    d4[:, :3] *= a[:, :3]
+    d4[:, 0] *= cache.c[:-1]
+    d4[:, 1] *= a[:, 3]
+    d4[:, 2] *= cache.tanh_c
+    d_g = d4[:, 3]
+    np.multiply(a[:, 3], a[:, 3], out=d_g)
     np.subtract(1.0, d_g, out=d_g)
-    d_g *= a[:, :, 1]
+    d_g *= a[:, 1]
     dc_per_dh = np.multiply(cache.tanh_c, cache.tanh_c)
     np.subtract(1.0, dc_per_dh, out=dc_per_dh)
-    dc_per_dh *= a[:, :, 2]
-    d_gates = d4.reshape(t_len, b, 4 * h)
+    dc_per_dh *= a[:, 2]
+    d_gates = d4.reshape(t_len, 4 * h, b)
 
-    w_h = params.w[:, :h]
-    dh_next = np.zeros((b, h))
-    dc_next = np.zeros((b, h))
+    # dh and dc carry the gradients of step t's outputs into the loop and
+    # leave with those of step t-1's, finally those of the initial state
+    w_h_t = params.w[:, :h].T
+    dc = np.zeros((h, b))
+    work = np.empty((h, b))
     for t in range(t_len - 1, -1, -1):
-        dh = seq_grads[:, t, :] + dh_next
-        dc = dh * dc_per_dh[t] + dc_next
-        d4[t, :, :2] *= dc[:, None, :]
-        d4[t, :, 2] *= dh
-        d4[t, :, 3] *= dc
-        dh_next = d_gates[t] @ w_h
-        dc_next = dc * a[t, :, 0]
+        if seq_grads is not None:
+            dh += seq_grads[:, t]
+        dc += np.multiply(dh, dc_per_dh[t], out=work)
+        d4[t, :2] *= dc
+        d4[t, 2] *= dh
+        d4[t, 3] *= dc
+        np.matmul(w_h_t, d_gates[t], out=dh)
+        dc *= a[t, 0]
 
-    d_flat = d_gates.reshape(t_len * b, 4 * h)
-    d_w = d_flat.T @ cache.z[:t_len].reshape(t_len * b, h + d)
-    d_inputs = (d_flat @ params.w[:, h:]).reshape(t_len, b, d).transpose(1, 0, 2)
-    return LstmLayerParams(w=d_w, b=d_flat.sum(axis=0)), d_inputs, dh_next, dc_next
+    # the activated gates are dead now: their buffer takes the gate
+    # gradients as (4H, T*B), so both GEMMs below read without a copy
+    d_flat = cache.gates.reshape(4 * h, t_len * b)
+    np.copyto(d_flat.reshape(4 * h, t_len, b), d_gates.transpose(1, 0, 2))
+    del a, d4, d_g, d_gates
+    d_w = d_flat @ cache.z[:, :t_len].reshape(h + d, t_len * b).T
+    d_inputs = (params.w[:, h:].T @ d_flat).reshape(d, t_len, b).transpose(1, 2, 0)
+    return LstmLayerParams(w=d_w, b=d_flat.sum(axis=1)), d_inputs, dh.T, dc.T
 
 
 def lstm_infer(
@@ -303,36 +332,22 @@ def lstm_infer(
 
     Starts from zero state and keeps no cache. Returns the hidden
     outputs (T, batch, hidden) when `return_sequences` is set, else the
-    final hidden state (batch, hidden). Equals `lstm_forward` on the
-    transposed input to rounding.
+    final hidden state (batch, hidden). Equals `lstm_forward` to
+    rounding.
     """
-    inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim != 3:
-        raise ShapeError(f"expected (T, batch, input) array, got shape {inputs.shape}")
-    t_len, b, d = inputs.shape
+    inputs = _check_inputs(params, inputs)
+    t_len, b, _ = inputs.shape
     h = params.hidden_size
-    if d != params.input_size:
-        raise ShapeError(f"input shape {inputs.shape} does not match input size {params.input_size}")
-    if t_len == 0:
-        raise EmptyInputError("cannot run an LSTM over an empty sequence")
+    gates = _project_inputs(params, inputs.transpose(2, 0, 1))
+    outputs = np.empty((h, t_len, b)) if return_sequences else None
 
-    gates = np.empty((t_len, b, 4 * h))
-    np.matmul(inputs.reshape(t_len * b, d), params.w[:, h:].T, out=gates.reshape(t_len * b, 4 * h))
-    gates += params.b
-    outputs = np.empty((t_len, b, h)) if return_sequences else None
-
-    w_h_t = params.w[:, :h].T
-    s = 3 * h
-    work = np.empty((b, 4 * h))
-    c = np.zeros((b, h))
-    h_prev = np.zeros((b, h))
+    w_h = params.w[:, :h]
+    work = np.empty((4 * h, b))
+    c = np.zeros((h, b))
+    h_prev = np.zeros((h, b))
     for t in range(t_len):
-        a = gates[t]
-        a += np.matmul(h_prev, w_h_t, out=work)
-        _activate_gates(a, s)
-        c *= a[:, :h]
-        c += np.multiply(a[:, h : 2 * h], a[:, s:], out=work[:, :h])
-        tc = tanh(c, out=work[:, :h])
-        # h_prev was last read by this step's GEMM, so it can take the new state
-        h_prev = np.multiply(a[:, 2 * h : s], tc, out=outputs[t] if return_sequences else h_prev)
-    return outputs if return_sequences else h_prev
+        # h_prev is last read by the step's GEMM, so it can take the new state
+        h_t = outputs[:, t] if return_sequences else h_prev
+        _step(w_h, gates[t], h_prev, c, c, work[:h], h_t, work)
+        h_prev = h_t
+    return outputs.transpose(1, 2, 0) if return_sequences else h_prev.T

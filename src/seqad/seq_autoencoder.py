@@ -237,9 +237,10 @@ def _forward_batch(
     """Run a (B, T, m) batch through the full autoencoder, keeping what
     backpropagation needs: the training pass.
 
-    Returns (reconstruction, cache); the cache is only meaningful for a
-    subsequent _backward_batch call. Inference without a backward pass
-    goes through reconstruct_windows, which keeps no cache.
+    Returns (reconstruction, cache); the reconstruction is (B, T, m) and
+    the cache is only meaningful for one subsequent _backward_batch
+    call. Inference without a backward pass goes through
+    reconstruct_windows, which keeps no cache.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 3 or batch.shape[1:] != (model.timesteps, model.features):
@@ -252,7 +253,7 @@ def _forward_batch(
         raise ConfigError("training-mode forward with dropout needs an Rng")
     t_len = model.timesteps
 
-    seq = batch
+    seq = batch.transpose(1, 0, 2)
     enc_caches = []
     for layer in model.encoder[:-1]:
         seq, layer_cache = lstm_forward(layer, seq, return_sequences=True)
@@ -263,16 +264,18 @@ def _forward_batch(
     latent_mask = _dropout_mask(latent.shape, rate, rng) if use_dropout else None
     latent_dropped = latent * latent_mask if use_dropout else latent
 
-    seq = np.repeat(latent_dropped[:, None, :], t_len, axis=1)
+    seq = np.broadcast_to(latent_dropped, (t_len, *latent_dropped.shape))
     dec_caches = []
     for layer in model.decoder:
         seq, layer_cache = lstm_forward(layer, seq, return_sequences=True)
         dec_caches.append(layer_cache)
 
-    dec_mask = _dropout_mask(seq.shape, rate, rng) if use_dropout else None
-    dec_dropped = seq * dec_mask if use_dropout else seq
+    # the decoder outputs as (H, T, B), how its buffers hold them; the
+    # mask is drawn batch-first, (B, T, H)
+    dec_out = seq.transpose(2, 0, 1)
+    dec_mask = _dropout_mask(dec_out.shape[::-1], rate, rng) if use_dropout else None
+    dec_dropped = dec_out * dec_mask.T if use_dropout else dec_out
 
-    recon = dec_dropped @ model.head_w.T + model.head_b
     cache = {
         "enc_caches": enc_caches,
         "dec_caches": dec_caches,
@@ -280,41 +283,52 @@ def _forward_batch(
         "dec_mask": dec_mask,
         "dec_dropped": dec_dropped,
     }
-    return recon, cache
+    return _head(model, dec_dropped), cache
+
+
+def _head(model: SeqAutoencoderModel, dec_out: np.ndarray) -> np.ndarray:
+    """The linear head on (H, T, B) decoder outputs, as a (B, T, m) view."""
+    hidden, t_len, b = dec_out.shape
+    recon = model.head_w @ dec_out.reshape(hidden, t_len * b)
+    recon += model.head_b[:, None]
+    return recon.reshape(model.features, t_len, b).T
 
 
 def _backward_batch(model: SeqAutoencoderModel, cache: dict, d_recon: np.ndarray):
-    """Gradients of a scalar loss wrt every parameter, given d loss/d recon.
+    """Gradients of a scalar loss wrt every parameter, given d loss/d recon
+    for a (B, T, m) reconstruction.
 
-    Returns a flat gradient list aligned with model.params().
+    Consumes the cache: each layer's forward buffers are released once
+    its backward pass has used them. Returns a flat gradient list
+    aligned with model.params().
     """
-    dec_dropped = cache["dec_dropped"]
+    dec_dropped = cache.pop("dec_dropped")
+    hidden, t_len, b = dec_dropped.shape
+    d_flat = d_recon.T.reshape(model.features, t_len * b)
+    d_head_w = d_flat @ dec_dropped.reshape(hidden, t_len * b).T
+    d_head_b = d_flat.sum(axis=1)
+    del dec_dropped
 
-    m = model.features
-    d_flat = d_recon.reshape(-1, m)
-    d_head_w = d_flat.T @ dec_dropped.reshape(-1, model.decoder[-1].hidden_size)
-    d_head_b = d_flat.sum(axis=0)
-
-    d_seq = d_recon @ model.head_w
+    d_seq = (model.head_w.T @ d_flat).reshape(hidden, t_len, b)
     if cache["dec_mask"] is not None:
-        d_seq = d_seq * cache["dec_mask"]
+        d_seq *= cache["dec_mask"].T
+    d_seq = d_seq.transpose(1, 2, 0)
 
     dec_grads = []
-    for layer, layer_cache in zip(reversed(model.decoder), reversed(cache["dec_caches"])):
-        grads, d_seq, _, _ = lstm_backward(layer, layer_cache, d_seq)
+    for layer in reversed(model.decoder):
+        grads, d_seq, _, _ = lstm_backward(layer, cache["dec_caches"].pop(), d_seq)
         dec_grads.append(grads)
     dec_grads.reverse()
 
-    d_latent = d_seq.sum(axis=1)
+    d_latent = d_seq.sum(axis=0)
     if cache["latent_mask"] is not None:
         d_latent = d_latent * cache["latent_mask"]
 
     enc_grads = []
     grad_out = d_latent  # final-state-only gradient for the last encoder layer
-    for layer, layer_cache in zip(reversed(model.encoder), reversed(cache["enc_caches"])):
-        grads, d_seq, _, _ = lstm_backward(layer, layer_cache, grad_out)
+    for layer in reversed(model.encoder):
+        grads, grad_out, _, _ = lstm_backward(layer, cache["enc_caches"].pop(), grad_out)
         enc_grads.append(grads)
-        grad_out = d_seq
     enc_grads.reverse()
 
     flat = []
@@ -349,7 +363,7 @@ def reconstruct_windows(
     """Inference-mode reconstruction of a (count, T, m) stack, chunked.
 
     A forward-only pass: each layer keeps only its outputs, so one
-    chunk holds at most one layer's (T, chunk, 4H) gate buffer and the
+    chunk holds at most one layer's (T, 4H, chunk) gate buffer and the
     hidden outputs either side of it.
     """
     windows = np.asarray(windows, dtype=np.float64)
@@ -367,7 +381,7 @@ def reconstruct_windows(
         seq = np.broadcast_to(latent, (model.timesteps, *latent.shape))
         for layer in model.decoder:
             seq = lstm_infer(layer, seq)
-        out[lo : lo + chunk] = (seq @ model.head_w.T + model.head_b).transpose(1, 0, 2)
+        out[lo : lo + chunk] = _head(model, seq.transpose(2, 0, 1))
     return out
 
 

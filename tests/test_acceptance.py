@@ -97,8 +97,9 @@ def _lstm_gradcheck(seed):
     input_size = 1 + int(rng.uniform(0, 3))
     params = LstmLayerParams.init(hidden, input_size, rng)
     params.b += rng.uniform(-0.2, 0.2, params.b.shape)
-    x = rng.normal(0, 1, (2, t_len, input_size))
-    proj = rng.normal(0, 1, (2, t_len, hidden))
+    # batch-first draws, laid out time-major for the layer
+    x = np.ascontiguousarray(rng.normal(0, 1, (2, t_len, input_size)).transpose(1, 0, 2))
+    proj = rng.normal(0, 1, (2, t_len, hidden)).transpose(1, 0, 2)
 
     def loss():
         out, _ = lstm_forward(params, x, return_sequences=True)
@@ -246,11 +247,10 @@ def test_criterion_7_synthetic_end_to_end(e2e):
     with open(os.path.join(out, "scaler.json")) as fh:
         doc = json.load(fh)
     scaler = pipeline.ScalerParams(mean=doc["mean"], std=doc["std"])
-    threshold = detector.Threshold(
+    threshold = sa.ThresholdRecord(
         value=summary["threshold"],
         train_points=summary["train_points"],
         window_len=summary["window"],
-        model_digest=summary["model_digest"],
     )
     train_rerun = detector.detect(model, threshold, train_series, scaler)
     train_flagged = int(train_rerun.verdicts.sum())

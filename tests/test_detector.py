@@ -45,11 +45,6 @@ class TestFitThreshold:
         with pytest.raises(EmptyInputError):
             detector.fit_threshold(model, windows)
 
-    def test_digest_identifies_model(self):
-        model = zero_model(3)
-        th = detector.fit_threshold(model, make_windows(np.zeros(5), 3))
-        assert th.model_digest == sa.model_digest(model)
-
 
 class TestDetect:
     def test_no_anomalies_when_losses_at_or_below_threshold(self):
@@ -91,7 +86,7 @@ class TestDetect:
 
     def test_series_shorter_than_window_rejected(self):
         model = zero_model(5)
-        th = detector.Threshold(value=1.0, train_points=10, window_len=5, model_digest="x")
+        th = sa.ThresholdRecord(value=1.0, train_points=10, window_len=5)
         with pytest.raises(InsufficientDataError):
             detector.detect(model, th, series([1.0, 2.0]), IDENTITY_SCALER)
 

@@ -47,12 +47,12 @@ class TestStep:
         rng = Rng(4)
         prev = LstmStepState(rng.normal(0, 0.5, (2, 3)), rng.normal(0, 2, (2, 3)))
         x = rng.normal(0, 1, (2, 2))
-        out, caches = lstm_forward(params, x[:, None, :], init_state=prev)
+        out, caches = lstm_forward(params, x[None], init_state=prev)
         f, i, o, g = gates_of(caches[0])
         assert np.all(f == 0.5) and np.all(i == 0.5) and np.all(o == 0.5)
         assert np.all(g == 0.0)
         assert np.array_equal(caches[0].c, 0.5 * prev.cell)
-        assert np.array_equal(out[:, 0, :], 0.5 * np.tanh(0.5 * prev.cell))
+        assert np.array_equal(out[0], 0.5 * np.tanh(0.5 * prev.cell))
 
     def test_gate_override_preserves_cell_exactly(self):
         # Saturating biases override the computed gates: sigmoid(+1e3) is
@@ -63,7 +63,7 @@ class TestStep:
         rng = Rng(9)
         state = LstmStepState(rng.normal(0, 0.5, (1, 4)), rng.normal(0, 1.5, (1, 4)))
         c_start = state.cell.copy()
-        _, caches = lstm_forward(params, rng.normal(0, 1, (1, 6, 3)), init_state=state)
+        _, caches = lstm_forward(params, rng.normal(0, 1, (6, 1, 3)), init_state=state)
         for cache in caches:
             f, i, _, _ = gates_of(cache)
             assert np.all(f == 1.0) and np.all(i == 0.0)
@@ -91,7 +91,7 @@ class TestStep:
         rng = Rng(21)
         for seed in range(5):
             params = random_params(3, 2, seed=seed, bias_scale=1.0)
-            out, caches = lstm_forward(params, rng.normal(0, 3, (4, 7, 2)))
+            out, caches = lstm_forward(params, rng.normal(0, 3, (7, 4, 2)))
             for cache in caches:
                 f, i, o, g = gates_of(cache)
                 for gate in (f, i, o):
@@ -105,54 +105,72 @@ class TestStep:
         with pytest.raises(ShapeError):
             lstm_forward(params, np.zeros((1, 1, 5)), init_state=LstmStepState.zeros(1, 3))
         with pytest.raises(ShapeError):
-            lstm_forward(params, np.zeros((2, 1, 2)), init_state=LstmStepState.zeros(2, 4))
+            lstm_forward(params, np.zeros((1, 2, 2)), init_state=LstmStepState.zeros(2, 4))
 
 
 class TestForward:
     def test_t1_equals_single_step(self):
         params = random_params(3, 2, seed=0)
-        x = Rng(1).normal(0, 1, (2, 1, 2))
+        x = Rng(1).normal(0, 1, (1, 2, 2))
         out, caches = lstm_forward(params, x, return_sequences=True)
-        h, _, _ = reference_step(params, np.zeros((2, 3)), np.zeros((2, 3)), x[:, 0, :])
+        h, _, _ = reference_step(params, np.zeros((2, 3)), np.zeros((2, 3)), x[0])
         assert len(caches) == 1
-        assert np.max(np.abs(out[:, 0, :] - h)) <= 1e-12
+        assert np.max(np.abs(out[0] - h)) <= 1e-12
 
     def test_zero_params_bounds_hidden(self):
         params = LstmLayerParams.zeros(2, 1)
-        x = Rng(2).normal(0, 5, (3, 5, 1))
+        x = Rng(2).normal(0, 5, (5, 3, 1))
         out, _ = lstm_forward(params, x, return_sequences=True)
         assert np.all(np.abs(out) <= 0.5)
 
     def test_purity(self):
         params = random_params(4, 2, seed=3)
-        x = Rng(4).normal(0, 1, (2, 6, 2))
+        x = Rng(4).normal(0, 1, (6, 2, 2))
         a, _ = lstm_forward(params, x, return_sequences=True)
         b, _ = lstm_forward(params, x, return_sequences=True)
         assert np.array_equal(a, b)
 
     def test_last_only_mode(self):
         params = random_params(3, 1, seed=5)
-        x = Rng(6).normal(0, 1, (2, 4, 1))
+        x = Rng(6).normal(0, 1, (4, 2, 1))
         seq, _ = lstm_forward(params, x, return_sequences=True)
         last, _ = lstm_forward(params, x, return_sequences=False)
         assert last.shape == (2, 3)
-        assert np.array_equal(last, seq[:, -1, :])
+        assert np.array_equal(last, seq[-1])
 
     def test_explicit_initial_state(self):
         params = random_params(3, 2, seed=6)
         rng = Rng(7)
         init = LstmStepState(rng.normal(0, 0.3, (2, 3)), rng.normal(0, 1, (2, 3)))
-        x = rng.normal(0, 1, (2, 3, 2))
+        x = rng.normal(0, 1, (3, 2, 2))
         out, _ = lstm_forward(params, x, init_state=init, return_sequences=True)
         h, c = init.hidden, init.cell
         for t in range(3):
-            h, c, _ = reference_step(params, h, c, x[:, t, :])
-            assert np.max(np.abs(out[:, t, :] - h)) <= 1e-12
+            h, c, _ = reference_step(params, h, c, x[t])
+            assert np.max(np.abs(out[t] - h)) <= 1e-12
 
     def test_empty_sequence_rejected(self):
         params = LstmLayerParams.zeros(2, 1)
         with pytest.raises(EmptyInputError):
-            lstm_forward(params, np.zeros((1, 0, 1)))
+            lstm_forward(params, np.zeros((0, 1, 1)))
+
+
+class TestTracerContract:
+    """The shapes the benchmark's tracer reads to count cell steps and GEMM
+    FLOPs: B*T from the input's first two axes, T as len(cache) and B as
+    the first axis of cache[0].z."""
+
+    def test_step_count_and_cache_views(self):
+        t_len, b, d, h = 6, 3, 2, 4
+        params = random_params(h, d, seed=60)
+        x = Rng(61).normal(0, 1, (t_len, b, d))
+        out, cache = lstm_forward(params, x)
+        assert np.prod(np.shape(x)[:2]) == b * t_len
+        assert len(cache) == t_len
+        assert cache[0].z.shape == (b, h + d)
+        # cache[t].z is [h_{t-1}, x_t], batch-first
+        assert np.array_equal(cache[2].z[:, :h], out[1])
+        assert np.array_equal(cache[2].z[:, h:], x[2])
 
 
 class TestInfer:
@@ -161,18 +179,18 @@ class TestInfer:
     @pytest.mark.parametrize("t_len", [1, 7])
     def test_sequences_match_training_forward(self, t_len):
         params = random_params(4, 3, seed=8)
-        x = Rng(9).normal(0, 1, (5, t_len, 3))
+        x = Rng(9).normal(0, 1, (t_len, 5, 3))
         expected, _ = lstm_forward(params, x, return_sequences=True)
-        got = lstm_infer(params, x.transpose(1, 0, 2), return_sequences=True)
+        got = lstm_infer(params, x, return_sequences=True)
         assert got.shape == (t_len, 5, 4)
-        assert np.max(np.abs(got.transpose(1, 0, 2) - expected)) <= 1e-12
+        assert np.max(np.abs(got - expected)) <= 1e-12
 
     @pytest.mark.parametrize("t_len", [1, 7])
     def test_final_state_matches_training_forward(self, t_len):
         params = random_params(4, 3, seed=10)
-        x = Rng(11).normal(0, 1, (5, t_len, 3))
+        x = Rng(11).normal(0, 1, (t_len, 5, 3))
         expected, _ = lstm_forward(params, x, return_sequences=False)
-        got = lstm_infer(params, x.transpose(1, 0, 2), return_sequences=False)
+        got = lstm_infer(params, x, return_sequences=False)
         assert got.shape == (5, 4)
         assert np.max(np.abs(got - expected)) <= 1e-12
 
@@ -203,9 +221,15 @@ class TestAgainstReference:
         if not return_sequences:
             seq_grads[:, :-1, :] = 0.0
 
-        out, caches = lstm_forward(params, x, init_state=init, return_sequences=return_sequences)
-        grad_out = seq_grads if return_sequences else seq_grads[:, -1, :]
+        # the layer is time-major, the oracle batch-first
+        out, caches = lstm_forward(
+            params, x.transpose(1, 0, 2), init_state=init, return_sequences=return_sequences
+        )
+        grad_out = seq_grads.transpose(1, 0, 2) if return_sequences else seq_grads[:, -1, :]
         grads, d_in, dh0, dc0 = lstm_backward(params, caches, grad_out)
+        if return_sequences:
+            out = out.transpose(1, 0, 2)
+        d_in = d_in.transpose(1, 0, 2)
 
         ref_out, ref_caches = reference_forward(params, x, h0, c0)
         ref_dw, ref_db, ref_din, ref_dh0, ref_dc0 = reference_backward(params, ref_caches, seq_grads)
@@ -237,9 +261,9 @@ class TestAgainstReference:
 class TestBackward:
     def test_zero_grad_outputs_give_zero_gradients(self):
         params = random_params(3, 2, seed=10)
-        x = Rng(11).normal(0, 1, (2, 4, 2))
+        x = Rng(11).normal(0, 1, (4, 2, 2))
         _, caches = lstm_forward(params, x, return_sequences=True)
-        grads, d_in, dh0, dc0 = lstm_backward(params, caches, np.zeros((2, 4, 3)))
+        grads, d_in, dh0, dc0 = lstm_backward(params, caches, np.zeros((4, 2, 3)))
         for g in grads.arrays():
             assert np.all(g == 0.0)
         assert np.all(d_in == 0.0) and np.all(dh0 == 0.0) and np.all(dc0 == 0.0)
@@ -248,8 +272,8 @@ class TestBackward:
     def test_parameter_gradients_match_finite_differences(self, seed):
         params = random_params(1, 1, seed=seed)
         rng = Rng(100 + seed)
-        x = rng.normal(0, 1, (1, 2, 1))
-        proj = rng.normal(0, 1, (1, 2, 1))
+        x = rng.normal(0, 1, (2, 1, 1))
+        proj = rng.normal(0, 1, (2, 1, 1))
 
         def loss():
             out, _ = lstm_forward(params, x, return_sequences=True)
@@ -263,8 +287,8 @@ class TestBackward:
     def test_input_gradients_match_finite_differences(self, seed):
         params = random_params(2, 2, seed=seed)
         rng = Rng(200 + seed)
-        x = rng.normal(0, 1, (1, 3, 2))
-        proj = rng.normal(0, 1, (1, 3, 2))
+        x = rng.normal(0, 1, (3, 1, 2))
+        proj = rng.normal(0, 1, (3, 1, 2))
 
         def loss():
             out, _ = lstm_forward(params, x, return_sequences=True)
@@ -277,7 +301,7 @@ class TestBackward:
     def test_last_only_gradients_match_finite_differences(self):
         params = random_params(3, 1, seed=9)
         rng = Rng(300)
-        x = rng.normal(0, 1, (2, 4, 1))
+        x = rng.normal(0, 1, (4, 2, 1))
         proj = rng.normal(0, 1, (2, 3))
 
         def loss():
@@ -290,9 +314,9 @@ class TestBackward:
 
     def test_grad_shape_mismatch_rejected(self):
         params = random_params(3, 2, seed=12)
-        x = Rng(13).normal(0, 1, (2, 4, 2))
+        x = Rng(13).normal(0, 1, (4, 2, 2))
         _, caches = lstm_forward(params, x, return_sequences=True)
         with pytest.raises(ShapeError):
-            lstm_backward(params, caches, np.zeros((2, 5, 3)))
+            lstm_backward(params, caches, np.zeros((5, 2, 3)))
         with pytest.raises(ShapeError):
             lstm_backward(params, caches, np.zeros((3, 3)))

@@ -15,6 +15,7 @@ from seqad.errors import (
     TrainingDivergedError,
 )
 from seqad import seq_autoencoder as sa
+from seqad.lstm import lstm_infer
 from seqad.windowing import make_windows
 
 
@@ -73,15 +74,37 @@ class TestForward:
         assert np.array_equal(sa.forward(model, window), sa.forward(model, window))
 
     def test_latent_shape_chain(self):
-        # T=10, m=1, latent 16: encoder out 16, repeated 10x16, head out 10x1
+        # T=10, m=1, latent 16: encoder out 16, repeated 10x16, head out 10x1;
+        # the decoder output is kept feature-major, (hidden, T, B)
         model = sa.build_model("1x16", timesteps=10, features=1, seed=5)
         window = Rng(6).normal(0, 1, (10, 1))
         recon, cache = sa._forward_batch(model, window[None])
         assert model.latent_size == 16
         assert cache["dec_caches"][-1][0].z.shape == (1, 16 + 16)
         assert len(cache["dec_caches"][-1]) == 10
-        assert cache["dec_dropped"].shape == (1, 10, 16)
+        assert cache["dec_dropped"].shape == (16, 10, 1)
         assert recon.shape == (1, 10, 1)
+
+    def test_dropout_masks_drawn_batch_first_in_order(self):
+        # distinct B, T, hidden and latent sizes, so a mask applied on the
+        # wrong axes cannot broadcast
+        b, t_len, rate = 3, 5, 0.3
+        model = perturbed(sa.build_model("2x8-4", timesteps=t_len, dropout_rate=rate, seed=50), 51)
+        batch = Rng(52).normal(0, 1, (b, t_len, 1))
+        recon, cache = sa._forward_batch(model, batch, train_mode=True, rng=Rng(53))
+        rng = Rng(53)
+        latent_mask = (rng.uniform(size=(b, 4)) >= rate) / (1.0 - rate)
+        dec_mask = (rng.uniform(size=(b, t_len, 8)) >= rate) / (1.0 - rate)
+        assert np.array_equal(cache["latent_mask"], latent_mask)
+        assert np.array_equal(cache["dec_mask"], dec_mask)
+        # each mask entry scales the batch-first element it was drawn for
+        seq = batch.transpose(1, 0, 2)
+        seq = lstm_infer(model.encoder[0], seq)
+        latent = lstm_infer(model.encoder[1], seq, return_sequences=False) * latent_mask
+        seq = lstm_infer(model.decoder[0], np.broadcast_to(latent, (t_len, b, 4)))
+        seq = lstm_infer(model.decoder[1], seq).transpose(1, 0, 2) * dec_mask
+        expected = seq @ model.head_w.T + model.head_b
+        assert np.max(np.abs(recon - expected)) <= 1e-12
 
     @pytest.mark.parametrize("tag", ["1x16", "2x64-16", "3x128-64-16"])
     def test_output_shape_equals_input_shape(self, tag):
@@ -203,6 +226,31 @@ class TestGradients:
         d_recon = np.sign(recon - batch) / recon.size
         grads = sa._backward_batch(model, cache, d_recon)
         assert worst_relative_error(loss, model.params(), grads) < REL_TOL
+
+
+class TestTrainingStepMemory:
+    def test_step_peaks_at_or_below_9_3_mib(self):
+        # 9.21 MiB holding every layer's cache to the end of the backward
+        # pass; 10.67 MiB when the weight-gradient GEMM reads transposed
+        # copies of the gate gradients and of [h, x]
+        model = sa.build_model("2x64-16", timesteps=10, seed=42)
+        batch = Rng(43).normal(0, 1, (64, 10, 1))
+        tracemalloc.start()
+        try:
+            recon, cache = sa._forward_batch(model, batch, train_mode=True, rng=Rng(44))
+            sa._backward_batch(model, cache, np.sign(recon - batch) / recon.size)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9.3 * 2**20
+
+    def test_backward_releases_the_caches(self):
+        model = sa.build_model("2x8-4", timesteps=5, seed=45)
+        batch = Rng(46).normal(0, 1, (3, 5, 1))
+        recon, cache = sa._forward_batch(model, batch, train_mode=True, rng=Rng(47))
+        sa._backward_batch(model, cache, np.sign(recon - batch) / recon.size)
+        assert cache["enc_caches"] == [] and cache["dec_caches"] == []
+        assert "dec_dropped" not in cache
 
 
 def sinusoid_windows(n=2000, t=10, seed=0):
