@@ -4,8 +4,8 @@ aggregation over overlapping windows, and max-loss thresholding, with
 the preprocessing, labeling, and evaluation machinery around it.
 """
 
-from .core_math import AdamState, Rng, adam_step, glorot_init, sigmoid, tanh
-from .detector import DetectionReport, detect, fit_threshold
+from .core_math import AdamState, Rng, adam_step, glorot_init, tanh
+from .detector import DetectionReport, detect, fit, fit_threshold
 from .lstm import LstmLayerParams, LstmStepState, lstm_backward, lstm_forward
 from .metrics import (
     ClassificationMetrics,
@@ -22,11 +22,9 @@ from .pipeline import (
     TimeSeries,
     apply_scaler,
     build_train_test,
-    clean,
     fit_scaler,
     fit_sigma_rule,
     generate_synthetic,
-    invert_scaler,
     label_by_sigma,
 )
 from .seq_autoencoder import (
@@ -34,7 +32,6 @@ from .seq_autoencoder import (
     TrainConfig,
     TrainTrace,
     build_model,
-    forward,
     load_model,
     save_model,
     train,

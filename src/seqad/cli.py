@@ -5,7 +5,9 @@ generator.
 `train` fixes the max-loss threshold on the windows it trained on and
 stores it in the model file; `detect` scores the test series against
 that stored threshold and never reads the training series, so a
-`--model` from another workspace brings its own threshold.
+`--model` from another workspace brings its own threshold. `sweep`
+fits and scores each configuration through the same `detector.fit`
+and `detector.detect`, and `evaluate` reads only `report.csv`.
 
 Configuration is a flat `key = value` text file; every key is also a
 same-named command-line flag (dashes for underscores) and flags win.
@@ -199,6 +201,12 @@ def _read_scaler(cfg: RunConfig) -> pipeline.ScalerParams:
     return scaler
 
 
+def _train_config(cfg: RunConfig) -> seq_autoencoder.TrainConfig:
+    """The training settings `train` and `sweep` share: the training keys and the seed."""
+    keys = (*_TRAIN_KEYS, "seed")
+    return seq_autoencoder.TrainConfig(**{key: getattr(cfg, key) for key in keys})
+
+
 def _write_json(path: str, doc: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, indent=2)
@@ -252,23 +260,7 @@ def cmd_train(cfg: RunConfig) -> None:
     scaler = _read_scaler(cfg)
     scaled = pipeline.apply_scaler(train_series.values, scaler)
     windows = windowing.make_windows(scaled, cfg.window)
-    model = seq_autoencoder.build_model(
-        cfg.arch,
-        timesteps=cfg.window,
-        features=1,
-        dropout_rate=cfg.dropout,
-        seed=cfg.seed,
-    )
-    train_cfg = seq_autoencoder.TrainConfig(
-        learning_rate=cfg.learning_rate,
-        dropout=cfg.dropout,
-        batch_size=cfg.batch_size,
-        epochs=cfg.epochs,
-        validation_fraction=cfg.validation_fraction,
-        seed=cfg.seed,
-    )
-    model, trace = seq_autoencoder.train(model, windows, train_cfg)
-    model.threshold = detector.fit_threshold(model, windows)
+    model, trace = detector.fit(windows, cfg.arch, _train_config(cfg))
 
     os.makedirs(cfg.out, exist_ok=True)
     seq_autoencoder.save_model(model, cfg.model_path())
@@ -288,11 +280,11 @@ def cmd_detect(cfg: RunConfig) -> None:
     test_series = _read_workspace_series(cfg, "test.csv")
     scaler = _read_scaler(cfg)
 
-    threshold = model.threshold
-    report = detector.detect(model, threshold, test_series, scaler)
+    report = detector.detect(model, test_series, scaler)
 
     os.makedirs(cfg.out, exist_ok=True)
     detector.write_report_csv(os.path.join(cfg.out, "report.csv"), report)
+    threshold = model.threshold
     summary = {
         "threshold": threshold.value,
         "train_points": threshold.train_points,
@@ -318,17 +310,7 @@ def cmd_detect(cfg: RunConfig) -> None:
 
 
 def cmd_evaluate(cfg: RunConfig) -> None:
-    summary_path = os.path.join(cfg.out, "detection_summary.json")
-    try:
-        with open(summary_path, "r", encoding="utf-8") as fh:
-            summary = json.load(fh)
-    except FileNotFoundError:
-        raise DataError(f"{summary_path} not found; run detect first")
-    except json.JSONDecodeError as exc:
-        raise DataError(f"malformed summary {summary_path}: {exc}")
-    report = detector.read_report_csv(
-        os.path.join(cfg.out, "report.csv"), float(summary["threshold"])
-    )
+    report = detector.read_report_csv(os.path.join(cfg.out, "report.csv"))
     if report.labels is None:
         raise DataError("report has no ground-truth labels; cannot evaluate")
 
@@ -377,27 +359,16 @@ def cmd_sweep(cfg: RunConfig) -> None:
         seq_autoencoder.parse_arch(arch)
 
     scaled_train = pipeline.apply_scaler(train_series.values, scaler)
+    train_cfg = _train_config(cfg)
     rows = []
     for window in window_lengths:
         train_windows = windowing.make_windows(scaled_train, window)
         for arch in archs:
-            model = seq_autoencoder.build_model(
-                arch, timesteps=window, features=1, dropout_rate=cfg.dropout, seed=cfg.seed
-            )
-            train_cfg = seq_autoencoder.TrainConfig(
-                learning_rate=cfg.learning_rate,
-                dropout=cfg.dropout,
-                batch_size=cfg.batch_size,
-                epochs=cfg.epochs,
-                validation_fraction=cfg.validation_fraction,
-                seed=cfg.seed,
-            )
-            model, _ = seq_autoencoder.train(model, train_windows, train_cfg)
-            threshold = detector.fit_threshold(model, train_windows)
-            report = detector.detect(model, threshold, test_series, scaler)
+            model, _ = detector.fit(train_windows, arch, train_cfg)
+            report = detector.detect(model, test_series, scaler)
             mets = metrics.prf1_accuracy(report.confusion())
             roc = metrics.roc_auc(report.labels, report.losses)
-            rows.append((window, arch, threshold.value, mets, roc.auc))
+            rows.append((window, arch, model.threshold.value, mets, roc.auc))
             print(
                 f"T={window:>3} arch={arch:<14} "
                 f"acc {metrics.format_percent(mets.accuracy)}  "

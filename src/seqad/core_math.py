@@ -1,4 +1,4 @@
-"""Dense float64 kernels: stable activations, seeded RNG, Glorot init, Adam.
+"""Dense float64 kernels: the tanh activation, seeded RNG, Glorot init, Adam.
 
 Everything runs in 64-bit precision so that finite-difference gradient
 checks are meaningful at 1e-4 relative tolerance. Matrices are plain
@@ -15,7 +15,6 @@ import numpy as np
 from .errors import ShapeError
 
 __all__ = [
-    "sigmoid",
     "tanh",
     "Rng",
     "glorot_init",
@@ -24,29 +23,9 @@ __all__ = [
 ]
 
 
-def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Elementwise logistic function, stable for large |x| (no overflow).
-
-    Branch-free: with e = exp(-|x|) and r = 1/(1+e), the result is r
-    where x >= 0 and e*r where x < 0, computed as exp(min(x, 0)) * r,
-    since that factor is exactly 1 for x >= 0 and exactly e for x < 0.
-    exp() never sees a positive argument, so nothing overflows, and large
-    negative inputs stay strictly positive instead of rounding to 0.
-    `out` may be `x` itself, which activates an array in place.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    r = np.abs(x)
-    np.negative(r, out=r)
-    np.exp(r, out=r)
-    r += 1.0
-    np.divide(1.0, r, out=r)
-    factor = np.minimum(x, 0.0, out=out)
-    np.exp(factor, out=factor)
-    return np.multiply(factor, r, out=factor)
-
-
 def tanh(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Elementwise hyperbolic tangent; `out` as for sigmoid."""
+    """Elementwise hyperbolic tangent. `out` may be `x` itself, which
+    activates an array in place."""
     return np.tanh(np.asarray(x, dtype=np.float64), out=out)
 
 

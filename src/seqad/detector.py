@@ -1,24 +1,43 @@
 """Thresholded anomaly detection: the threshold is the maximum per-point
 reconstruction loss seen on (normal-only) training data; a test point is
 anomalous iff its loss strictly exceeds that maximum.
+
+`fit` builds, trains and thresholds a model; `detect` scores a series
+against the threshold the model carries. The CLI's `train`, `detect`
+and `sweep` all go through these two.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CsvParseError, EmptyInputError, InsufficientDataError
+from .errors import CsvParseError, EmptyInputError, ModelFileError
 from .metrics import ConfusionCounts, confusion
-from .pipeline import ScalerParams, TimeSeries, apply_scaler, format_timestamp, parse_timestamp
-from .seq_autoencoder import SeqAutoencoderModel, ThresholdRecord, reconstruct_windows
+from .pipeline import (
+    ScalerParams,
+    TimeSeries,
+    apply_scaler,
+    csv_rows,
+    format_timestamp,
+    parse_timestamp,
+)
+from .seq_autoencoder import (
+    SeqAutoencoderModel,
+    ThresholdRecord,
+    TrainConfig,
+    TrainTrace,
+    build_model,
+    reconstruct_windows,
+    train,
+)
 from .windowing import WindowSet, make_windows, per_point_loss
 
 __all__ = [
     "DetectionReport",
     "fit_threshold",
+    "fit",
     "point_losses",
     "detect",
     "write_report_csv",
@@ -31,7 +50,6 @@ class DetectionReport:
     timestamps: np.ndarray
     values: np.ndarray  # raw units
     losses: np.ndarray  # normalized units
-    threshold: float
     verdicts: np.ndarray  # 1 where loss > threshold
     labels: np.ndarray | None = None
 
@@ -60,33 +78,51 @@ def fit_threshold(model: SeqAutoencoderModel, train_windows: WindowSet) -> Thres
     )
 
 
+def fit(
+    windows: WindowSet, arch: str, train_cfg: TrainConfig
+) -> tuple[SeqAutoencoderModel, TrainTrace]:
+    """Build a model of architecture `arch` for the window set, train it
+    and set its threshold from the same windows.
+
+    Returns the model, carrying its `threshold`, and the training trace.
+    """
+    model = build_model(
+        arch,
+        timesteps=windows.window_len,
+        features=windows.features,
+        dropout_rate=train_cfg.dropout,
+        seed=train_cfg.seed,
+    )
+    model, trace = train(model, windows, train_cfg)
+    model.threshold = fit_threshold(model, windows)
+    return model, trace
+
+
 def detect(
     model: SeqAutoencoderModel,
-    threshold: ThresholdRecord,
     test_series: TimeSeries,
     scaler: ScalerParams,
 ) -> DetectionReport:
-    """Scale, window, reconstruct, aggregate, and compare to the threshold.
+    """Scale, window, reconstruct, aggregate, and compare to the
+    threshold the model carries.
 
     Every point receives a loss (edge points average over their partial
     window coverage); the verdict is 1 only for loss strictly greater
     than the threshold. Ground-truth labels, when present, ride along
-    for evaluation.
+    for evaluation. Raises ModelFileError for a model without a
+    threshold record and InsufficientDataError for a series shorter
+    than one window.
     """
-    if len(test_series) < threshold.window_len:
-        raise InsufficientDataError(
-            f"series of length {len(test_series)} is shorter than window length "
-            f"{threshold.window_len}"
-        )
+    if model.threshold is None:
+        raise ModelFileError("cannot score with a model without its threshold record")
     scaled = apply_scaler(test_series.values, scaler)
-    windows = make_windows(scaled, threshold.window_len)
+    windows = make_windows(scaled, model.timesteps)
     losses = point_losses(model, windows)
-    verdicts = (losses > threshold.value).astype(np.int64)
+    verdicts = (losses > model.threshold.value).astype(np.int64)
     return DetectionReport(
         timestamps=test_series.timestamps,
         values=test_series.values,
         losses=losses,
-        threshold=threshold.value,
         verdicts=verdicts,
         labels=test_series.labels,
     )
@@ -109,11 +145,10 @@ def write_report_csv(path: str, report: DetectionReport) -> None:
             fh.write(row + "\n")
 
 
-def read_report_csv(path: str, threshold: float) -> DetectionReport:
+def read_report_csv(path: str) -> DetectionReport:
     """Load a persisted report; verdicts come back exactly as written."""
     timestamps, values, losses, verdicts, labels = [], [], [], [], []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    with csv_rows(path, "; run detect first") as reader:
         header = next(reader, None)
         if header is None or header[:4] != ["timestamp", "value", "loss", "verdict"]:
             raise CsvParseError("expected header 'timestamp,value,loss,verdict[,label]'", line=1)
@@ -136,7 +171,6 @@ def read_report_csv(path: str, threshold: float) -> DetectionReport:
         timestamps=np.array(timestamps),
         values=np.array(values),
         losses=np.array(losses),
-        threshold=threshold,
         verdicts=np.array(verdicts, dtype=np.int64),
         labels=np.array(labels, dtype=np.int64) if has_labels else None,
     )

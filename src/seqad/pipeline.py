@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -29,11 +30,9 @@ __all__ = [
     "format_timestamp",
     "read_series_csv",
     "write_series_csv",
-    "clean",
     "clean_report",
     "fit_scaler",
     "apply_scaler",
-    "invert_scaler",
     "fit_sigma_rule",
     "label_by_sigma",
     "build_train_test",
@@ -87,17 +86,28 @@ class TimeSeries:
         return TimeSeries(self.timestamps[mask_or_index], self.values[mask_or_index], labels)
 
 
+@contextmanager
+def csv_rows(path: str, hint: str = ""):
+    """csv.reader rows of a UTF-8 file. A file that cannot be opened or
+    read as UTF-8 raises DataError naming the path, `hint` appended."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            yield csv.reader(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}{hint}") from exc
+
+
 def read_series_csv(path: str) -> TimeSeries:
     """Read a raw series; tolerates NaN markers, rejects garbage fields.
 
-    Empty/NaN tokens in either column become NaN for clean() to handle;
-    infinite values (including overflowing ones such as 1e999) and any
-    other unparseable field raise CsvParseError with its line number.
+    Empty/NaN tokens in either column become NaN for clean_report() to
+    handle; infinite values (including overflowing ones such as 1e999)
+    and any other unparseable field raise CsvParseError with its line
+    number. An unreadable or non-UTF-8 file raises DataError.
     """
     timestamps, values, labels = [], [], []
     has_labels = False
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    with csv_rows(path) as reader:
         try:
             header = next(reader)
         except StopIteration:
@@ -216,10 +226,6 @@ def clean_report(raw: TimeSeries, strict_nan: bool = False) -> CleanReport:
     )
 
 
-def clean(raw: TimeSeries, strict_nan: bool = False) -> TimeSeries:
-    return clean_report(raw, strict_nan=strict_nan).series
-
-
 @dataclass
 class ScalerParams:
     """Standard-scaler parameters (population standard deviation)."""
@@ -241,10 +247,6 @@ def fit_scaler(values: np.ndarray) -> ScalerParams:
 
 def apply_scaler(values: np.ndarray, scaler: ScalerParams) -> np.ndarray:
     return (np.asarray(values, dtype=np.float64) - scaler.mean) / scaler.std
-
-
-def invert_scaler(values: np.ndarray, scaler: ScalerParams) -> np.ndarray:
-    return np.asarray(values, dtype=np.float64) * scaler.std + scaler.mean
 
 
 @dataclass

@@ -39,7 +39,6 @@ __all__ = [
     "TrainTrace",
     "parse_arch",
     "build_model",
-    "forward",
     "reconstruct_windows",
     "mae",
     "train",
@@ -337,24 +336,6 @@ def _backward_batch(model: SeqAutoencoderModel, cache: dict, d_recon: np.ndarray
     flat.append(d_head_w)
     flat.append(d_head_b)
     return flat
-
-
-def forward(
-    model: SeqAutoencoderModel,
-    window: np.ndarray,
-    train_mode: bool = False,
-    rng: Rng | None = None,
-) -> np.ndarray:
-    """Reconstruct one (T, m) window; output has the same shape."""
-    window = np.asarray(window, dtype=np.float64)
-    if window.shape != (model.timesteps, model.features):
-        raise ShapeError(
-            f"window shape {window.shape} does not match ({model.timesteps}, {model.features})"
-        )
-    if not train_mode:
-        return reconstruct_windows(model, window[None])[0]
-    recon, _ = _forward_batch(model, window[None], train_mode=True, rng=rng)
-    return recon[0]
 
 
 def reconstruct_windows(

@@ -207,10 +207,8 @@ def test_criterion_6_threshold_soundness():
     split = pipeline.build_train_test(data, float(data.timestamps[1100]), k=2.0)
     scaler = pipeline.fit_scaler(split.train.values)
     windows = make_windows(pipeline.apply_scaler(split.train.values, scaler), 10)
-    model = sa.build_model("1x16", timesteps=10, seed=6)
-    model, _ = sa.train(model, windows, sa.TrainConfig(epochs=5, seed=6))
-    threshold = detector.fit_threshold(model, windows)
-    rerun = detector.detect(model, threshold, split.train, scaler)
+    model, _ = detector.fit(windows, "1x16", sa.TrainConfig(epochs=5, seed=6))
+    rerun = detector.detect(model, split.train, scaler)
     flagged = int(rerun.verdicts.sum())
     elapsed = time.monotonic() - start
     report(
@@ -236,9 +234,7 @@ def _truth_on_test_period(out):
 
 def test_criterion_7_synthetic_end_to_end(e2e):
     out = e2e["out"]
-    with open(os.path.join(out, "detection_summary.json")) as fh:
-        summary = json.load(fh)
-    rep = detector.read_report_csv(os.path.join(out, "report.csv"), summary["threshold"])
+    rep = detector.read_report_csv(os.path.join(out, "report.csv"))
 
     # no alarms on the training period: the threshold is that period's max,
     # so a false positive there is impossible by construction
@@ -247,12 +243,7 @@ def test_criterion_7_synthetic_end_to_end(e2e):
     with open(os.path.join(out, "scaler.json")) as fh:
         doc = json.load(fh)
     scaler = pipeline.ScalerParams(mean=doc["mean"], std=doc["std"])
-    threshold = sa.ThresholdRecord(
-        value=summary["threshold"],
-        train_points=summary["train_points"],
-        window_len=summary["window"],
-    )
-    train_rerun = detector.detect(model, threshold, train_series, scaler)
+    train_rerun = detector.detect(model, train_series, scaler)
     train_flagged = int(train_rerun.verdicts.sum())
 
     truth = _truth_on_test_period(out)

@@ -100,6 +100,18 @@ class TestEndToEnd:
         assert code == 0
         assert any(line.startswith("accuracy") for line in out.splitlines())
 
+    def test_evaluate_reads_only_the_report(self, workspace, tmp_path, capsys):
+        out = copy_workspace(workspace, tmp_path)
+        for name in ("detection_summary.json", "evaluation.json", "roc.csv"):
+            os.remove(os.path.join(out, name))
+        code, _, _ = run(capsys, "evaluate", "--out", out)
+        assert code == 0
+        for name in ("evaluation.json", "roc.csv"):
+            with open(os.path.join(out, name), "rb") as ours, open(
+                os.path.join(workspace, name), "rb"
+            ) as theirs:
+                assert ours.read() == theirs.read(), name
+
 
 class TestSweep:
     def test_one_row_per_configuration(self, workspace, capsys):
@@ -114,6 +126,23 @@ class TestSweep:
         assert lines[0] == "window,arch,threshold,accuracy,precision,recall,f1,auc"
         assert len(lines) == 1 + 2
         assert lines[1].startswith("5,1x16,") and lines[2].startswith("8,1x16,")
+
+    def test_row_matches_train_then_detect(self, workspace, tmp_path, capsys):
+        out = copy_workspace(workspace, tmp_path)
+        base = ["--out", out, "--seed", "9"]
+        code, _, _ = run(
+            capsys, "sweep", *base, "--sweep-windows", "5", "--sweep-archs", "1x16", "--epochs", "1"
+        )
+        assert code == 0
+        assert run(capsys, "train", *base, "--window", "5", "--epochs", "1")[0] == 0
+        assert run(capsys, "detect", *base)[0] == 0
+        with open(os.path.join(out, "sweep.csv")) as fh:
+            row = fh.read().splitlines()[1].split(",")
+        model = seq_autoencoder.load_model(os.path.join(out, "model.json"))
+        with open(os.path.join(out, "detection_summary.json")) as fh:
+            summary = json.load(fh)
+        assert float(row[2]) == model.threshold.value
+        assert float(row[6]) == summary["metrics"]["f1"]
 
 
 class TestDeterminism:
@@ -170,6 +199,26 @@ class TestErrorCodes:
     def test_missing_input_file_is_data_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "train", "--out", str(tmp_path / "empty"))
         assert code == cli.EXIT_DATA
+
+    def test_missing_preprocess_input_is_data_error_naming_path(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.csv")
+        code, _, err = run(capsys, "preprocess", "--out", str(tmp_path / "o"), "--input", missing)
+        assert code == cli.EXIT_DATA
+        assert missing in err
+
+    def test_non_utf8_input_is_data_error_naming_path(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"timestamp,value\n2018-01-01T00:00:00,4\xff0\n")
+        code, _, err = run(capsys, "preprocess", "--out", str(tmp_path / "o"), "--input", str(path))
+        assert code == cli.EXIT_DATA
+        assert str(path) in err
+
+    def test_evaluate_without_report_is_data_error(self, workspace, tmp_path, capsys):
+        out = copy_workspace(workspace, tmp_path)
+        os.remove(os.path.join(out, "report.csv"))
+        code, _, err = run(capsys, "evaluate", "--out", out)
+        assert code == cli.EXIT_DATA
+        assert os.path.join(out, "report.csv") in err and "run detect first" in err
 
     def test_missing_model_file_is_data_error(self, workspace, tmp_path, capsys):
         code, _, err = run(

@@ -3,40 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from seqad.core_math import AdamState, Rng, adam_step, glorot_init, sigmoid, tanh
+from seqad.core_math import AdamState, Rng, adam_step, glorot_init, tanh
 from seqad.errors import ShapeError
 
 
 class TestActivations:
-    def test_sigmoid_zero(self):
-        assert sigmoid(np.array([0.0]))[0] == 0.5
-
     def test_tanh_zero(self):
         assert tanh(np.array([0.0]))[0] == 0.0
-
-    def test_sigmoid_large_negative_is_tiny_not_nan(self):
-        v = sigmoid(np.array([-50.0]))[0]
-        assert 0.0 < v <= 1e-20
-        assert math.isfinite(v)
-
-    def test_sigmoid_stable_to_700(self):
-        with np.errstate(over="raise"):
-            out = sigmoid(np.array([-700.0, 700.0]))
-        assert 0.0 < out[0] < 1e-300
-        assert out[1] == 1.0 or 0.0 < 1.0 - out[1] < 1e-300
-
-    def test_sigmoid_symmetry(self):
-        x = np.linspace(-30, 30, 401)
-        assert np.max(np.abs(sigmoid(x) + sigmoid(-x) - 1.0)) <= 1e-12
-
-    def test_tanh_sigmoid_identity(self):
-        x = np.linspace(-15, 15, 301)
-        assert np.max(np.abs(tanh(x) - (2.0 * sigmoid(2.0 * x) - 1.0))) <= 1e-12
-
-    def test_sigmoid_range(self):
-        x = Rng(3).normal(0, 10, 1000)
-        out = sigmoid(x)
-        assert np.all(out > 0.0) and np.all(out < 1.0)
 
 
 class TestGlorotInit:

@@ -3,7 +3,7 @@ import pytest
 
 from seqad.core_math import Rng
 from seqad import detector, pipeline, seq_autoencoder as sa
-from seqad.errors import EmptyInputError, InsufficientDataError
+from seqad.errors import EmptyInputError, InsufficientDataError, ModelFileError
 from seqad.windowing import make_windows
 
 
@@ -46,19 +46,32 @@ class TestFitThreshold:
             detector.fit_threshold(model, windows)
 
 
+class TestFit:
+    def test_equals_build_train_then_threshold_fit(self):
+        windows = make_windows(Rng(5).normal(0, 1, 60), 6)
+        cfg = sa.TrainConfig(epochs=2, dropout=0.1, batch_size=16, seed=5)
+        model, trace = detector.fit(windows, "2x8-4", cfg)
+        expected = sa.build_model("2x8-4", timesteps=6, dropout_rate=0.1, seed=5)
+        expected, expected_trace = sa.train(expected, windows, cfg)
+        expected.threshold = detector.fit_threshold(expected, windows)
+        assert sa.model_digest(model) == sa.model_digest(expected)
+        assert trace.train_loss == expected_trace.train_loss
+        assert trace.val_loss == expected_trace.val_loss
+
+
 class TestDetect:
     def test_no_anomalies_when_losses_at_or_below_threshold(self):
         model = zero_model(1)
-        th = detector.fit_threshold(model, make_windows(np.array([0.3, 0.3]), 1))
-        report = detector.detect(model, th, series([0.3, 0.3, 0.3]), IDENTITY_SCALER)
+        model.threshold = detector.fit_threshold(model, make_windows(np.array([0.3, 0.3]), 1))
+        report = detector.detect(model, series([0.3, 0.3, 0.3]), IDENTITY_SCALER)
         # every loss equals the threshold exactly: strict inequality keeps them normal
         assert np.array_equal(report.losses, [0.3, 0.3, 0.3])
         assert report.verdicts.sum() == 0
 
     def test_point_above_threshold_is_flagged(self):
         model = zero_model(1)
-        th = detector.fit_threshold(model, make_windows(np.array([0.3]), 1))
-        report = detector.detect(model, th, series([0.2, 0.8, 0.3]), IDENTITY_SCALER)
+        model.threshold = detector.fit_threshold(model, make_windows(np.array([0.3]), 1))
+        report = detector.detect(model, series([0.2, 0.8, 0.3]), IDENTITY_SCALER)
         assert list(report.verdicts) == [0, 1, 0]
 
     def test_trained_model_flags_nothing_on_its_own_training_data(self):
@@ -67,54 +80,56 @@ class TestDetect:
         split = pipeline.build_train_test(data, float(data.timestamps[700]), k=2.0)
         scaler = pipeline.fit_scaler(split.train.values)
         windows = make_windows(pipeline.apply_scaler(split.train.values, scaler), 10)
-        model = sa.build_model("1x16", timesteps=10, seed=3)
-        model, _ = sa.train(model, windows, sa.TrainConfig(epochs=3, seed=3))
-        th = detector.fit_threshold(model, windows)
-        report = detector.detect(model, th, split.train, scaler)
+        model, _ = detector.fit(windows, "1x16", sa.TrainConfig(epochs=3, seed=3))
+        report = detector.detect(model, split.train, scaler)
         assert report.verdicts.sum() == 0
 
     def test_monotonicity_in_threshold(self):
         model = zero_model(1)
-        th = detector.fit_threshold(model, make_windows(np.array([0.5]), 1))
+        model.threshold = detector.fit_threshold(model, make_windows(np.array([0.5]), 1))
         values = Rng(4).uniform(0, 1, 50)
         flagged = []
         for eta in (0.1, 0.3, 0.7):
-            th.value = eta
-            report = detector.detect(model, th, series(values), IDENTITY_SCALER)
+            model.threshold.value = eta
+            report = detector.detect(model, series(values), IDENTITY_SCALER)
             flagged.append(set(np.nonzero(report.verdicts)[0]))
         assert flagged[2] <= flagged[1] <= flagged[0]
 
     def test_series_shorter_than_window_rejected(self):
         model = zero_model(5)
-        th = sa.ThresholdRecord(value=1.0, train_points=10, window_len=5)
+        model.threshold = sa.ThresholdRecord(value=1.0, train_points=10, window_len=5)
         with pytest.raises(InsufficientDataError):
-            detector.detect(model, th, series([1.0, 2.0]), IDENTITY_SCALER)
+            detector.detect(model, series([1.0, 2.0]), IDENTITY_SCALER)
+
+    def test_model_without_threshold_rejected(self):
+        model = zero_model(1)
+        assert model.threshold is None
+        with pytest.raises(ModelFileError):
+            detector.detect(model, series([0.2, 0.8, 0.3]), IDENTITY_SCALER)
 
     def test_labels_ride_along_into_confusion(self):
         model = zero_model(1)
-        th = detector.fit_threshold(model, make_windows(np.array([0.3]), 1))
-        report = detector.detect(
-            model, th, series([0.2, 0.8, 0.3], labels=[0, 1, 0]), IDENTITY_SCALER
-        )
+        model.threshold = detector.fit_threshold(model, make_windows(np.array([0.3]), 1))
+        report = detector.detect(model, series([0.2, 0.8, 0.3], labels=[0, 1, 0]), IDENTITY_SCALER)
         counts = report.confusion()
         assert (counts.tp, counts.tn, counts.fp, counts.fn) == (1, 2, 0, 0)
 
 
 class TestReportPersistence:
     def make_report(self, with_labels):
+        """A report and the model that scored it."""
         model = zero_model(2)
-        th = detector.fit_threshold(model, make_windows(np.array([0.1, 0.2, 0.15]), 2))
+        model.threshold = detector.fit_threshold(model, make_windows(np.array([0.1, 0.2, 0.15]), 2))
         labels = [0, 1, 0, 0] if with_labels else None
-        return detector.detect(
-            model, th, series([0.05, 0.9, 0.1, 0.12], labels=labels), IDENTITY_SCALER
-        )
+        report = detector.detect(model, series([0.05, 0.9, 0.1, 0.12], labels=labels), IDENTITY_SCALER)
+        return report, model
 
     @pytest.mark.parametrize("with_labels", [False, True])
     def test_round_trip(self, tmp_path, with_labels):
-        report = self.make_report(with_labels)
+        report, _ = self.make_report(with_labels)
         path = tmp_path / "report.csv"
         detector.write_report_csv(str(path), report)
-        back = detector.read_report_csv(str(path), report.threshold)
+        back = detector.read_report_csv(str(path))
         assert np.array_equal(back.values, report.values)
         assert np.array_equal(back.losses, report.losses)
         assert np.array_equal(back.verdicts, report.verdicts)
@@ -124,8 +139,8 @@ class TestReportPersistence:
             assert back.labels is None
 
     def test_verdicts_recompute_identically_from_persisted_losses(self, tmp_path):
-        report = self.make_report(with_labels=False)
+        report, model = self.make_report(with_labels=False)
         path = tmp_path / "report.csv"
         detector.write_report_csv(str(path), report)
-        back = detector.read_report_csv(str(path), report.threshold)
-        assert np.array_equal((back.losses > back.threshold).astype(int), back.verdicts)
+        back = detector.read_report_csv(str(path))
+        assert np.array_equal((back.losses > model.threshold.value).astype(int), back.verdicts)

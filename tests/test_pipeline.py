@@ -91,18 +91,18 @@ class TestCsv:
 class TestClean:
     def test_duplicate_timestamps_keep_first(self):
         raw = pl.TimeSeries(ts(60, 60, 120), ts(1.0, 2.0, 3.0))
-        out = pl.clean(raw)
+        out = pl.clean_report(raw).series
         assert np.array_equal(out.timestamps, ts(60, 120))
         assert np.array_equal(out.values, ts(1.0, 3.0))
 
     def test_nan_value_becomes_zero(self):
         raw = pl.TimeSeries(ts(60, 120), np.array([np.nan, 5.0]))
-        out = pl.clean(raw)
+        out = pl.clean_report(raw).series
         assert np.array_equal(out.values, ts(0.0, 5.0))
 
     def test_strict_mode_drops_nan_values(self):
         raw = pl.TimeSeries(ts(60, 120), np.array([np.nan, 5.0]))
-        out = pl.clean(raw, strict_nan=True)
+        out = pl.clean_report(raw, strict_nan=True).series
         assert np.array_equal(out.timestamps, ts(120))
 
     def test_invalid_timestamp_rows_dropped(self):
@@ -113,21 +113,21 @@ class TestClean:
 
     def test_output_sorted(self):
         raw = pl.TimeSeries(ts(180, 60, 120), ts(3.0, 1.0, 2.0))
-        out = pl.clean(raw)
+        out = pl.clean_report(raw).series
         assert np.array_equal(out.timestamps, ts(60, 120, 180))
         assert np.array_equal(out.values, ts(1.0, 2.0, 3.0))
 
     def test_idempotent(self):
         raw = pl.TimeSeries(ts(60, 60, 180, 120), np.array([1.0, 9.0, np.nan, 2.0]))
-        once = pl.clean(raw)
-        twice = pl.clean(once)
+        once = pl.clean_report(raw).series
+        twice = pl.clean_report(once).series
         assert np.array_equal(once.timestamps, twice.timestamps)
         assert np.array_equal(once.values, twice.values)
 
     def test_everything_removed_is_an_error(self):
         raw = pl.TimeSeries(ts(np.nan), np.array([np.nan]))
         with pytest.raises(EmptyInputError):
-            pl.clean(raw)
+            pl.clean_report(raw)
 
 
 class TestScaler:
@@ -137,11 +137,6 @@ class TestScaler:
         assert scaler.std == pytest.approx(math.sqrt(2.0 / 3.0), abs=1e-15)
         z = pl.apply_scaler(ts(1.0, 2.0, 3.0), scaler)
         assert np.max(np.abs(z - [-1.224744871391589, 0.0, 1.224744871391589])) <= 1e-12
-
-    def test_round_trip(self):
-        vals = Rng(1).normal(500, 80, 1000)
-        scaler = pl.fit_scaler(vals)
-        assert np.max(np.abs(pl.invert_scaler(pl.apply_scaler(vals, scaler), scaler) - vals)) < 1e-12
 
     def test_scaled_data_is_standardized(self):
         vals = Rng(2).normal(500, 80, 5000)

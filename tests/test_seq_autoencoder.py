@@ -66,12 +66,13 @@ class TestForward:
     def test_zero_model_reconstructs_bias(self):
         model = zeroed(sa.build_model("1x16", timesteps=10, seed=1))
         window = Rng(2).normal(0, 1, (10, 1))
-        assert np.array_equal(sa.forward(model, window), np.zeros((10, 1)))
+        assert np.array_equal(sa.reconstruct_windows(model, window[None])[0], np.zeros((10, 1)))
 
     def test_inference_is_deterministic(self):
         model = sa.build_model("1x16", timesteps=10, dropout_rate=0.5, seed=3)
-        window = Rng(4).normal(0, 1, (10, 1))
-        assert np.array_equal(sa.forward(model, window), sa.forward(model, window))
+        windows = Rng(4).normal(0, 1, (1, 10, 1))
+        first = sa.reconstruct_windows(model, windows)
+        assert np.array_equal(first, sa.reconstruct_windows(model, windows))
 
     def test_latent_shape_chain(self):
         # T=10, m=1, latent 16: encoder out 16, repeated 10x16, head out 10x1;
@@ -110,24 +111,24 @@ class TestForward:
     def test_output_shape_equals_input_shape(self, tag):
         model = sa.build_model(tag, timesteps=7, features=2, seed=7)
         window = Rng(8).normal(0, 1, (7, 2))
-        assert sa.forward(model, window).shape == (7, 2)
+        assert sa.reconstruct_windows(model, window[None])[0].shape == (7, 2)
 
     def test_train_mode_dropout_changes_output(self):
         model = sa.build_model("1x16", timesteps=10, dropout_rate=0.5, seed=9)
-        window = Rng(10).normal(0, 1, (10, 1))
-        plain = sa.forward(model, window)
-        dropped = sa.forward(model, window, train_mode=True, rng=Rng(11))
+        windows = Rng(10).normal(0, 1, (1, 10, 1))
+        plain = sa.reconstruct_windows(model, windows)
+        dropped, _ = sa._forward_batch(model, windows, train_mode=True, rng=Rng(11))
         assert not np.array_equal(plain, dropped)
 
     def test_train_mode_needs_rng(self):
         model = sa.build_model("1x16", timesteps=10, dropout_rate=0.5, seed=9)
         with pytest.raises(ConfigError):
-            sa.forward(model, np.zeros((10, 1)), train_mode=True)
+            sa._forward_batch(model, np.zeros((1, 10, 1)), train_mode=True)
 
     def test_shape_mismatch_rejected(self):
         model = sa.build_model("1x16", timesteps=10, seed=12)
-        with pytest.raises(Exception):
-            sa.forward(model, np.zeros((9, 1)))
+        with pytest.raises(ShapeError):
+            sa.reconstruct_windows(model, np.zeros((1, 9, 1)))
 
 
 def perturbed(model, seed):
@@ -160,12 +161,14 @@ class TestInferencePass:
         windows = Rng(38).normal(0, 1, (9, 7, 1))
         first = sa.reconstruct_windows(model, windows, chunk=4)
         assert np.array_equal(first, sa.reconstruct_windows(model, windows, chunk=4))
-        assert np.array_equal(sa.forward(model, windows[2]), sa.forward(model, windows[2]))
 
     def test_forward_uses_the_inference_pass(self):
+        # one window scored alone matches the same window scored inside a
+        # batch: no window's reconstruction depends on its batch mates
         model = perturbed(sa.build_model("2x8-4", timesteps=7, seed=39), 40)
-        window = Rng(41).normal(0, 1, (7, 1))
-        assert np.array_equal(sa.forward(model, window), sa.reconstruct_windows(model, window[None])[0])
+        windows = Rng(41).normal(0, 1, (5, 7, 1))
+        alone = sa.reconstruct_windows(model, windows[2:3])[0]
+        assert np.max(np.abs(alone - sa.reconstruct_windows(model, windows)[2])) <= 1e-12
 
     def test_peak_memory_below_two_gate_buffers(self):
         # the widest layer's (T, B, 4H) gate buffer: 10 x 1024 x 256 float64, 20 MiB;
