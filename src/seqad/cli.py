@@ -24,6 +24,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 from . import detector, metrics, pipeline, seq_autoencoder, windowing
 from .errors import ConfigError, DataError, ToolkitError
@@ -114,11 +115,8 @@ def _convert(key: str, raw: str):
 def load_config_file(path: str) -> dict:
     """Parse a flat `key = value` document; unknown keys are rejected."""
     values = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}")
+    with pipeline.open_text(path, ConfigError) as fh:
+        lines = fh.readlines()
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -189,11 +187,9 @@ def _read_workspace_series(cfg: RunConfig, name: str) -> pipeline.TimeSeries:
 def _read_scaler(cfg: RunConfig) -> pipeline.ScalerParams:
     path = os.path.join(cfg.out, "scaler.json")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with pipeline.open_text(path, DataError, "; run preprocess first") as fh:
             doc = json.load(fh)
         scaler = pipeline.ScalerParams(mean=float(doc["mean"]), std=float(doc["std"]))
-    except FileNotFoundError:
-        raise DataError(f"{path} not found; run preprocess first")
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed scaler file {path}: {exc}")
     if not (math.isfinite(scaler.mean) and math.isfinite(scaler.std) and scaler.std > 0):
@@ -205,12 +201,6 @@ def _train_config(cfg: RunConfig) -> seq_autoencoder.TrainConfig:
     """The training settings `train` and `sweep` share: the training keys and the seed."""
     keys = (*_TRAIN_KEYS, "seed")
     return seq_autoencoder.TrainConfig(**{key: getattr(cfg, key) for key in keys})
-
-
-def _write_json(path: str, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
 
 
 def cmd_preprocess(cfg: RunConfig) -> None:
@@ -232,7 +222,7 @@ def cmd_preprocess(cfg: RunConfig) -> None:
     os.makedirs(cfg.out, exist_ok=True)
     pipeline.write_series_csv(os.path.join(cfg.out, "train.csv"), split.train)
     pipeline.write_series_csv(os.path.join(cfg.out, "test.csv"), split.test)
-    _write_json(os.path.join(cfg.out, "scaler.json"), {"mean": scaler.mean, "std": scaler.std})
+    pipeline.write_json(os.path.join(cfg.out, "scaler.json"), {"mean": scaler.mean, "std": scaler.std})
 
     lo, hi = split.rule.bounds
     print(f"rows read              {report.rows_in}")
@@ -264,10 +254,12 @@ def cmd_train(cfg: RunConfig) -> None:
 
     os.makedirs(cfg.out, exist_ok=True)
     seq_autoencoder.save_model(model, cfg.model_path())
-    with open(os.path.join(cfg.out, "training_trace.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("epoch,train_loss,val_loss\n")
-        for idx in range(len(trace)):
-            fh.write(f"{idx + 1},{trace.train_loss[idx]!r},{trace.val_loss[idx]!r}\n")
+    epochs = map(str, range(1, len(trace) + 1))
+    pipeline.write_csv(
+        os.path.join(cfg.out, "training_trace.csv"),
+        ["epoch", "train_loss", "val_loss"],
+        zip(epochs, map(repr, trace.train_loss), map(repr, trace.val_loss)),
+    )
     print(f"trained {len(trace)} epochs on {len(windows)} windows (T={cfg.window}, arch {cfg.arch})")
     if len(trace):
         print(f"final train MAE        {trace.train_loss[-1]!r}")
@@ -295,16 +287,9 @@ def cmd_detect(cfg: RunConfig) -> None:
     }
     counts = report.confusion()
     if counts is not None:
-        summary["confusion"] = {"tp": counts.tp, "tn": counts.tn, "fp": counts.fp, "fn": counts.fn}
-        mets = metrics.prf1_accuracy(counts)
-        summary["metrics"] = {
-            "accuracy": mets.accuracy,
-            "precision": mets.precision,
-            "recall": mets.recall,
-            "f1": mets.f1,
-            "fpr": mets.fpr,
-        }
-    _write_json(os.path.join(cfg.out, "detection_summary.json"), summary)
+        summary["confusion"] = asdict(counts)
+        summary["metrics"] = asdict(metrics.prf1_accuracy(counts))
+    pipeline.write_json(os.path.join(cfg.out, "detection_summary.json"), summary)
     print(f"threshold              {threshold.value!r}")
     print(f"flagged                {summary['flagged']} of {summary['test_points']} points")
 
@@ -318,23 +303,14 @@ def cmd_evaluate(cfg: RunConfig) -> None:
     mets = metrics.prf1_accuracy(counts)
     roc = metrics.roc_auc(report.labels, report.losses)
 
-    with open(os.path.join(cfg.out, "roc.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("threshold,fpr,tpr\n")
-        for idx in range(roc.thresholds.shape[0]):
-            fh.write(
-                f"{float(roc.thresholds[idx])!r},{float(roc.fpr[idx])!r},{float(roc.tpr[idx])!r}\n"
-            )
-    _write_json(
+    pipeline.write_csv(
+        os.path.join(cfg.out, "roc.csv"),
+        ["threshold", "fpr", "tpr"],
+        zip(*(map(repr, column.tolist()) for column in (roc.thresholds, roc.fpr, roc.tpr))),
+    )
+    pipeline.write_json(
         os.path.join(cfg.out, "evaluation.json"),
-        {
-            "confusion": {"tp": counts.tp, "tn": counts.tn, "fp": counts.fp, "fn": counts.fn},
-            "accuracy": mets.accuracy,
-            "precision": mets.precision,
-            "recall": mets.recall,
-            "f1": mets.f1,
-            "fpr": mets.fpr,
-            "auc": roc.auc,
-        },
+        {"confusion": asdict(counts), **asdict(mets), "auc": roc.auc},
     )
     print(f"confusion              TP={counts.tp} TN={counts.tn} FP={counts.fp} FN={counts.fn}")
     print(f"accuracy               {metrics.format_percent(mets.accuracy)}")
@@ -368,7 +344,9 @@ def cmd_sweep(cfg: RunConfig) -> None:
             report = detector.detect(model, test_series, scaler)
             mets = metrics.prf1_accuracy(report.confusion())
             roc = metrics.roc_auc(report.labels, report.losses)
-            rows.append((window, arch, model.threshold.value, mets, roc.auc))
+            scores = (mets.accuracy, mets.precision, mets.recall, mets.f1)
+            cells = ("" if x is None else repr(x) for x in scores)  # None: zero denominator
+            rows.append([str(window), arch, repr(model.threshold.value), *cells, repr(roc.auc)])
             print(
                 f"T={window:>3} arch={arch:<14} "
                 f"acc {metrics.format_percent(mets.accuracy)}  "
@@ -379,16 +357,11 @@ def cmd_sweep(cfg: RunConfig) -> None:
             )
 
     os.makedirs(cfg.out, exist_ok=True)
-    def _cell(x):
-        return "" if x is None else repr(x)
-
-    with open(os.path.join(cfg.out, "sweep.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("window,arch,threshold,accuracy,precision,recall,f1,auc\n")
-        for window, arch, thr, mets, auc in rows:
-            fh.write(
-                f"{window},{arch},{thr!r},{_cell(mets.accuracy)},{_cell(mets.precision)},"
-                f"{_cell(mets.recall)},{_cell(mets.f1)},{auc!r}\n"
-            )
+    pipeline.write_csv(
+        os.path.join(cfg.out, "sweep.csv"),
+        ["window", "arch", "threshold", "accuracy", "precision", "recall", "f1", "auc"],
+        rows,
+    )
     print(f"sweep table written    {os.path.join(cfg.out, 'sweep.csv')}")
 
 
@@ -408,10 +381,12 @@ def cmd_synth(cfg: RunConfig) -> None:
     series, anomaly_indices = pipeline.generate_synthetic(profile, cfg.seed)
     os.makedirs(cfg.out, exist_ok=True)
     pipeline.write_series_csv(os.path.join(cfg.out, "synthetic.csv"), series)
-    with open(os.path.join(cfg.out, "anomalies.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("index,timestamp\n")
-        for idx in anomaly_indices:
-            fh.write(f"{idx},{pipeline.format_timestamp(series.timestamps[idx])}\n")
+    stamps = series.timestamps[anomaly_indices].tolist()
+    pipeline.write_csv(
+        os.path.join(cfg.out, "anomalies.csv"),
+        ["index", "timestamp"],
+        zip(map(str, anomaly_indices.tolist()), map(pipeline.format_timestamp, stamps)),
+    )
     print(f"synthetic series       {len(series)} points, {anomaly_indices.size} injected anomalies")
     print(f"written                {os.path.join(cfg.out, 'synthetic.csv')}")
 

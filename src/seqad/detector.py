@@ -9,6 +9,7 @@ and `sweep` all go through these two.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,9 +20,10 @@ from .pipeline import (
     ScalerParams,
     TimeSeries,
     apply_scaler,
-    csv_rows,
     format_timestamp,
     parse_timestamp,
+    read_csv,
+    write_csv,
 )
 from .seq_autoencoder import (
     SeqAutoencoderModel,
@@ -130,43 +132,41 @@ def detect(
 
 def write_report_csv(path: str, report: DetectionReport) -> None:
     """One row per point: timestamp,value,loss,verdict[,label]."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        header = "timestamp,value,loss,verdict"
-        if report.labels is not None:
-            header += ",label"
-        fh.write(header + "\n")
-        for idx in range(report.values.shape[0]):
-            row = (
-                f"{format_timestamp(report.timestamps[idx])},"
-                f"{float(report.values[idx])!r},{float(report.losses[idx])!r},{report.verdicts[idx]}"
-            )
-            if report.labels is not None:
-                row += f",{report.labels[idx]}"
-            fh.write(row + "\n")
+    header = ["timestamp", "value", "loss", "verdict"]
+    cells = [
+        map(format_timestamp, report.timestamps.tolist()),
+        map(repr, report.values.tolist()),
+        map(repr, report.losses.tolist()),
+        map(str, report.verdicts.tolist()),
+    ]
+    if report.labels is not None:
+        header.append("label")
+        cells.append(map(str, report.labels.tolist()))
+    write_csv(path, header, zip(*cells))
 
 
 def read_report_csv(path: str) -> DetectionReport:
-    """Load a persisted report; verdicts come back exactly as written."""
+    """Load a persisted report; verdicts come back exactly as written.
+    A non-finite loss, or a verdict or label other than 0 or 1, would
+    change the metrics, so it raises CsvParseError naming its line."""
     timestamps, values, losses, verdicts, labels = [], [], [], [], []
-    with csv_rows(path, "; run detect first") as reader:
-        header = next(reader, None)
-        if header is None or header[:4] != ["timestamp", "value", "loss", "verdict"]:
-            raise CsvParseError("expected header 'timestamp,value,loss,verdict[,label]'", line=1)
-        has_labels = len(header) == 5
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise CsvParseError(f"expected {len(header)} fields, got {len(row)}", line=lineno)
+    columns = ("timestamp", "value", "loss", "verdict")
+    with read_csv(path, columns, "label", "; run detect first") as (has_labels, rows):
+        for lineno, row in rows:
             try:
                 timestamps.append(parse_timestamp(row[0]))
                 values.append(float(row[1]))
                 losses.append(float(row[2]))
-                verdicts.append(int(row[3]))
-                if has_labels:
-                    labels.append(int(row[4]))
             except ValueError as exc:
                 raise CsvParseError(str(exc), line=lineno)
+            if not math.isfinite(losses[-1]):
+                raise CsvParseError(f"non-finite loss {row[2]!r}", line=lineno)
+            for name, text in zip(("verdict", "label"), row[3:]):
+                if text not in ("0", "1"):
+                    raise CsvParseError(f"bad {name} {text!r}, expected 0 or 1", line=lineno)
+            verdicts.append(int(row[3]))
+            if has_labels:
+                labels.append(int(row[4]))
     return DetectionReport(
         timestamps=np.array(timestamps),
         values=np.array(values),

@@ -61,11 +61,11 @@ def confusion(labels, verdicts) -> ConfusionCounts:
 class ClassificationMetrics:
     """Fractions in [0, 1]; a None field means the denominator was zero."""
 
+    accuracy: float | None
     precision: float | None
     recall: float | None
-    fpr: float | None
     f1: float | None
-    accuracy: float | None
+    fpr: float | None
 
 
 def _ratio(num: int, den: int) -> float | None:

@@ -1,14 +1,16 @@
-"""Data handling: CSV ingestion, cleaning, standard scaling, sigma-band
+"""Data handling: the file layer, cleaning, standard scaling, sigma-band
 labeling, train/test construction, and a synthetic-series generator.
 
 Timestamps are UTC epoch seconds held as float64 (NaN marks an invalid
-timestamp in raw, pre-clean data only). CSV files use a
-`timestamp,value[,label]` header with ISO-8601 timestamps, UTF-8, LF.
+timestamp in raw, pre-clean data only). Every file but the model is read
+through `open_text` and written through `write_csv` or `write_json`, as
+UTF-8 with LF. Series CSV files have a `timestamp,value[,label]` header.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -87,14 +89,54 @@ class TimeSeries:
 
 
 @contextmanager
-def csv_rows(path: str, hint: str = ""):
-    """csv.reader rows of a UTF-8 file. A file that cannot be opened or
-    read as UTF-8 raises DataError naming the path, `hint` appended."""
+def open_text(path: str, error: type[Exception], hint: str = ""):
+    """A UTF-8 text file opened for reading. A file that cannot be opened
+    or read as UTF-8 raises `error` naming the path, `hint` appended."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            yield csv.reader(fh)
+            yield fh
     except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read {path}: {exc}{hint}") from exc
+        raise error(f"cannot read {path}: {exc}{hint}") from exc
+
+
+@contextmanager
+def read_csv(path: str, columns: tuple, optional: str, hint: str = ""):
+    """Whether the `optional` column follows `columns` in the stripped
+    header, and an iterator of (line number, stripped fields) over the
+    non-blank rows. Any other header, or a row without one field per
+    column, raises CsvParseError with its line; an unreadable file
+    raises DataError."""
+    with open_text(path, DataError, hint) as fh:
+        reader = csv.reader(fh)
+        header = [name.strip() for name in next(reader, [])]
+        if header not in (list(columns), [*columns, optional]):
+            raise CsvParseError(
+                f"expected header '{','.join(columns)}[,{optional}]', got {','.join(header)!r}",
+                line=1,
+            )
+        yield len(header) > len(columns), _csv_fields(reader, len(header))
+
+
+def _csv_fields(reader, width: int):
+    for lineno, row in enumerate(reader, start=2):
+        if row:
+            if len(row) != width:
+                raise CsvParseError(f"expected {width} fields, got {len(row)}", line=lineno)
+            yield lineno, [text.strip() for text in row]
+
+
+def write_csv(path: str, header: list, rows) -> None:
+    """A header and rows of already formatted cells, comma-joined; UTF-8, LF."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
+
+
+def write_json(path: str, doc: dict) -> None:
+    """`doc` as two-space-indented JSON and a final newline; UTF-8, LF."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
 
 
 def read_series_csv(path: str) -> TimeSeries:
@@ -106,28 +148,8 @@ def read_series_csv(path: str) -> TimeSeries:
     number. An unreadable or non-UTF-8 file raises DataError.
     """
     timestamps, values, labels = [], [], []
-    has_labels = False
-    with csv_rows(path) as reader:
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvParseError("empty file, expected header 'timestamp,value[,label]'", line=1)
-        header = [h.strip() for h in header]
-        if header[:2] != ["timestamp", "value"] or len(header) > 3 or (
-            len(header) == 3 and header[2] != "label"
-        ):
-            raise CsvParseError(
-                f"expected header 'timestamp,value[,label]', got {','.join(header)!r}", line=1
-            )
-        has_labels = len(header) == 3
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise CsvParseError(
-                    f"expected {len(header)} fields, got {len(row)}", line=lineno
-                )
-            ts_text = row[0].strip()
+    with read_csv(path, ("timestamp", "value"), "label") as (has_labels, rows):
+        for lineno, (ts_text, val_text, *label) in rows:
             if ts_text in _NAN_TOKENS:
                 ts = float("nan")
             else:
@@ -135,7 +157,6 @@ def read_series_csv(path: str) -> TimeSeries:
                     ts = parse_timestamp(ts_text)
                 except ValueError:
                     raise CsvParseError(f"bad timestamp {ts_text!r}", line=lineno)
-            val_text = row[1].strip()
             if val_text in _NAN_TOKENS:
                 val = float("nan")
             else:
@@ -147,11 +168,10 @@ def read_series_csv(path: str) -> TimeSeries:
                     raise CsvParseError(f"non-finite value {val_text!r}", line=lineno)
             timestamps.append(ts)
             values.append(val)
-            if has_labels:
-                lab_text = row[2].strip()
-                if lab_text not in ("0", "1"):
-                    raise CsvParseError(f"bad label {lab_text!r}, expected 0 or 1", line=lineno)
-                labels.append(int(lab_text))
+            if label:
+                if label[0] not in ("0", "1"):
+                    raise CsvParseError(f"bad label {label[0]!r}, expected 0 or 1", line=lineno)
+                labels.append(int(label[0]))
     return TimeSeries(
         np.array(timestamps, dtype=np.float64),
         np.array(values, dtype=np.float64),
@@ -160,14 +180,12 @@ def read_series_csv(path: str) -> TimeSeries:
 
 
 def write_series_csv(path: str, series: TimeSeries) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        cols = "timestamp,value,label" if series.labels is not None else "timestamp,value"
-        fh.write(cols + "\n")
-        for idx in range(len(series)):
-            row = f"{format_timestamp(series.timestamps[idx])},{float(series.values[idx])!r}"
-            if series.labels is not None:
-                row += f",{series.labels[idx]}"
-            fh.write(row + "\n")
+    header = ["timestamp", "value"]
+    cells = [map(format_timestamp, series.timestamps.tolist()), map(repr, series.values.tolist())]
+    if series.labels is not None:
+        header.append("label")
+        cells.append(map(str, series.labels.tolist()))
+    write_csv(path, header, zip(*cells))
 
 
 @dataclass

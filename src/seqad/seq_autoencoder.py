@@ -497,16 +497,6 @@ def _model_header(model: SeqAutoencoderModel) -> dict:
     }
 
 
-def _model_doc(model: SeqAutoencoderModel) -> dict:
-    return {
-        **_model_header(model),
-        "encoder": [_layer_to_doc(l) for l in model.encoder],
-        "decoder": [_layer_to_doc(l) for l in model.decoder],
-        "head_weight": model.head_w.tolist(),
-        "head_bias": model.head_b.tolist(),
-    }
-
-
 def save_model(model: SeqAutoencoderModel, path: str) -> None:
     """Write the model and its threshold record as a versioned JSON document.
 
@@ -518,11 +508,20 @@ def save_model(model: SeqAutoencoderModel, path: str) -> None:
     """
     if model.threshold is None:
         raise ModelFileError("cannot save a model without its threshold record")
-    # one-shot dumps runs CPython's C encoder; json.dump to a file never does
-    text = json.dumps(_model_doc(model))
+    # One-shot dumps runs CPython's C encoder; json.dump to a file never
+    # does. Each array is dumped alone and the pieces joined as dumps joins
+    # a whole document, so the float lists and text of a deep model are
+    # never all in memory at once.
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text + "\n")
+        fh.write(json.dumps(_model_header(model))[:-1])
+        for side in ("encoder", "decoder"):
+            fh.write(f', "{side}": [')
+            for idx, layer in enumerate(getattr(model, side)):
+                fh.write((", " if idx else "") + json.dumps(_layer_to_doc(layer)))
+            fh.write("]")
+        fh.write(f', "head_weight": {json.dumps(model.head_w.tolist())}')
+        fh.write(f', "head_bias": {json.dumps(model.head_b.tolist())}}}\n')
     os.replace(tmp, path)
 
 

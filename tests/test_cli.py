@@ -311,6 +311,38 @@ class TestErrorCodes:
         assert code == cli.EXIT_DATA
         assert "line 22" in err and "non-finite" in err
 
+    def test_scaler_path_that_is_a_directory_is_data_error_naming_path(
+        self, workspace, tmp_path, capsys
+    ):
+        out = copy_workspace(workspace, tmp_path)
+        scaler_path = os.path.join(out, "scaler.json")
+        os.remove(scaler_path)
+        os.mkdir(scaler_path)
+        code, _, err = run(capsys, "detect", "--out", out)
+        assert code == cli.EXIT_DATA
+        assert scaler_path in err
+
+    def test_non_utf8_config_is_config_error_naming_path(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"seed = 1\xff\n")
+        code, _, err = run(capsys, "synth", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert code == cli.EXIT_CONFIG
+        assert str(cfg) in err
+
+    def test_non_finite_report_loss_fails_evaluate_naming_line(self, workspace, tmp_path, capsys):
+        out = copy_workspace(workspace, tmp_path)
+        report_path = os.path.join(out, "report.csv")
+        with open(report_path) as fh:
+            lines = fh.read().splitlines()
+        fields = lines[3].split(",")
+        fields[2] = "nan"
+        lines[3] = ",".join(fields)
+        with open(report_path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        code, _, err = run(capsys, "evaluate", "--out", out)
+        assert code == cli.EXIT_DATA
+        assert "line 4" in err and "non-finite loss" in err
+
 
 class TestStoredThreshold:
     def test_stored_value_is_the_training_windows_max_loss(self, workspace):

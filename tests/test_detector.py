@@ -3,7 +3,7 @@ import pytest
 
 from seqad.core_math import Rng
 from seqad import detector, pipeline, seq_autoencoder as sa
-from seqad.errors import EmptyInputError, InsufficientDataError, ModelFileError
+from seqad.errors import CsvParseError, EmptyInputError, InsufficientDataError, ModelFileError
 from seqad.windowing import make_windows
 
 
@@ -144,3 +144,51 @@ class TestReportPersistence:
         detector.write_report_csv(str(path), report)
         back = detector.read_report_csv(str(path))
         assert np.array_equal((back.losses > model.threshold.value).astype(int), back.verdicts)
+
+
+class TestReportValidation:
+    """Inputs that would silently change the metrics fail naming their line."""
+
+    HEADER = "timestamp,value,loss,verdict,label\n"
+    GOOD = "2018-01-01T00:00:00,450.0,0.5,0,0\n"
+
+    def read(self, tmp_path, text):
+        path = tmp_path / "report.csv"
+        path.write_text(text)
+        return detector.read_report_csv(str(path))
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_loss_rejected(self, tmp_path, token):
+        bad = f"2018-01-01T00:01:00,451.0,{token},1,1\n"
+        with pytest.raises(CsvParseError, match=r"line 3.*non-finite loss"):
+            self.read(tmp_path, self.HEADER + self.GOOD + bad)
+
+    @pytest.mark.parametrize("token", ["2", "-1", "1.0", ""])
+    def test_verdict_other_than_0_or_1_rejected(self, tmp_path, token):
+        bad = f"2018-01-01T00:01:00,451.0,0.5,{token},1\n"
+        with pytest.raises(CsvParseError, match=r"line 3.*bad verdict"):
+            self.read(tmp_path, self.HEADER + self.GOOD + bad)
+
+    @pytest.mark.parametrize("token", ["2", "-1", "yes"])
+    def test_label_other_than_0_or_1_rejected(self, tmp_path, token):
+        bad = f"2018-01-01T00:01:00,451.0,0.5,1,{token}\n"
+        with pytest.raises(CsvParseError, match=r"line 3.*bad label"):
+            self.read(tmp_path, self.HEADER + self.GOOD + bad)
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            "timestamp,value,loss,verdict,foo",
+            "timestamp,value,loss,verdict,label,extra",
+            "timestamp,value,loss",
+            "time,value,loss,verdict",
+            "",
+        ],
+    )
+    def test_header_other_than_the_report_columns_rejected(self, tmp_path, header):
+        with pytest.raises(CsvParseError, match=r"line 1.*timestamp,value,loss,verdict\[,label\]"):
+            self.read(tmp_path, header + "\n" + self.GOOD)
+
+    def test_padded_header_accepted(self, tmp_path):
+        report = self.read(tmp_path, " timestamp, value ,loss,verdict , label\n" + self.GOOD)
+        assert report.labels.tolist() == [0]

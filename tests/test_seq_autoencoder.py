@@ -1,4 +1,5 @@
 import copy
+import json
 import tracemalloc
 
 import numpy as np
@@ -365,6 +366,27 @@ class TestPersistence:
         assert loaded.init_seed == 21
         assert loaded.threshold == sa.ThresholdRecord(np.nextafter(0.1, 1.0), 100, 10)
         assert sa.model_digest(loaded) == sa.model_digest(model)
+
+    def test_file_is_one_json_dumps_of_the_document(self, tmp_path):
+        # the file is written one array at a time; its bytes are those of one dumps
+        model = with_threshold(sa.build_model("2x5-3", timesteps=4, dropout_rate=0.1, seed=21))
+        path = tmp_path / "model.json"
+        sa.save_model(model, str(path))
+        doc = {
+            "format_version": 3,
+            "kind": "lstm-autoencoder",
+            "arch": "2x5-3",
+            "timesteps": 4,
+            "features": 1,
+            "dropout_rate": 0.1,
+            "init_seed": 21,
+            "threshold": {"value": 0.25, "train_points": 100, "window_len": 4},
+            "encoder": [{"w": l.w.tolist(), "b": l.b.tolist()} for l in model.encoder],
+            "decoder": [{"w": l.w.tolist(), "b": l.b.tolist()} for l in model.decoder],
+            "head_weight": model.head_w.tolist(),
+            "head_bias": model.head_b.tolist(),
+        }
+        assert path.read_bytes() == (json.dumps(doc) + "\n").encode()
 
     def test_save_without_threshold_rejected(self, tmp_path):
         model = sa.build_model("1x3", timesteps=4, seed=21)
