@@ -136,10 +136,12 @@ class RunConfig:
 
     def __init__(self, command: str, args: argparse.Namespace):
         file_values = load_config_file(args.config) if args.config else {}
-        for key, (_, default, _help) in KEYS.items():
+        for key, (typ, default, _help) in KEYS.items():
             value = getattr(args, key, None)
             if value is None:
                 value = file_values.get(key, default)
+            if typ is float and not math.isfinite(value):
+                raise ConfigError(f"config key {key!r} must be finite, got {value!r}")
             setattr(self, key, value)
         self.command = command
 

@@ -78,19 +78,6 @@ class LstmLayerParams:
     def arrays(self):
         return [self.w, self.b]
 
-    def validate(self) -> None:
-        shape = self.w.shape
-        if len(shape) != 2 or shape[0] == 0 or shape[0] % 4:
-            raise ShapeError(f"weight shape {shape} is not (4*hidden, hidden+input)")
-        h = shape[0] // 4
-        if shape[1] <= h:
-            raise ShapeError(f"weight shape {shape} leaves no input columns")
-        if self.b.shape != (4 * h,):
-            raise ShapeError(f"bias shape {self.b.shape} does not match 4*hidden = {4 * h}")
-        for a in self.arrays():
-            if not np.all(np.isfinite(a)):
-                raise ShapeError("non-finite value in LSTM parameters")
-
     @classmethod
     def init(cls, hidden_size: int, input_size: int, rng: Rng) -> "LstmLayerParams":
         """Glorot-uniform weights per gate, zero biases.

@@ -100,10 +100,6 @@ class SeqAutoencoderModel:
     init_seed: int
     threshold: ThresholdRecord | None = None  # set after training, saved with the model
 
-    @property
-    def latent_size(self) -> int:
-        return self.encoder[-1].hidden_size
-
     def params(self) -> list[np.ndarray]:
         out = []
         for layer in self.encoder + self.decoder:
@@ -112,37 +108,20 @@ class SeqAutoencoderModel:
         out.append(self.head_b)
         return out
 
-    def validate(self) -> None:
-        if not (0.0 <= self.dropout_rate < 1.0):
-            raise ConfigError(f"dropout rate must be in [0, 1), got {self.dropout_rate}")
-        units = parse_arch(self.arch)
-        if [l.hidden_size for l in self.encoder] != units:
-            raise ShapeError(f"encoder sizes do not match architecture {self.arch!r}")
-        if [l.hidden_size for l in self.decoder] != units[::-1]:
-            raise ShapeError(f"decoder sizes do not mirror architecture {self.arch!r}")
-        expect_in = self.features
-        for layer in self.encoder:
-            layer.validate()
-            if layer.input_size != expect_in:
-                raise ShapeError(
-                    f"encoder layer expects input {layer.input_size}, chain requires {expect_in}"
-                )
-            expect_in = layer.hidden_size
-        expect_in = self.latent_size
-        for layer in self.decoder:
-            layer.validate()
-            if layer.input_size != expect_in:
-                raise ShapeError(
-                    f"decoder layer expects input {layer.input_size}, chain requires {expect_in}"
-                )
-            expect_in = layer.hidden_size
-        if self.head_w.shape != (self.features, self.decoder[-1].hidden_size):
-            raise ShapeError(
-                f"head weight {self.head_w.shape} does not map decoder hidden "
-                f"{self.decoder[-1].hidden_size} to {self.features} features"
-            )
-        if self.head_b.shape != (self.features,):
-            raise ShapeError(f"head bias shape {self.head_b.shape} != ({self.features},)")
+
+def _layer_sizes(arch: str, timesteps: int, features: int, dropout_rate: float) -> list[tuple]:
+    """Check a model header; return each encoder layer's (hidden, input)
+    size, then each decoder layer's. The decoder mirrors the encoder's
+    units, and each layer reads the one before it. Raises ConfigError."""
+    if timesteps < 1:
+        raise ConfigError(f"timesteps must be >= 1, got {timesteps}")
+    if features < 1:
+        raise ConfigError(f"features must be >= 1, got {features}")
+    if not (0.0 <= dropout_rate < 1.0):
+        raise ConfigError(f"dropout rate must be in [0, 1), got {dropout_rate}")
+    units = parse_arch(arch)
+    hidden = units + units[::-1]
+    return list(zip(hidden, [features, *hidden[:-1]]))
 
 
 def build_model(
@@ -153,27 +132,14 @@ def build_model(
     seed: int = 0,
 ) -> SeqAutoencoderModel:
     """Construct a freshly initialized model for one architecture tag."""
-    if timesteps < 1:
-        raise ConfigError(f"timesteps must be >= 1, got {timesteps}")
-    if features < 1:
-        raise ConfigError(f"features must be >= 1, got {features}")
-    if not (0.0 <= dropout_rate < 1.0):
-        raise ConfigError(f"dropout rate must be in [0, 1), got {dropout_rate}")
-    units = parse_arch(arch)
+    sizes = _layer_sizes(arch, timesteps, features, dropout_rate)
     rng = Rng(seed).spawn("init")
-    encoder, decoder = [], []
-    in_size = features
-    for h in units:
-        encoder.append(LstmLayerParams.init(h, in_size, rng))
-        in_size = h
-    in_size = units[-1]
-    for h in units[::-1]:
-        decoder.append(LstmLayerParams.init(h, in_size, rng))
-        in_size = h
-    model = SeqAutoencoderModel(
-        encoder=encoder,
-        decoder=decoder,
-        head_w=glorot_init(features, units[0], rng),
+    layers = [LstmLayerParams.init(h, d, rng) for h, d in sizes]
+    n_side = len(layers) // 2
+    return SeqAutoencoderModel(
+        encoder=layers[:n_side],
+        decoder=layers[n_side:],
+        head_w=glorot_init(features, sizes[-1][0], rng),
         head_b=np.zeros(features),
         timesteps=int(timesteps),
         features=int(features),
@@ -181,8 +147,6 @@ def build_model(
         arch=arch,
         init_seed=int(seed),
     )
-    model.validate()
-    return model
 
 
 @dataclass
@@ -194,7 +158,7 @@ class TrainConfig:
     validation_fraction: float = 0.10
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.learning_rate <= 0:
             raise ConfigError(f"learning rate must be positive, got {self.learning_rate}")
         if not (0.0 <= self.dropout < 1.0):
@@ -393,7 +357,6 @@ def train(
     train MAE exceeds DIVERGENCE_FACTOR times the MAE of an all-zero
     reconstruction of the training windows.
     """
-    cfg.validate()
     if len(windows) == 0:
         raise EmptyInputError("training requires at least one window")
     data = windows.windows
@@ -455,15 +418,13 @@ def _layer_to_doc(layer: LstmLayerParams) -> dict:
     return {"w": layer.w.tolist(), "b": layer.b.tolist()}
 
 
-def _layer_from_doc(doc: dict) -> LstmLayerParams:
-    try:
-        w = np.asarray(doc["w"], dtype=np.float64)
-        b = np.asarray(doc["b"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelFileError(f"bad layer record: {exc}") from exc
-    if w.ndim != 2 or b.ndim != 1:
-        raise ModelFileError(f"bad layer record: weight {w.shape}, bias {b.shape}")
-    return LstmLayerParams(w=w, b=b)
+def _checked_array(value, shape: tuple, what: str) -> np.ndarray:
+    array = np.asarray(value, dtype=np.float64)
+    if array.shape != shape:
+        raise ShapeError(f"{what} has shape {array.shape}, the header implies {shape}")
+    if not np.isfinite(array).all():
+        raise ShapeError(f"{what} has a non-finite value")
+    return array
 
 
 def _threshold_from_doc(doc, path: str) -> ThresholdRecord:
@@ -475,7 +436,7 @@ def _threshold_from_doc(doc, path: str) -> ThresholdRecord:
             train_points=int(doc["train_points"]),
             window_len=int(doc["window_len"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFileError(f"bad threshold record in model file {path}: {exc}") from exc
     if not math.isfinite(record.value):
         raise ModelFileError(f"model file {path} has a non-finite threshold {record.value!r}")
@@ -526,8 +487,10 @@ def save_model(model: SeqAutoencoderModel, path: str) -> None:
 
 
 def load_model(path: str) -> SeqAutoencoderModel:
-    """Read a model saved by save_model, checking version, shapes and the
-    threshold record, which comes back as the model's `threshold`."""
+    """Read a model saved by save_model, checking its version and threshold
+    record, which comes back as the model's `threshold`, and that every
+    array has the shape the header's architecture tag implies and is finite.
+    Raises ModelFileError naming the path for any file that fails."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -544,31 +507,45 @@ def load_model(path: str) -> SeqAutoencoderModel:
             f"this build supports {MODEL_FORMAT_VERSION}"
         )
     threshold = _threshold_from_doc(doc.get("threshold"), path)
+    # the shapes come from the header, and no array is sized from it
     try:
-        model = SeqAutoencoderModel(
-            encoder=[_layer_from_doc(l) for l in doc["encoder"]],
-            decoder=[_layer_from_doc(l) for l in doc["decoder"]],
-            head_w=np.asarray(doc["head_weight"], dtype=np.float64),
-            head_b=np.asarray(doc["head_bias"], dtype=np.float64),
-            timesteps=int(doc["timesteps"]),
-            features=int(doc["features"]),
-            dropout_rate=float(doc["dropout_rate"]),
-            arch=str(doc["arch"]),
+        arch, timesteps = str(doc["arch"]), int(doc["timesteps"])
+        features, dropout_rate = int(doc["features"]), float(doc["dropout_rate"])
+        sizes = _layer_sizes(arch, timesteps, features, dropout_rate)
+        if threshold.window_len != timesteps:
+            raise ShapeError(
+                f"threshold fit on windows of {threshold.window_len}, "
+                f"model has {timesteps} timesteps"
+            )
+        n_side = len(sizes) // 2
+        layer_docs = []
+        for side in ("encoder", "decoder"):
+            if not isinstance(doc[side], list) or len(doc[side]) != n_side:
+                raise ShapeError(f"{side} is not a list of the {n_side} layers {arch!r} implies")
+            layer_docs += doc[side]
+        layers = [  # numbered in file order, encoder first
+            LstmLayerParams(
+                w=_checked_array(layer_doc["w"], (4 * h, h + d), f"layer {k} weight"),
+                b=_checked_array(layer_doc["b"], (4 * h,), f"layer {k} bias"),
+            )
+            for k, (layer_doc, (h, d)) in enumerate(zip(layer_docs, sizes))
+        ]
+        return SeqAutoencoderModel(
+            encoder=layers[:n_side],
+            decoder=layers[n_side:],
+            head_w=_checked_array(doc["head_weight"], (features, sizes[-1][0]), "head weight"),
+            head_b=_checked_array(doc["head_bias"], (features,), "head bias"),
+            timesteps=timesteps,
+            features=features,
+            dropout_rate=dropout_rate,
+            arch=arch,
             init_seed=int(doc["init_seed"]),
             threshold=threshold,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFileError(f"malformed model file {path}: {exc}") from exc
-    try:
-        model.validate()
     except (ShapeError, ConfigError) as exc:
         raise ModelFileError(f"inconsistent model file {path}: {exc}") from exc
-    if threshold.window_len != model.timesteps:
-        raise ModelFileError(
-            f"inconsistent model file {path}: threshold fit on windows of "
-            f"{threshold.window_len}, model has {model.timesteps} timesteps"
-        )
-    return model
 
 
 def model_digest(model: SeqAutoencoderModel) -> str:

@@ -343,6 +343,51 @@ class TestErrorCodes:
         assert code == cli.EXIT_DATA
         assert "line 4" in err and "non-finite loss" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_non_finite_float_is_config_error_naming_key(self, tmp_path, capsys, source, value):
+        if source == "flag":
+            extra = [f"--noise-sigma={value}"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"noise_sigma = {value}\n")
+            extra = ["--config", str(cfg)]
+        out = tmp_path / "o"
+        code, _, err = run(capsys, "synth", "--out", str(out), "--length", "50", *extra)
+        assert code == cli.EXIT_CONFIG
+        assert "noise_sigma" in err
+        assert not out.exists()
+
+    def test_model_of_other_feature_count_is_data_error_naming_both(
+        self, workspace, tmp_path, capsys
+    ):
+        model = seq_autoencoder.build_model("1x4", timesteps=6, features=2)
+        model.threshold = seq_autoencoder.ThresholdRecord(value=0.5, train_points=100, window_len=6)
+        path = str(tmp_path / "model.json")
+        seq_autoencoder.save_model(model, path)
+        out = copy_workspace(workspace, tmp_path)
+        os.remove(os.path.join(out, "report.csv"))
+        code, _, err = run(capsys, "detect", "--out", out, "--model", path)
+        assert code == cli.EXIT_DATA
+        assert "2 features" in err and "has 1" in err
+        assert not os.path.exists(os.path.join(out, "report.csv"))
+
+    def test_non_finite_model_weight_is_data_error_and_writes_no_report(
+        self, workspace, tmp_path, capsys
+    ):
+        out = copy_workspace(workspace, tmp_path)
+        os.remove(os.path.join(out, "report.csv"))
+        model_path = os.path.join(out, "model.json")
+        with open(model_path) as fh:
+            doc = json.load(fh)
+        doc["head_weight"][0][0] = float("nan")
+        with open(model_path, "w") as fh:
+            json.dump(doc, fh)
+        code, _, err = run(capsys, "detect", "--out", out)
+        assert code == cli.EXIT_DATA
+        assert model_path in err and "non-finite" in err
+        assert not os.path.exists(os.path.join(out, "report.csv"))
+
 
 class TestStoredThreshold:
     def test_stored_value_is_the_training_windows_max_loss(self, workspace):

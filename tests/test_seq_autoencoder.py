@@ -50,7 +50,7 @@ class TestArch:
     @pytest.mark.parametrize("tag,latent", [("1x16", 16), ("2x64-16", 16), ("3x128-64-16", 16)])
     def test_build_mirrors_decoder(self, tag, latent):
         model = sa.build_model(tag, timesteps=10, features=1, seed=0)
-        assert model.latent_size == latent
+        assert model.encoder[-1].hidden_size == latent
         units = sa.parse_arch(tag)
         assert [l.hidden_size for l in model.encoder] == units
         assert [l.hidden_size for l in model.decoder] == units[::-1]
@@ -81,7 +81,7 @@ class TestForward:
         model = sa.build_model("1x16", timesteps=10, features=1, seed=5)
         window = Rng(6).normal(0, 1, (10, 1))
         recon, cache = sa._forward_batch(model, window[None])
-        assert model.latent_size == 16
+        assert model.encoder[-1].hidden_size == 16
         assert cache["dec_caches"][-1][0].z.shape == (1, 16 + 16)
         assert len(cache["dec_caches"][-1]) == 10
         assert cache["dec_dropped"].shape == (16, 10, 1)
@@ -512,3 +512,35 @@ class TestPersistence:
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelFileError):
             sa.load_model(str(path))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc["head_weight"][0].__setitem__(0, float("nan")),
+            lambda doc: doc["head_bias"].__setitem__(0, float("inf")),
+            lambda doc: doc.__setitem__("arch", "1x100000000"),
+            lambda doc: doc["decoder"].append(copy.deepcopy(doc["decoder"][-1])),
+            lambda doc: doc.__setitem__("timesteps", float("inf")),
+            lambda doc: doc["threshold"].__setitem__("train_points", float("inf")),
+        ],
+        ids=[
+            "nan-head-weight", "inf-head-bias", "huge-arch", "extra-decoder-layer",
+            "inf-timesteps", "inf-train-points",
+        ],  # fmt: skip
+    )
+    def test_hostile_file_rejected_naming_path(self, tmp_path, edit):
+        model = with_threshold(sa.build_model("1x16", timesteps=5, seed=24))
+        path = tmp_path / "model.json"
+        sa.save_model(model, str(path))
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ModelFileError) as info:
+                sa.load_model(str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(path) in str(info.value)
+        assert peak < 2**20  # nothing is sized from the header's tag
