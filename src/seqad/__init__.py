@@ -6,7 +6,7 @@ the preprocessing, labeling, and evaluation machinery around it.
 
 from .core_math import AdamState, Rng, adam_step, glorot_init, tanh
 from .detector import DetectionReport, detect, fit, fit_threshold
-from .lstm import LstmLayerParams, LstmStepState, lstm_backward, lstm_forward
+from .lstm import LstmLayerParams, lstm_backward, lstm_forward
 from .metrics import (
     ClassificationMetrics,
     ConfusionCounts,

@@ -8,6 +8,8 @@ that stored threshold and never reads the training series, so a
 `--model` from another workspace brings its own threshold. `sweep`
 fits and scores each configuration through the same `detector.fit`
 and `detector.detect`, and `evaluate` reads only `report.csv`.
+`train`, `detect`, `evaluate` and `sweep` first delete the files they
+write, so one that fails leaves no earlier output for the next stage.
 
 Configuration is a flat `key = value` text file; every key is also a
 same-named command-line flag (dashes for underscores) and flags win.
@@ -205,6 +207,14 @@ def _train_config(cfg: RunConfig) -> seq_autoencoder.TrainConfig:
     return seq_autoencoder.TrainConfig(**{key: getattr(cfg, key) for key in keys})
 
 
+def _remove_outputs(*paths: str) -> None:
+    """Delete a stage's earlier outputs before it runs, so a stage that
+    fails leaves none of them behind for a later stage to read."""
+    for path in paths:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(path)
+
+
 def cmd_preprocess(cfg: RunConfig) -> None:
     raw = pipeline.read_series_csv(cfg.require_input())
     report = pipeline.clean_report(raw, strict_nan=cfg.strict_nan)
@@ -242,10 +252,7 @@ def cmd_preprocess(cfg: RunConfig) -> None:
 
 
 def cmd_train(cfg: RunConfig) -> None:
-    # a train that fails leaves no earlier model behind for detect to score with
-    for stale in (cfg.model_path(), os.path.join(cfg.out, "training_trace.csv")):
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(stale)
+    _remove_outputs(cfg.model_path(), os.path.join(cfg.out, "training_trace.csv"))
     if cfg.window < 1:
         raise ConfigError(f"window length must be >= 1, got {cfg.window}")
     train_series = _read_workspace_series(cfg, "train.csv")
@@ -270,6 +277,9 @@ def cmd_train(cfg: RunConfig) -> None:
 
 
 def cmd_detect(cfg: RunConfig) -> None:
+    _remove_outputs(
+        os.path.join(cfg.out, "report.csv"), os.path.join(cfg.out, "detection_summary.json")
+    )
     model = seq_autoencoder.load_model(cfg.model_path())
     test_series = _read_workspace_series(cfg, "test.csv")
     scaler = _read_scaler(cfg)
@@ -297,6 +307,7 @@ def cmd_detect(cfg: RunConfig) -> None:
 
 
 def cmd_evaluate(cfg: RunConfig) -> None:
+    _remove_outputs(os.path.join(cfg.out, "roc.csv"), os.path.join(cfg.out, "evaluation.json"))
     report = detector.read_report_csv(os.path.join(cfg.out, "report.csv"))
     if report.labels is None:
         raise DataError("report has no ground-truth labels; cannot evaluate")
@@ -324,6 +335,7 @@ def cmd_evaluate(cfg: RunConfig) -> None:
 
 
 def cmd_sweep(cfg: RunConfig) -> None:
+    _remove_outputs(os.path.join(cfg.out, "sweep.csv"))
     train_series = _read_workspace_series(cfg, "train.csv")
     test_series = _read_workspace_series(cfg, "test.csv")
     scaler = _read_scaler(cfg)

@@ -64,6 +64,12 @@ def glorot_init(rows: int, cols: int, rng: Rng) -> np.ndarray:
     return rng.uniform(-bound, bound, (rows, cols))
 
 
+# Adam's moment decay rates and denominator guard
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second moment accumulators, one per parameter array."""
@@ -71,27 +77,16 @@ class AdamState:
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def for_params(cls, params, beta1=0.9, beta2=0.999, eps=1e-8) -> "AdamState":
-        return cls(
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
-            step=0,
-            beta1=beta1,
-            beta2=beta2,
-            eps=eps,
-        )
+    def for_params(cls, params) -> "AdamState":
+        return cls(m=[np.zeros_like(p) for p in params], v=[np.zeros_like(p) for p in params])
 
 
-def adam_step(params, grads, state: AdamState, lr: float):
-    """One Adam update with bias correction; mutates params in place.
-
-    Returns the (params, state) pair for call-site convenience. The
-    caller owns the single-writer discipline; nothing here locks.
+def adam_step(params, grads, state: AdamState, lr: float) -> None:
+    """One Adam update with bias correction; mutates params and state in
+    place. The caller owns the single-writer discipline; nothing here
+    locks.
     """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ShapeError(
@@ -103,7 +98,7 @@ def adam_step(params, grads, state: AdamState, lr: float):
             raise ShapeError(f"gradient shape {g.shape} does not match parameter {p.shape}")
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for p, g, m, v in zip(params, grads, state.m, state.v):
         m *= b1
         m += (1.0 - b1) * g
@@ -111,5 +106,4 @@ def adam_step(params, grads, state: AdamState, lr: float):
         v += (1.0 - b2) * g * g
         m_hat = m / (1.0 - b1**t)
         v_hat = v / (1.0 - b2**t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    return params, state
+        p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)

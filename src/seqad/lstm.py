@@ -12,6 +12,9 @@ so the three sigmoid gates are one contiguous block; columns are
     c' = f * c + i * g
     h' = o * tanh(c')
 
+Every pass starts from zero hidden and cell state, since each window is
+read on its own, and no gradient flows back into that state.
+
 Layout. At the interface, sequences are time-major, (T, batch, features),
 and states are (batch, hidden). Inside, every array is feature-major,
 one row per unit and one column per sequence of the batch: a step works
@@ -34,7 +37,8 @@ carries h and c as (H, B) state and writes only the hidden outputs.
 
 The backward pass computes every gate's local derivative for all steps
 at once, fills a (T, 4H, B) buffer of gate gradients in a loop whose
-only GEMM is the W_h product for the hidden-state gradient, transposes
+only GEMM is the W_h product for the hidden-state gradient of the step
+before (none at t = 0, whose previous state is the zero start), transposes
 those gradients to (4H, T*B) in the gate buffer, which the loop no
 longer needs, and then takes the weight gradient and the input gradient
 as one GEMM each.
@@ -51,7 +55,6 @@ from .errors import EmptyInputError, ShapeError
 
 __all__ = [
     "LstmLayerParams",
-    "LstmStepState",
     "LstmStepCache",
     "LstmCache",
     "lstm_forward",
@@ -99,18 +102,6 @@ class LstmLayerParams:
 
 
 @dataclass
-class LstmStepState:
-    """Hidden and cell state, each (batch, hidden)."""
-
-    hidden: np.ndarray
-    cell: np.ndarray
-
-    @classmethod
-    def zeros(cls, batch: int, hidden_size: int) -> "LstmStepState":
-        return cls(hidden=np.zeros((batch, hidden_size)), cell=np.zeros((batch, hidden_size)))
-
-
-@dataclass
 class LstmStepCache:
     """One forward step, as batch-first views into the layer's buffers."""
 
@@ -131,7 +122,7 @@ class LstmCache:
 
     z: np.ndarray  # (H+D, T+1, B): z[:, t] = [h_{t-1}; x_t]; h_t is z[:H, t+1]; z[H:, T] unused
     gates: np.ndarray  # (T, 4H, B), activated f, i, o, g
-    c: np.ndarray  # (T+1, H, B): c[0] is the initial cell state
+    c: np.ndarray  # (T+1, H, B): c[0] is the zero initial cell state
     tanh_c: np.ndarray  # (T, H, B)
 
     def __len__(self) -> int:
@@ -185,38 +176,24 @@ def _step(w_h, a, h_prev, c_prev, c, tc, h, work) -> None:
 
 
 def lstm_forward(
-    params: LstmLayerParams,
-    inputs: np.ndarray,
-    init_state: LstmStepState | None = None,
-    return_sequences: bool = True,
+    params: LstmLayerParams, inputs: np.ndarray, return_sequences: bool = True
 ) -> tuple[np.ndarray, LstmCache]:
-    """Unroll the cell over a time-major (T, batch, input) array.
+    """Unroll the cell from zero state over a time-major (T, batch, input)
+    array.
 
     Returns (outputs, cache) where outputs is (T, batch, hidden) when
     `return_sequences` is set, else just the final hidden state
-    (batch, hidden). The initial state defaults to zeros. Outputs are
-    views into the cache's buffers.
+    (batch, hidden). Outputs are views into the cache's buffers.
     """
     inputs = _check_inputs(params, inputs)
     t_len, b, d = inputs.shape
     h = params.hidden_size
-    if init_state is not None and (
-        init_state.hidden.shape != (b, h) or init_state.cell.shape != (b, h)
-    ):
-        raise ShapeError(
-            f"state shapes {init_state.hidden.shape}/{init_state.cell.shape} "
-            f"do not match (batch={b}, hidden={h})"
-        )
 
     zbuf = np.empty((h + d, t_len + 1, b))
     zbuf[h:, :t_len] = inputs.transpose(2, 0, 1)
+    zbuf[:h, 0] = 0.0
     cbuf = np.empty((t_len + 1, h, b))
-    if init_state is None:
-        zbuf[:h, 0] = 0.0
-        cbuf[0] = 0.0
-    else:
-        zbuf[:h, 0] = init_state.hidden.T
-        cbuf[0] = init_state.cell.T
+    cbuf[0] = 0.0
     gates = _project_inputs(params, zbuf[h:, :t_len])
     tanh_c = np.empty((t_len, h, b))
 
@@ -234,17 +211,17 @@ def lstm_backward(
     params: LstmLayerParams,
     cache: LstmCache,
     grad_outputs: np.ndarray,
-) -> tuple[LstmLayerParams, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[LstmLayerParams, np.ndarray]:
     """Exact gradients through an unrolled pass, weights shared across steps.
 
     `grad_outputs` must be shaped like the forward pass's outputs:
     (T, batch, hidden) for a return-sequences pass, or (batch, hidden)
     for a final-state-only pass (a gradient on step T-1 only).
 
-    Returns (param_grads, d_inputs, d_h0, d_c0) where param_grads is an
-    LstmLayerParams holding the accumulated gradients, d_inputs is
-    (T, batch, input) and d_h0, d_c0 are (batch, hidden). The cache's
-    gate buffer is overwritten.
+    Returns (param_grads, d_inputs) where param_grads is an
+    LstmLayerParams holding the accumulated gradients and d_inputs is
+    (T, batch, input). The zero initial state takes no gradient. The
+    cache's gate buffer is overwritten.
     """
     t_len = len(cache)
     if t_len == 0:
@@ -288,7 +265,7 @@ def lstm_backward(
     d_gates = d4.reshape(t_len, 4 * h, b)
 
     # dh and dc carry the gradients of step t's outputs into the loop and
-    # leave with those of step t-1's, finally those of the initial state
+    # leave with those of step t-1's; step 0 passes none on
     w_h_t = params.w[:, :h].T
     dc = np.zeros((h, b))
     work = np.empty((h, b))
@@ -299,8 +276,9 @@ def lstm_backward(
         d4[t, :2] *= dc
         d4[t, 2] *= dh
         d4[t, 3] *= dc
-        np.matmul(w_h_t, d_gates[t], out=dh)
-        dc *= a[t, 0]
+        if t:
+            np.matmul(w_h_t, d_gates[t], out=dh)
+            dc *= a[t, 0]
 
     # the activated gates are dead now: their buffer takes the gate
     # gradients as (4H, T*B), so both GEMMs below read without a copy
@@ -309,7 +287,7 @@ def lstm_backward(
     del a, d4, d_g, d_gates
     d_w = d_flat @ cache.z[:, :t_len].reshape(h + d, t_len * b).T
     d_inputs = (params.w[:, h:].T @ d_flat).reshape(d, t_len, b).transpose(1, 2, 0)
-    return LstmLayerParams(w=d_w, b=d_flat.sum(axis=1)), d_inputs, dh.T, dc.T
+    return LstmLayerParams(w=d_w, b=d_flat.sum(axis=1)), d_inputs
 
 
 def lstm_infer(

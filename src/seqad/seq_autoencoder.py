@@ -5,8 +5,9 @@ head applied at every timestep.
 Multi-layer variants stack encoder LSTMs (sequences between layers, last
 layer emits only its final hidden state) and mirror the unit counts in
 reverse order on the decoder side. Exactly two dropout sites exist:
-the latent vector and the decoder's output sequence, both active only
-in training mode with inverted scaling.
+the latent vector and the decoder's output sequence, both at the
+model's `dropout_rate` with inverted scaling, and only in a training
+pass given a dropout stream.
 """
 
 from __future__ import annotations
@@ -190,30 +191,24 @@ def _dropout_mask(shape, rate: float, rng: Rng) -> np.ndarray:
     return (rng.uniform(size=shape) >= rate) / (1.0 - rate)
 
 
-def _forward_batch(
-    model: SeqAutoencoderModel,
-    batch: np.ndarray,
-    train_mode: bool = False,
-    rng: Rng | None = None,
-    dropout_rate: float | None = None,
-):
+def _forward_batch(model: SeqAutoencoderModel, batch: np.ndarray, rng: Rng | None = None):
     """Run a (B, T, m) batch through the full autoencoder, keeping what
     backpropagation needs: the training pass.
 
-    Returns (reconstruction, cache); the reconstruction is (B, T, m) and
-    the cache is only meaningful for one subsequent _backward_batch
-    call. Inference without a backward pass goes through
-    reconstruct_windows, which keeps no cache.
+    Dropout applies at the model's `dropout_rate`, with masks drawn from
+    `rng`, exactly when an `rng` is given. Returns (reconstruction,
+    cache); the reconstruction is (B, T, m) and the cache is only
+    meaningful for one subsequent _backward_batch call. Inference
+    without a backward pass goes through reconstruct_windows, which
+    keeps no cache.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 3 or batch.shape[1:] != (model.timesteps, model.features):
         raise ShapeError(
             f"batch shape {batch.shape} does not match (B, {model.timesteps}, {model.features})"
         )
-    rate = model.dropout_rate if dropout_rate is None else dropout_rate
-    use_dropout = train_mode and rate > 0.0
-    if use_dropout and rng is None:
-        raise ConfigError("training-mode forward with dropout needs an Rng")
+    rate = model.dropout_rate
+    use_dropout = rng is not None and rate > 0.0
     t_len = model.timesteps
 
     seq = batch.transpose(1, 0, 2)
@@ -279,7 +274,7 @@ def _backward_batch(model: SeqAutoencoderModel, cache: dict, d_recon: np.ndarray
 
     dec_grads = []
     for layer in reversed(model.decoder):
-        grads, d_seq, _, _ = lstm_backward(layer, cache["dec_caches"].pop(), d_seq)
+        grads, d_seq = lstm_backward(layer, cache["dec_caches"].pop(), d_seq)
         dec_grads.append(grads)
     dec_grads.reverse()
 
@@ -290,7 +285,7 @@ def _backward_batch(model: SeqAutoencoderModel, cache: dict, d_recon: np.ndarray
     enc_grads = []
     grad_out = d_latent  # final-state-only gradient for the last encoder layer
     for layer in reversed(model.encoder):
-        grads, grad_out, _, _ = lstm_backward(layer, cache["enc_caches"].pop(), grad_out)
+        grads, grad_out = lstm_backward(layer, cache["enc_caches"].pop(), grad_out)
         enc_grads.append(grads)
     enc_grads.reverse()
 
@@ -347,7 +342,9 @@ def train(
     The validation split is the chronological tail of the window set
     (never shuffled); training batches are re-shuffled every epoch from
     a seed-derived stream, so the whole run is deterministic given
-    cfg.seed. Returns the model together with the per-epoch trace.
+    cfg.seed. Dropout applies at the model's own `dropout_rate`;
+    cfg.dropout is the rate `detector.fit` builds the model with.
+    Returns the model together with the per-epoch trace.
 
     Training drops any threshold record the model carried, which the
     caller fits again for the new parameters.
@@ -383,9 +380,7 @@ def train(
         epoch_abs_err = 0.0
         for lo in range(0, n_train, cfg.batch_size):
             batch = train_data[order[lo : lo + cfg.batch_size]]
-            recon, cache = _forward_batch(
-                model, batch, train_mode=True, rng=dropout_rng, dropout_rate=cfg.dropout
-            )
+            recon, cache = _forward_batch(model, batch, dropout_rng)
             diff = recon - batch
             epoch_abs_err += float(np.abs(diff).sum())
             d_recon = np.sign(diff) / diff.size

@@ -21,12 +21,11 @@ __all__ = ["WindowSet", "make_windows", "coverage_counts", "per_point_loss"]
 
 @dataclass
 class WindowSet:
-    """All stride-1 windows over one series, with start-index provenance."""
+    """All stride-1 windows over one series; window k starts at point k."""
 
     source_len: int
     window_len: int
     windows: np.ndarray  # (count, T, m)
-    starts: np.ndarray  # (count,)
 
     def __len__(self) -> int:
         return self.windows.shape[0]
@@ -49,10 +48,8 @@ def make_windows(values: np.ndarray, window_len: int) -> WindowSet:
         raise ShapeError(f"window length must be >= 1, got {t}")
     if n < t:
         raise InsufficientDataError(f"series of length {n} is shorter than window length {t}")
-    count = n - t + 1
-    starts = np.arange(count)
     windows = np.ascontiguousarray(sliding_window_view(values, t, axis=0).transpose(0, 2, 1))
-    return WindowSet(source_len=n, window_len=t, windows=windows, starts=starts)
+    return WindowSet(source_len=n, window_len=t, windows=windows)
 
 
 def coverage_counts(source_len: int, window_len: int) -> np.ndarray:

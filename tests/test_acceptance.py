@@ -106,7 +106,7 @@ def _lstm_gradcheck(seed):
         return float((out * proj).sum())
 
     _, caches = lstm_forward(params, x, return_sequences=True)
-    grads, d_in, _, _ = lstm_backward(params, caches, proj)
+    grads, d_in = lstm_backward(params, caches, proj)
     worst = worst_relative_error(loss, params.arrays(), grads.arrays())
     worst = max(worst, worst_relative_error(loss, [x], [d_in]))
     return worst, grads
@@ -153,11 +153,10 @@ def test_criterion_4_aggregation_oracle():
         recons = rng.normal(0, 1, ws.windows.shape)
         totals = np.zeros(n)
         counts = np.zeros(n)
-        for w in range(len(ws)):
-            s = int(ws.starts[w])
+        for k in range(len(ws)):  # window k starts at point k
             for offset in range(t):
-                totals[s + offset] += abs(recons[w, offset, 0] - ws.windows[w, offset, 0])
-                counts[s + offset] += 1
+                totals[k + offset] += abs(recons[k, offset, 0] - ws.windows[k, offset, 0])
+                counts[k + offset] += 1
         oracle = totals / counts
         assert np.array_equal(counts, coverage_counts(n, t))
         worst = max(worst, float(np.max(np.abs(per_point_loss(ws, recons) - oracle))))

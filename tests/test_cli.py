@@ -221,9 +221,8 @@ class TestErrorCodes:
         assert os.path.join(out, "report.csv") in err and "run detect first" in err
 
     def test_missing_model_file_is_data_error(self, workspace, tmp_path, capsys):
-        code, _, err = run(
-            capsys, "detect", "--out", workspace, "--model", str(tmp_path / "nope.json")
-        )
+        out = copy_workspace(workspace, tmp_path)  # a failed detect removes its report
+        code, _, err = run(capsys, "detect", "--out", out, "--model", str(tmp_path / "nope.json"))
         assert code == cli.EXIT_DATA
 
     def test_corrupt_scaler_is_data_error(self, workspace, tmp_path, capsys):
@@ -387,6 +386,43 @@ class TestErrorCodes:
         assert code == cli.EXIT_DATA
         assert model_path in err and "non-finite" in err
         assert not os.path.exists(os.path.join(out, "report.csv"))
+
+    def test_failed_detect_leaves_no_output_and_evaluate_fails(self, workspace, tmp_path, capsys):
+        out = copy_workspace(workspace, tmp_path)
+        model_path = os.path.join(out, "model.json")
+        with open(model_path) as fh:
+            doc = json.load(fh)
+        doc["head_bias"][0] = float("nan")
+        with open(model_path, "w") as fh:
+            json.dump(doc, fh)
+        code, _, _ = run(capsys, "detect", "--out", out)
+        assert code == cli.EXIT_DATA
+        for name in ("report.csv", "detection_summary.json"):
+            assert not os.path.exists(os.path.join(out, name)), name
+        code, _, err = run(capsys, "evaluate", "--out", out)
+        assert code == cli.EXIT_DATA
+        assert "run detect first" in err
+
+    def test_failed_evaluate_leaves_no_output(self, workspace, tmp_path, capsys):
+        out = copy_workspace(workspace, tmp_path)
+        report_path = os.path.join(out, "report.csv")
+        with open(report_path) as fh:
+            lines = [line.rsplit(",", 1)[0] for line in fh.read().splitlines()]
+        with open(report_path, "w") as fh:  # the report without its label column
+            fh.write("\n".join(lines) + "\n")
+        code, _, err = run(capsys, "evaluate", "--out", out)
+        assert code == cli.EXIT_DATA
+        assert "labels" in err
+        for name in ("roc.csv", "evaluation.json"):
+            assert not os.path.exists(os.path.join(out, name)), name
+
+    def test_failed_sweep_leaves_no_table(self, workspace, tmp_path, capsys):
+        out = copy_workspace(workspace, tmp_path)
+        with open(os.path.join(out, "sweep.csv"), "w") as fh:
+            fh.write("window,arch,threshold,accuracy,precision,recall,f1,auc\n")
+        code, _, _ = run(capsys, "sweep", "--out", out, "--sweep-archs", "2x64")
+        assert code == cli.EXIT_CONFIG
+        assert not os.path.exists(os.path.join(out, "sweep.csv"))
 
 
 class TestStoredThreshold:

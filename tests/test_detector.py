@@ -41,7 +41,6 @@ class TestFitThreshold:
         model = zero_model(3)
         windows = make_windows(np.zeros(10), 3)
         windows.windows = windows.windows[:0]
-        windows.starts = windows.starts[:0]
         with pytest.raises(EmptyInputError):
             detector.fit_threshold(model, windows)
 

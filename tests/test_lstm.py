@@ -7,13 +7,7 @@ from gradcheck import REL_TOL, worst_relative_error
 from lstm_reference import reference_backward, reference_forward, reference_step, split_gates
 from seqad.core_math import Rng
 from seqad.errors import EmptyInputError, ShapeError
-from seqad.lstm import (
-    LstmLayerParams,
-    LstmStepState,
-    lstm_backward,
-    lstm_forward,
-    lstm_infer,
-)
+from seqad.lstm import LstmLayerParams, _step, lstm_backward, lstm_forward, lstm_infer
 
 
 def random_params(hidden, input_size, seed, bias_scale=0.1):
@@ -28,6 +22,17 @@ def gates_of(cache):
     return np.split(cache.gates, 4, axis=1)
 
 
+def step_from(params, h_prev, c_prev, x):
+    """One `_step` from a batch-first (B, H) state on a (B, D) input.
+    Returns the activated (f, i, o, g) blocks and the new cell and hidden
+    states, batch-first."""
+    h, b = params.hidden_size, x.shape[0]
+    a = params.w[:, h:] @ x.T + params.b[:, None]
+    c, tc, h_new, work = (np.empty((n, b)) for n in (h, h, h, 4 * h))
+    _step(params.w[:, :h], a, h_prev.T.copy(), c_prev.T.copy(), c, tc, h_new, work)
+    return np.split(a.T, 4, axis=1), c.T, h_new.T
+
+
 def scalar_step_oracle(w, b, h_prev, c_prev, x):
     """Eq-by-eq scalar evaluation for hidden_size=1, input_size=1."""
     pre = w * h_prev + w * x + b
@@ -40,19 +45,19 @@ def scalar_step_oracle(w, b, h_prev, c_prev, x):
 
 
 class TestStep:
-    """Single cell updates, run as lstm_forward over T=1."""
+    """Single cell updates: from a given state through the step body
+    `_step`, from zero state as lstm_forward over T=1."""
 
     def test_zero_params_forces_half_gates(self):
         params = LstmLayerParams.zeros(3, 2)
         rng = Rng(4)
-        prev = LstmStepState(rng.normal(0, 0.5, (2, 3)), rng.normal(0, 2, (2, 3)))
+        h_prev, c_prev = rng.normal(0, 0.5, (2, 3)), rng.normal(0, 2, (2, 3))
         x = rng.normal(0, 1, (2, 2))
-        out, caches = lstm_forward(params, x[None], init_state=prev)
-        f, i, o, g = gates_of(caches[0])
+        (f, i, o, g), c, h = step_from(params, h_prev, c_prev, x)
         assert np.all(f == 0.5) and np.all(i == 0.5) and np.all(o == 0.5)
         assert np.all(g == 0.0)
-        assert np.array_equal(caches[0].c, 0.5 * prev.cell)
-        assert np.array_equal(out[0], 0.5 * np.tanh(0.5 * prev.cell))
+        assert np.array_equal(c, 0.5 * c_prev)
+        assert np.array_equal(h, 0.5 * np.tanh(0.5 * c_prev))
 
     def test_gate_override_preserves_cell_exactly(self):
         # Saturating biases override the computed gates: sigmoid(+1e3) is
@@ -61,13 +66,12 @@ class TestStep:
         params.b[:4] = 1e3
         params.b[4:8] = -1e3
         rng = Rng(9)
-        state = LstmStepState(rng.normal(0, 0.5, (1, 4)), rng.normal(0, 1.5, (1, 4)))
-        c_start = state.cell.copy()
-        _, caches = lstm_forward(params, rng.normal(0, 1, (6, 1, 3)), init_state=state)
-        for cache in caches:
-            f, i, _, _ = gates_of(cache)
+        h, c = rng.normal(0, 0.5, (1, 4)), rng.normal(0, 1.5, (1, 4))
+        c_start = c.copy()
+        for x in rng.normal(0, 1, (6, 1, 3)):
+            (f, i, _, _), c, h = step_from(params, h, c, x)
             assert np.all(f == 1.0) and np.all(i == 0.0)
-            assert np.array_equal(cache.c, c_start)
+            assert np.array_equal(c, c_start)
 
     def test_scalar_unit_weights_hand_example(self):
         # hidden=1, input=1, every weight 1, biases 0, h0=c0=0, x=1:
@@ -103,9 +107,7 @@ class TestStep:
     def test_size_mismatch(self):
         params = LstmLayerParams.zeros(3, 2)
         with pytest.raises(ShapeError):
-            lstm_forward(params, np.zeros((1, 1, 5)), init_state=LstmStepState.zeros(1, 3))
-        with pytest.raises(ShapeError):
-            lstm_forward(params, np.zeros((1, 2, 2)), init_state=LstmStepState.zeros(2, 4))
+            lstm_forward(params, np.zeros((1, 1, 5)))
 
 
 class TestForward:
@@ -137,17 +139,6 @@ class TestForward:
         last, _ = lstm_forward(params, x, return_sequences=False)
         assert last.shape == (2, 3)
         assert np.array_equal(last, seq[-1])
-
-    def test_explicit_initial_state(self):
-        params = random_params(3, 2, seed=6)
-        rng = Rng(7)
-        init = LstmStepState(rng.normal(0, 0.3, (2, 3)), rng.normal(0, 1, (2, 3)))
-        x = rng.normal(0, 1, (3, 2, 2))
-        out, _ = lstm_forward(params, x, init_state=init, return_sequences=True)
-        h, c = init.hidden, init.cell
-        for t in range(3):
-            h, c, _ = reference_step(params, h, c, x[t])
-            assert np.max(np.abs(out[t] - h)) <= 1e-12
 
     def test_empty_sequence_rejected(self):
         params = LstmLayerParams.zeros(2, 1)
@@ -206,41 +197,32 @@ class TestAgainstReference:
     """The fused layer against the plain four-gate oracle, to 1e-12."""
 
     @pytest.mark.parametrize("return_sequences", [True, False])
-    @pytest.mark.parametrize("explicit_state", [False, True])
-    def test_forward_and_backward_match(self, return_sequences, explicit_state):
+    def test_forward_and_backward_match(self, return_sequences):
         b, t_len, hidden, d = 3, 5, 4, 2
         params = random_params(hidden, d, seed=40, bias_scale=0.5)
         rng = Rng(41)
         x = rng.normal(0, 1, (b, t_len, d))
         h0, c0 = np.zeros((b, hidden)), np.zeros((b, hidden))
-        init = None
-        if explicit_state:
-            h0, c0 = rng.normal(0, 0.5, (b, hidden)), rng.normal(0, 1, (b, hidden))
-            init = LstmStepState(h0, c0)
         seq_grads = rng.normal(0, 1, (b, t_len, hidden))
         if not return_sequences:
             seq_grads[:, :-1, :] = 0.0
 
         # the layer is time-major, the oracle batch-first
-        out, caches = lstm_forward(
-            params, x.transpose(1, 0, 2), init_state=init, return_sequences=return_sequences
-        )
+        out, caches = lstm_forward(params, x.transpose(1, 0, 2), return_sequences=return_sequences)
         grad_out = seq_grads.transpose(1, 0, 2) if return_sequences else seq_grads[:, -1, :]
-        grads, d_in, dh0, dc0 = lstm_backward(params, caches, grad_out)
+        grads, d_in = lstm_backward(params, caches, grad_out)
         if return_sequences:
             out = out.transpose(1, 0, 2)
         d_in = d_in.transpose(1, 0, 2)
 
         ref_out, ref_caches = reference_forward(params, x, h0, c0)
-        ref_dw, ref_db, ref_din, ref_dh0, ref_dc0 = reference_backward(params, ref_caches, seq_grads)
+        ref_dw, ref_db, ref_din, _, _ = reference_backward(params, ref_caches, seq_grads)
 
         def close(a, b):
             return np.shape(a) == np.shape(b) and np.max(np.abs(a - b)) <= 1e-12
 
         assert close(out, ref_out if return_sequences else ref_out[:, -1, :])
         assert close(d_in, ref_din)
-        assert close(dh0, ref_dh0)
-        assert close(dc0, ref_dc0)
         dw, db = split_gates(grads.w), split_gates(grads.b)
         for gate in ("f", "i", "o", "g"):
             assert close(dw[gate], ref_dw[gate]), gate
@@ -263,10 +245,10 @@ class TestBackward:
         params = random_params(3, 2, seed=10)
         x = Rng(11).normal(0, 1, (4, 2, 2))
         _, caches = lstm_forward(params, x, return_sequences=True)
-        grads, d_in, dh0, dc0 = lstm_backward(params, caches, np.zeros((4, 2, 3)))
+        grads, d_in = lstm_backward(params, caches, np.zeros((4, 2, 3)))
         for g in grads.arrays():
             assert np.all(g == 0.0)
-        assert np.all(d_in == 0.0) and np.all(dh0 == 0.0) and np.all(dc0 == 0.0)
+        assert np.all(d_in == 0.0)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_parameter_gradients_match_finite_differences(self, seed):
@@ -280,7 +262,7 @@ class TestBackward:
             return float((out * proj).sum())
 
         _, caches = lstm_forward(params, x, return_sequences=True)
-        grads, _, _, _ = lstm_backward(params, caches, proj)
+        grads, _ = lstm_backward(params, caches, proj)
         assert worst_relative_error(loss, params.arrays(), grads.arrays()) < REL_TOL
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -295,7 +277,7 @@ class TestBackward:
             return float((out * proj).sum())
 
         _, caches = lstm_forward(params, x, return_sequences=True)
-        _, d_in, _, _ = lstm_backward(params, caches, proj)
+        _, d_in = lstm_backward(params, caches, proj)
         assert worst_relative_error(loss, [x], [d_in]) < REL_TOL
 
     def test_last_only_gradients_match_finite_differences(self):
@@ -309,7 +291,7 @@ class TestBackward:
             return float((out * proj).sum())
 
         _, caches = lstm_forward(params, x, return_sequences=False)
-        grads, _, _, _ = lstm_backward(params, caches, proj)
+        grads, _ = lstm_backward(params, caches, proj)
         assert worst_relative_error(loss, params.arrays(), grads.arrays()) < REL_TOL
 
     def test_grad_shape_mismatch_rejected(self):

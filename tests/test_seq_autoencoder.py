@@ -93,7 +93,7 @@ class TestForward:
         b, t_len, rate = 3, 5, 0.3
         model = perturbed(sa.build_model("2x8-4", timesteps=t_len, dropout_rate=rate, seed=50), 51)
         batch = Rng(52).normal(0, 1, (b, t_len, 1))
-        recon, cache = sa._forward_batch(model, batch, train_mode=True, rng=Rng(53))
+        recon, cache = sa._forward_batch(model, batch, rng=Rng(53))
         rng = Rng(53)
         latent_mask = (rng.uniform(size=(b, 4)) >= rate) / (1.0 - rate)
         dec_mask = (rng.uniform(size=(b, t_len, 8)) >= rate) / (1.0 - rate)
@@ -118,13 +118,8 @@ class TestForward:
         model = sa.build_model("1x16", timesteps=10, dropout_rate=0.5, seed=9)
         windows = Rng(10).normal(0, 1, (1, 10, 1))
         plain = sa.reconstruct_windows(model, windows)
-        dropped, _ = sa._forward_batch(model, windows, train_mode=True, rng=Rng(11))
+        dropped, _ = sa._forward_batch(model, windows, rng=Rng(11))
         assert not np.array_equal(plain, dropped)
-
-    def test_train_mode_needs_rng(self):
-        model = sa.build_model("1x16", timesteps=10, dropout_rate=0.5, seed=9)
-        with pytest.raises(ConfigError):
-            sa._forward_batch(model, np.zeros((1, 10, 1)), train_mode=True)
 
     def test_shape_mismatch_rejected(self):
         model = sa.build_model("1x16", timesteps=10, seed=12)
@@ -146,14 +141,14 @@ class TestInferencePass:
     def test_matches_training_forward(self, tag, t_len):
         model = perturbed(sa.build_model(tag, timesteps=t_len, features=2, seed=30), 31)
         windows = Rng(32).normal(0, 1, (5, t_len, 2))
-        expected, _ = sa._forward_batch(model, windows, train_mode=False)
+        expected, _ = sa._forward_batch(model, windows)
         got = sa.reconstruct_windows(model, windows)
         assert np.max(np.abs(got - expected)) <= 1e-12
 
     def test_chunk_boundary(self):
         model = perturbed(sa.build_model("2x8-4", timesteps=7, seed=33), 34)
         windows = Rng(35).normal(0, 1, (4, 7, 1))
-        expected, _ = sa._forward_batch(model, windows, train_mode=False)
+        expected, _ = sa._forward_batch(model, windows)
         got = sa.reconstruct_windows(model, windows, chunk=3)
         assert np.max(np.abs(got - expected)) <= 1e-12
 
@@ -241,7 +236,7 @@ class TestTrainingStepMemory:
         batch = Rng(43).normal(0, 1, (64, 10, 1))
         tracemalloc.start()
         try:
-            recon, cache = sa._forward_batch(model, batch, train_mode=True, rng=Rng(44))
+            recon, cache = sa._forward_batch(model, batch, rng=Rng(44))
             sa._backward_batch(model, cache, np.sign(recon - batch) / recon.size)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -251,7 +246,7 @@ class TestTrainingStepMemory:
     def test_backward_releases_the_caches(self):
         model = sa.build_model("2x8-4", timesteps=5, seed=45)
         batch = Rng(46).normal(0, 1, (3, 5, 1))
-        recon, cache = sa._forward_batch(model, batch, train_mode=True, rng=Rng(47))
+        recon, cache = sa._forward_batch(model, batch, rng=Rng(47))
         sa._backward_batch(model, cache, np.sign(recon - batch) / recon.size)
         assert cache["enc_caches"] == [] and cache["dec_caches"] == []
         assert "dec_dropped" not in cache
@@ -295,10 +290,21 @@ class TestTrain:
         expected = sa.mae(sa.reconstruct_windows(model, val_data), val_data)
         assert trace.val_loss[-1] == expected
 
+    def test_training_applies_the_models_dropout_rate(self):
+        # cfg.dropout is the rate detector.fit builds a model with; a model
+        # built without dropout trains alike under any cfg.dropout
+        windows = sinusoid_windows(n=200)
+        runs = []
+        for rate in (0.5, 0.0):
+            model = sa.build_model("1x16", timesteps=10, dropout_rate=0.0, seed=14)
+            runs.append(sa.train(model, windows, sa.TrainConfig(epochs=2, dropout=rate, seed=14)))
+        (model_a, trace_a), (model_b, trace_b) = runs
+        assert models_equal(model_a, model_b)
+        assert trace_a.train_loss == trace_b.train_loss
+
     def test_empty_window_set_rejected(self):
         windows = sinusoid_windows(n=50)
         windows.windows = windows.windows[:0]
-        windows.starts = windows.starts[:0]
         with pytest.raises(EmptyInputError):
             sa.train(sa.build_model("1x16", timesteps=10, seed=0), windows, sa.TrainConfig())
 

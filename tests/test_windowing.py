@@ -11,11 +11,10 @@ def brute_force_loss(windows, recons):
     n = windows.source_len
     totals = np.zeros(n)
     counts = np.zeros(n)
-    for w in range(len(windows)):
-        start = int(windows.starts[w])
+    for k in range(len(windows)):  # window k starts at point k
         for offset in range(windows.window_len):
-            p = start + offset
-            err = np.abs(recons[w, offset] - windows.windows[w, offset]).mean()
+            p = k + offset
+            err = np.abs(recons[k, offset] - windows.windows[k, offset]).mean()
             totals[p] += err
             counts[p] += 1
     return totals / counts, counts
@@ -25,7 +24,6 @@ class TestMakeWindows:
     def test_five_points_window_three(self):
         ws = make_windows(np.array([1.0, 2.0, 3.0, 4.0, 5.0]), 3)
         assert len(ws) == 3
-        assert np.array_equal(ws.starts, [0, 1, 2])
         assert np.array_equal(ws.windows[:, :, 0], [[1, 2, 3], [2, 3, 4], [3, 4, 5]])
 
     def test_window_equals_series(self):
@@ -110,9 +108,8 @@ class TestPerPointLoss:
 
         err = np.abs(recons - ws.windows).mean(axis=2)
         total = np.zeros(ws.source_len)
-        for idx in range(len(ws) - 1, -1, -1):  # reversed accumulation
-            s = int(ws.starts[idx])
-            total[s : s + ws.window_len] += err[idx]
+        for k in range(len(ws) - 1, -1, -1):  # reversed accumulation
+            total[k : k + ws.window_len] += err[k]
         reversed_order = total / coverage_counts(ws.source_len, ws.window_len)
         assert np.max(np.abs(forward_order - reversed_order)) <= 1e-12
 
