@@ -358,6 +358,23 @@ class TestTrain:
         assert len(trace.val_loss) == 2
         assert all(np.isnan(v) for v in trace.val_loss)
 
+    @pytest.mark.parametrize(
+        "tag,t_len,n,digest",
+        [
+            ("1x16", 10, 209, "22011875d982d538ca5946906cd6db9c6b741334bde7425c76cca7446f481616"),
+            ("2x8-4", 6, 205, "a1b1c6d18882c5614fad54fb94b2fa5f5c12d9a5d0501c851a333b40a53666ac"),
+        ],
+    )
+    def test_trained_bits_are_pinned(self, tag, t_len, n, digest):
+        # 200 windows, 3 epochs with dropout; the digests were taken from a
+        # training step with one gradient array and one Adam update per
+        # parameter array, so any change to the step's arithmetic shows
+        windows = sinusoid_windows(n=n, t=t_len, seed=9)
+        assert len(windows) == 200
+        model = sa.build_model(tag, timesteps=t_len, dropout_rate=0.2, seed=11)
+        sa.train(model, windows, sa.TrainConfig(epochs=3, batch_size=32, seed=12))
+        assert sa.model_digest(model) == digest
+
 
 class TestPersistence:
     def test_round_trip_bit_exact(self, tmp_path):
