@@ -70,13 +70,22 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
+# Adam works through its parameters in blocks of this many float64, so its
+# scratch is two such blocks however large the model is
+ADAM_BLOCK = 16_384
+
+
 @dataclass
 class AdamState:
-    """First/second moment accumulators, one per parameter array."""
+    """First/second moment accumulators, one per parameter array, and the
+    scratch `adam_step` computes in: two rows of at most ADAM_BLOCK
+    float64, made on the first step, so a step allocates nothing the
+    size of the parameters."""
 
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
     step: int = 0
+    scratch: np.ndarray = field(default_factory=lambda: np.empty((2, 0)))
 
     @classmethod
     def for_params(cls, params) -> "AdamState":
@@ -87,6 +96,15 @@ def adam_step(params, grads, state: AdamState, lr: float) -> None:
     """One Adam update with bias correction; mutates params and state in
     place. The caller owns the single-writer discipline; nothing here
     locks.
+
+    Each array is updated block by block in the state's scratch, with
+    the operations in the order of the textbook update
+
+        m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
+        p -= lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
+
+    so the result is bit-identical to it. Parameters and gradients must
+    be C-contiguous, since the blocks are views of them.
     """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ShapeError(
@@ -96,14 +114,29 @@ def adam_step(params, grads, state: AdamState, lr: float) -> None:
     for p, g in zip(params, grads):
         if p.shape != g.shape:
             raise ShapeError(f"gradient shape {g.shape} does not match parameter {p.shape}")
+        if not (p.flags.c_contiguous and g.flags.c_contiguous):
+            raise ShapeError("parameters and gradients must be C-contiguous arrays")
+    width = min(ADAM_BLOCK, max((p.size for p in params), default=0))
+    if state.scratch.shape[1] < width:
+        state.scratch = np.empty((2, width))
     state.step += 1
     t = state.step
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+    for arrays in zip(params, grads, state.m, state.v):
+        p, g, m, v = (a.reshape(-1) for a in arrays)
+        for lo in range(0, p.size, ADAM_BLOCK):
+            block = slice(lo, lo + ADAM_BLOCK)
+            bp, bg, bm, bv = p[block], g[block], m[block], v[block]
+            s, u = state.scratch[:, : bp.size]
+            bm *= b1
+            bm += np.multiply(bg, 1.0 - b1, out=s)
+            bv *= b2
+            np.multiply(bg, 1.0 - b2, out=s)
+            bv += np.multiply(s, bg, out=s)
+            np.divide(bm, c1, out=s)  # m_hat
+            np.divide(bv, c2, out=u)  # v_hat
+            np.sqrt(u, out=u)
+            u += ADAM_EPS
+            s *= lr
+            bp -= np.divide(s, u, out=s)

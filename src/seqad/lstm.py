@@ -40,8 +40,9 @@ at once, fills a (T, 4H, B) buffer of gate gradients in a loop whose
 only GEMM is the W_h product for the hidden-state gradient of the step
 before (none at t = 0, whose previous state is the zero start), transposes
 those gradients to (4H, T*B) in the gate buffer, which the loop no
-longer needs, and then takes the weight gradient and the input gradient
-as one GEMM each.
+longer needs, and then takes the weight gradient, straight into the
+caller's array when one is given, and the input gradient as one GEMM
+each.
 """
 
 from __future__ import annotations
@@ -144,10 +145,25 @@ def _check_inputs(params: LstmLayerParams, inputs) -> np.ndarray:
     return inputs
 
 
-def _project_inputs(params: LstmLayerParams, x: np.ndarray) -> np.ndarray:
+def _project_inputs(params: LstmLayerParams, x: np.ndarray, repeated: bool) -> np.ndarray:
     """W_x x + b for every step of a feature-major (D, T, B) input, as a
-    (T, 4H, B) gate buffer."""
-    gates = np.matmul(params.w[:, params.hidden_size :], x.transpose(1, 0, 2))
+    (T, 4H, B) gate buffer.
+
+    An input `repeated` over time, the decoder's latent, is projected
+    once and copied to every step, and a one-feature input is a
+    broadcast product; both equal the stacked GEMM bit for bit.
+    """
+    t_len = x.shape[1]
+    if repeated and t_len > 1:
+        gates = np.empty((t_len, params.w.shape[0], x.shape[2]))
+        gates[...] = _project_inputs(params, x[:, :1], False)
+        return gates
+    w_x = params.w[:, params.hidden_size :]
+    if x.shape[0] == 1:
+        # order="C" keeps each step's (4H, B) block contiguous whatever x's strides
+        gates = np.multiply(w_x, x.transpose(1, 0, 2), order="C")
+    else:
+        gates = np.matmul(w_x, x.transpose(1, 0, 2))
     gates += params.b[:, None]
     return gates
 
@@ -194,7 +210,8 @@ def lstm_forward(
     zbuf[:h, 0] = 0.0
     cbuf = np.empty((t_len + 1, h, b))
     cbuf[0] = 0.0
-    gates = _project_inputs(params, zbuf[h:, :t_len])
+    # a time stride of 0 marks an input repeated over time
+    gates = _project_inputs(params, zbuf[h:, :t_len], inputs.strides[0] == 0)
     tanh_c = np.empty((t_len, h, b))
 
     w_h = params.w[:, :h]
@@ -211,6 +228,7 @@ def lstm_backward(
     params: LstmLayerParams,
     cache: LstmCache,
     grad_outputs: np.ndarray,
+    out: LstmLayerParams | None = None,
 ) -> tuple[LstmLayerParams, np.ndarray]:
     """Exact gradients through an unrolled pass, weights shared across steps.
 
@@ -220,8 +238,11 @@ def lstm_backward(
 
     Returns (param_grads, d_inputs) where param_grads is an
     LstmLayerParams holding the accumulated gradients and d_inputs is
-    (T, batch, input). The zero initial state takes no gradient. The
-    cache's gate buffer is overwritten.
+    (T, batch, input). The weight and bias gradients are written into
+    `out` when it is given, typically views of one flat gradient vector,
+    and into new arrays otherwise; `out` is then what comes back. The
+    zero initial state takes no gradient. The cache's gate buffer is
+    overwritten.
     """
     t_len = len(cache)
     if t_len == 0:
@@ -230,6 +251,10 @@ def lstm_backward(
     b = cache.z.shape[2]
     if cache.z.shape != (h + d, t_len + 1, b):
         raise ShapeError(f"cache shape {cache.z.shape} does not match ({h + d}, T+1, batch)")
+    if out is None:
+        out = LstmLayerParams.zeros(h, d)
+    elif out.w.shape != params.w.shape or out.b.shape != params.b.shape:
+        raise ShapeError(f"gradient arrays {out.w.shape}, {out.b.shape} do not match the layer's")
 
     grad_outputs = np.asarray(grad_outputs, dtype=np.float64)
     dh = np.zeros((h, b))
@@ -285,9 +310,10 @@ def lstm_backward(
     d_flat = cache.gates.reshape(4 * h, t_len * b)
     np.copyto(d_flat.reshape(4 * h, t_len, b), d_gates.transpose(1, 0, 2))
     del a, d4, d_g, d_gates
-    d_w = d_flat @ cache.z[:, :t_len].reshape(h + d, t_len * b).T
+    np.matmul(d_flat, cache.z[:, :t_len].reshape(h + d, t_len * b).T, out=out.w)
+    np.sum(d_flat, axis=1, out=out.b)
     d_inputs = (params.w[:, h:].T @ d_flat).reshape(d, t_len, b).transpose(1, 2, 0)
-    return LstmLayerParams(w=d_w, b=d_flat.sum(axis=1)), d_inputs
+    return out, d_inputs
 
 
 def lstm_infer(
@@ -303,7 +329,7 @@ def lstm_infer(
     inputs = _check_inputs(params, inputs)
     t_len, b, _ = inputs.shape
     h = params.hidden_size
-    gates = _project_inputs(params, inputs.transpose(2, 0, 1))
+    gates = _project_inputs(params, inputs.transpose(2, 0, 1), inputs.strides[0] == 0)
     outputs = np.empty((h, t_len, b)) if return_sequences else None
 
     w_h = params.w[:, :h]

@@ -12,6 +12,7 @@ pass given a dropout stream.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
@@ -90,6 +91,13 @@ class ThresholdRecord:
 
 @dataclass
 class SeqAutoencoderModel:
+    """Every parameter lives in one contiguous float64 `vector`, laid out
+    in `params()` order: each layer's w and b and the head's arrays are
+    views into it, so writing through either changes both, and training
+    updates the whole model as one array. Build one with build_model or
+    load_model, which keep that aliasing."""
+
+    vector: np.ndarray
     encoder: list[LstmLayerParams]
     decoder: list[LstmLayerParams]
     head_w: np.ndarray  # (features, last decoder hidden)
@@ -108,6 +116,41 @@ class SeqAutoencoderModel:
         out.append(self.head_w)
         out.append(self.head_b)
         return out
+
+    def __deepcopy__(self, memo) -> "SeqAutoencoderModel":
+        header = {k: getattr(self, k) for k in _HEADER_FIELDS}
+        return _assemble(self.params(), **copy.deepcopy(header, memo))
+
+
+_HEADER_FIELDS = ("timesteps", "features", "dropout_rate", "arch", "init_seed", "threshold")
+
+
+def _unpack(vector: np.ndarray, shapes: list[tuple]):
+    """Views of `vector` with `shapes`, which follow params() order: the
+    LSTM layers, encoder first, then the head's weight and bias."""
+    views, lo = [], 0
+    for shape in shapes:
+        hi = lo + math.prod(shape)
+        views.append(vector[lo:hi].reshape(shape))
+        lo = hi
+    layers = [LstmLayerParams(w=w, b=b) for w, b in zip(views[:-2:2], views[1:-2:2])]
+    return layers, views[-2], views[-1]
+
+
+def _assemble(arrays: list[np.ndarray], **header) -> SeqAutoencoderModel:
+    """A model whose parameters are `arrays`, in params() order, copied
+    into one vector that the layers and the head are views of."""
+    vector = np.concatenate([a.ravel() for a in arrays])
+    layers, head_w, head_b = _unpack(vector, [a.shape for a in arrays])
+    n_side = len(layers) // 2
+    return SeqAutoencoderModel(
+        vector=vector,
+        encoder=layers[:n_side],
+        decoder=layers[n_side:],
+        head_w=head_w,
+        head_b=head_b,
+        **header,
+    )
 
 
 def _layer_sizes(arch: str, timesteps: int, features: int, dropout_rate: float) -> list[tuple]:
@@ -135,13 +178,12 @@ def build_model(
     """Construct a freshly initialized model for one architecture tag."""
     sizes = _layer_sizes(arch, timesteps, features, dropout_rate)
     rng = Rng(seed).spawn("init")
-    layers = [LstmLayerParams.init(h, d, rng) for h, d in sizes]
-    n_side = len(layers) // 2
-    return SeqAutoencoderModel(
-        encoder=layers[:n_side],
-        decoder=layers[n_side:],
-        head_w=glorot_init(features, sizes[-1][0], rng),
-        head_b=np.zeros(features),
+    arrays = []
+    for h, d in sizes:
+        arrays.extend(LstmLayerParams.init(h, d, rng).arrays())
+    arrays += [glorot_init(features, sizes[-1][0], rng), np.zeros(features)]
+    return _assemble(
+        arrays,
         timesteps=int(timesteps),
         features=int(features),
         dropout_rate=float(dropout_rate),
@@ -252,19 +294,27 @@ def _head(model: SeqAutoencoderModel, dec_out: np.ndarray) -> np.ndarray:
     return recon.reshape(model.features, t_len, b).T
 
 
-def _backward_batch(model: SeqAutoencoderModel, cache: dict, d_recon: np.ndarray):
+def _backward_batch(
+    model: SeqAutoencoderModel, cache: dict, d_recon: np.ndarray, grad: np.ndarray
+) -> None:
     """Gradients of a scalar loss wrt every parameter, given d loss/d recon
-    for a (B, T, m) reconstruction.
+    for a (B, T, m) reconstruction, written into `grad`.
 
-    Consumes the cache: each layer's forward buffers are released once
-    its backward pass has used them. Returns a flat gradient list
-    aligned with model.params().
+    `grad` is a float64 vector laid out like model.vector; every entry
+    is overwritten, the head's by GEMMs and sums with `out=` here and
+    each layer's inside lstm_backward, so nothing parameter-sized is
+    allocated. Consumes the cache: each layer's forward buffers are
+    released once its backward pass has used them.
     """
+    if grad.shape != model.vector.shape:
+        raise ShapeError(f"gradient vector {grad.shape} does not match {model.vector.shape}")
+    layers, d_head_w, d_head_b = _unpack(grad, [p.shape for p in model.params()])
+    n_enc = len(model.encoder)
     dec_dropped = cache.pop("dec_dropped")
     hidden, t_len, b = dec_dropped.shape
     d_flat = d_recon.T.reshape(model.features, t_len * b)
-    d_head_w = d_flat @ dec_dropped.reshape(hidden, t_len * b).T
-    d_head_b = d_flat.sum(axis=1)
+    np.matmul(d_flat, dec_dropped.reshape(hidden, t_len * b).T, out=d_head_w)
+    np.sum(d_flat, axis=1, out=d_head_b)
     del dec_dropped
 
     d_seq = (model.head_w.T @ d_flat).reshape(hidden, t_len, b)
@@ -272,29 +322,16 @@ def _backward_batch(model: SeqAutoencoderModel, cache: dict, d_recon: np.ndarray
         d_seq *= cache["dec_mask"].T
     d_seq = d_seq.transpose(1, 2, 0)
 
-    dec_grads = []
-    for layer in reversed(model.decoder):
-        grads, d_seq = lstm_backward(layer, cache["dec_caches"].pop(), d_seq)
-        dec_grads.append(grads)
-    dec_grads.reverse()
+    for layer, out in zip(reversed(model.decoder), reversed(layers[n_enc:])):
+        _, d_seq = lstm_backward(layer, cache["dec_caches"].pop(), d_seq, out=out)
 
     d_latent = d_seq.sum(axis=0)
     if cache["latent_mask"] is not None:
         d_latent = d_latent * cache["latent_mask"]
 
-    enc_grads = []
     grad_out = d_latent  # final-state-only gradient for the last encoder layer
-    for layer in reversed(model.encoder):
-        grads, grad_out = lstm_backward(layer, cache["enc_caches"].pop(), grad_out)
-        enc_grads.append(grads)
-    enc_grads.reverse()
-
-    flat = []
-    for g in enc_grads + dec_grads:
-        flat.extend(g.arrays())
-    flat.append(d_head_w)
-    flat.append(d_head_b)
-    return flat
+    for layer, out in zip(reversed(model.encoder), reversed(layers[:n_enc])):
+        _, grad_out = lstm_backward(layer, cache["enc_caches"].pop(), grad_out, out=out)
 
 
 def reconstruct_windows(
@@ -369,7 +406,8 @@ def train(
         return model, trace
 
     model.threshold = None  # fit on the parameters this run replaces
-    params = model.params()
+    params = [model.vector]
+    grad = np.empty_like(model.vector)  # every batch overwrites all of it
     state = AdamState.for_params(params)
     shuffle_rng = Rng(cfg.seed).spawn("shuffle")
     dropout_rng = Rng(cfg.seed).spawn("dropout")
@@ -384,10 +422,10 @@ def train(
             diff = recon - batch
             epoch_abs_err += float(np.abs(diff).sum())
             d_recon = np.sign(diff) / diff.size
-            grads = _backward_batch(model, cache, d_recon)
-            adam_step(params, grads, state, cfg.learning_rate)
+            _backward_batch(model, cache, d_recon, grad)
+            adam_step(params, [grad], state, cfg.learning_rate)
         train_mae = epoch_abs_err / denom
-        if not (np.isfinite(train_mae) and all(np.isfinite(p).all() for p in params)):
+        if not (np.isfinite(train_mae) and np.isfinite(model.vector).all()):
             raise TrainingDivergedError(
                 f"training diverged at epoch {epoch}: train MAE {train_mae!r} with a "
                 f"non-finite loss or parameter at learning rate {cfg.learning_rate!r}"
@@ -518,18 +556,14 @@ def load_model(path: str) -> SeqAutoencoderModel:
             if not isinstance(doc[side], list) or len(doc[side]) != n_side:
                 raise ShapeError(f"{side} is not a list of the {n_side} layers {arch!r} implies")
             layer_docs += doc[side]
-        layers = [  # numbered in file order, encoder first
-            LstmLayerParams(
-                w=_checked_array(layer_doc["w"], (4 * h, h + d), f"layer {k} weight"),
-                b=_checked_array(layer_doc["b"], (4 * h,), f"layer {k} bias"),
-            )
-            for k, (layer_doc, (h, d)) in enumerate(zip(layer_docs, sizes))
-        ]
-        return SeqAutoencoderModel(
-            encoder=layers[:n_side],
-            decoder=layers[n_side:],
-            head_w=_checked_array(doc["head_weight"], (features, sizes[-1][0]), "head weight"),
-            head_b=_checked_array(doc["head_bias"], (features,), "head bias"),
+        arrays = []
+        for k, (layer_doc, (h, d)) in enumerate(zip(layer_docs, sizes)):  # encoder first
+            arrays.append(_checked_array(layer_doc["w"], (4 * h, h + d), f"layer {k} weight"))
+            arrays.append(_checked_array(layer_doc["b"], (4 * h,), f"layer {k} bias"))
+        arrays.append(_checked_array(doc["head_weight"], (features, sizes[-1][0]), "head weight"))
+        arrays.append(_checked_array(doc["head_bias"], (features,), "head bias"))
+        return _assemble(
+            arrays,
             timesteps=timesteps,
             features=features,
             dropout_rate=dropout_rate,
@@ -548,12 +582,11 @@ def model_digest(model: SeqAutoencoderModel) -> str:
 
     sha256 over a canonical JSON header (format version, kind, arch,
     timesteps, features, dropout rate, init seed, threshold record and
-    the shape of every array of `params()`), a newline, then each array
-    as little-endian float64 bytes in `params()` order.
+    the shape of every array of `params()`), a newline, then every
+    parameter as little-endian float64 bytes in `params()` order, which
+    is `model.vector`.
     """
-    params = model.params()
-    header = {**_model_header(model), "shapes": [list(p.shape) for p in params]}
+    header = {**_model_header(model), "shapes": [list(p.shape) for p in model.params()]}
     digest = hashlib.sha256(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-    for p in params:
-        digest.update(np.ascontiguousarray(p, dtype="<f8").tobytes())
+    digest.update(np.ascontiguousarray(model.vector, dtype="<f8"))
     return digest.hexdigest()

@@ -122,8 +122,9 @@ def _autoencoder_gradcheck(seed):
 
     recon, cache = sa._forward_batch(model, batch)
     d_recon = np.sign(recon - batch) / recon.size
-    grads = sa._backward_batch(model, cache, d_recon)
-    return worst_relative_error(loss, model.params(), grads), grads
+    grad = np.empty_like(model.vector)
+    sa._backward_batch(model, cache, d_recon, grad)
+    return worst_relative_error(loss, [model.vector], [grad]), grad
 
 
 def test_criterion_3_gradient_suite():

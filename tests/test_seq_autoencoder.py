@@ -198,6 +198,28 @@ class TestInferencePass:
             sa.reconstruct_windows(model, np.zeros((3, 5, 1)))
 
 
+class TestParameterVector:
+    def test_params_are_views_of_the_vector_in_order(self, tmp_path):
+        built = with_threshold(sa.build_model("2x8-4", timesteps=5, seed=26))
+        path = tmp_path / "model.json"
+        sa.save_model(built, str(path))
+        for model in (built, sa.load_model(str(path))):
+            size = 0
+            for p in model.params():
+                p[...] = np.arange(size, size + p.size).reshape(p.shape)
+                size += p.size
+            assert np.array_equal(model.vector, np.arange(size))
+            model.vector[:] = -1.0
+            assert all((p == -1.0).all() for p in model.params())
+
+    def test_deep_copy_owns_its_vector(self):
+        model = sa.build_model("1x3", timesteps=4, seed=27)
+        twin = copy.deepcopy(model)
+        assert models_equal(model, twin)
+        twin.head_b[0] += 1.0
+        assert twin.vector[-1] == twin.head_b[0] != model.head_b[0]
+
+
 class TestGradients:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_mae_gradients_match_finite_differences(self, seed):
@@ -210,8 +232,9 @@ class TestGradients:
 
         recon, cache = sa._forward_batch(model, batch)
         d_recon = np.sign(recon - batch) / recon.size
-        grads = sa._backward_batch(model, cache, d_recon)
-        assert worst_relative_error(loss, model.params(), grads) < REL_TOL
+        grad = np.empty_like(model.vector)
+        sa._backward_batch(model, cache, d_recon, grad)
+        assert worst_relative_error(loss, [model.vector], [grad]) < REL_TOL
 
     def test_stacked_gradients_match_finite_differences(self):
         model = sa.build_model("2x4-3", timesteps=3, features=1, dropout_rate=0.0, seed=13)
@@ -223,8 +246,9 @@ class TestGradients:
 
         recon, cache = sa._forward_batch(model, batch)
         d_recon = np.sign(recon - batch) / recon.size
-        grads = sa._backward_batch(model, cache, d_recon)
-        assert worst_relative_error(loss, model.params(), grads) < REL_TOL
+        grad = np.empty_like(model.vector)
+        sa._backward_batch(model, cache, d_recon, grad)
+        assert worst_relative_error(loss, [model.vector], [grad]) < REL_TOL
 
 
 class TestTrainingStepMemory:
@@ -237,17 +261,33 @@ class TestTrainingStepMemory:
         tracemalloc.start()
         try:
             recon, cache = sa._forward_batch(model, batch, rng=Rng(44))
-            sa._backward_batch(model, cache, np.sign(recon - batch) / recon.size)
+            grad = np.empty_like(model.vector)
+            sa._backward_batch(model, cache, np.sign(recon - batch) / recon.size, grad)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 9.3 * 2**20
 
+    def test_training_run_peaks_at_or_below_10_3_mib(self):
+        # 9.82 MiB: one step's caches, the gradient vector, Adam's moments
+        # and its two scratch blocks (9.57 MiB with a fresh gradient list
+        # and full-size Adam temporaries every batch, which then churn the heap)
+        windows = sinusoid_windows(n=309, t=10)
+        assert len(windows) == 300
+        model = sa.build_model("2x64-16", timesteps=10, seed=42)
+        tracemalloc.start()
+        try:
+            sa.train(model, windows, sa.TrainConfig(epochs=2, seed=42))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10.3 * 2**20
+
     def test_backward_releases_the_caches(self):
         model = sa.build_model("2x8-4", timesteps=5, seed=45)
         batch = Rng(46).normal(0, 1, (3, 5, 1))
         recon, cache = sa._forward_batch(model, batch, rng=Rng(47))
-        sa._backward_batch(model, cache, np.sign(recon - batch) / recon.size)
+        sa._backward_batch(model, cache, np.sign(recon - batch) / recon.size, np.empty_like(model.vector))
         assert cache["enc_caches"] == [] and cache["dec_caches"] == []
         assert "dec_dropped" not in cache
 
