@@ -210,7 +210,8 @@ def lstm_forward(
     zbuf[:h, 0] = 0.0
     cbuf = np.empty((t_len + 1, h, b))
     cbuf[0] = 0.0
-    # a time stride of 0 marks an input repeated over time
+    # a time stride of 0 marks an input repeated over time; the projection
+    # reads the copy in zbuf, since the GEMM's last bits follow its operand layout
     gates = _project_inputs(params, zbuf[h:, :t_len], inputs.strides[0] == 0)
     tanh_c = np.empty((t_len, h, b))
 

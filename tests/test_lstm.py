@@ -7,7 +7,14 @@ from gradcheck import REL_TOL, worst_relative_error
 from lstm_reference import reference_backward, reference_forward, reference_step, split_gates
 from seqad.core_math import Rng
 from seqad.errors import EmptyInputError, ShapeError
-from seqad.lstm import LstmLayerParams, _step, lstm_backward, lstm_forward, lstm_infer
+from seqad.lstm import (
+    LstmLayerParams,
+    _project_inputs,
+    _step,
+    lstm_backward,
+    lstm_forward,
+    lstm_infer,
+)
 
 
 def random_params(hidden, input_size, seed, bias_scale=0.1):
@@ -162,6 +169,38 @@ class TestTracerContract:
         # cache[t].z is [h_{t-1}, x_t], batch-first
         assert np.array_equal(cache[2].z[:, :h], out[1])
         assert np.array_equal(cache[2].z[:, h:], x[2])
+
+
+class TestInputProjection:
+    """The special cases equal the stacked GEMM bit for bit and give
+    contiguous (4H, B) step blocks."""
+
+    @staticmethod
+    def stacked(params, x):
+        gates = np.matmul(params.w[:, params.hidden_size :], x.transpose(1, 0, 2))
+        gates += params.b[:, None]
+        return gates
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_windows_chunk(self, d):
+        # a chunk of windows as reconstruction reads it: (D, T, B) with
+        # T the innermost stride
+        params = random_params(8, d, 61)
+        series = Rng(62).normal(0, 1, (40, d))
+        windows = np.lib.stride_tricks.sliding_window_view(series, (7, d))[:, 0]
+        x = np.ascontiguousarray(windows).transpose(2, 1, 0)
+        gates = _project_inputs(params, x, False)
+        assert np.array_equal(gates, self.stacked(params, x))
+        assert gates.flags.c_contiguous
+
+    @pytest.mark.parametrize("b", [3, 20, 64])
+    def test_repeated_input_is_projected_once(self, b):
+        params = random_params(8, 5, 65)
+        latent = Rng(66).normal(0, 1, (b, 5))
+        x = np.broadcast_to(latent, (7, b, 5)).transpose(2, 0, 1)
+        gates = _project_inputs(params, x, True)
+        assert np.array_equal(gates, self.stacked(params, x))
+        assert gates.flags.c_contiguous
 
 
 class TestInfer:
