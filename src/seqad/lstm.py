@@ -41,8 +41,7 @@ only GEMM is the W_h product for the hidden-state gradient of the step
 before (none at t = 0, whose previous state is the zero start), transposes
 those gradients to (4H, T*B) in the gate buffer, which the loop no
 longer needs, and then takes the weight gradient, straight into the
-caller's array when one is given, and the input gradient as one GEMM
-each.
+caller's array, and the input gradient as one GEMM each.
 """
 
 from __future__ import annotations
@@ -145,25 +144,10 @@ def _check_inputs(params: LstmLayerParams, inputs) -> np.ndarray:
     return inputs
 
 
-def _project_inputs(params: LstmLayerParams, x: np.ndarray, repeated: bool) -> np.ndarray:
+def _project_inputs(params: LstmLayerParams, x: np.ndarray) -> np.ndarray:
     """W_x x + b for every step of a feature-major (D, T, B) input, as a
-    (T, 4H, B) gate buffer.
-
-    An input `repeated` over time, the decoder's latent, is projected
-    once and copied to every step, and a one-feature input is a
-    broadcast product; both equal the stacked GEMM bit for bit.
-    """
-    t_len = x.shape[1]
-    if repeated and t_len > 1:
-        gates = np.empty((t_len, params.w.shape[0], x.shape[2]))
-        gates[...] = _project_inputs(params, x[:, :1], False)
-        return gates
-    w_x = params.w[:, params.hidden_size :]
-    if x.shape[0] == 1:
-        # order="C" keeps each step's (4H, B) block contiguous whatever x's strides
-        gates = np.multiply(w_x, x.transpose(1, 0, 2), order="C")
-    else:
-        gates = np.matmul(w_x, x.transpose(1, 0, 2))
+    (T, 4H, B) gate buffer."""
+    gates = np.matmul(params.w[:, params.hidden_size :], x.transpose(1, 0, 2))
     gates += params.b[:, None]
     return gates
 
@@ -210,9 +194,7 @@ def lstm_forward(
     zbuf[:h, 0] = 0.0
     cbuf = np.empty((t_len + 1, h, b))
     cbuf[0] = 0.0
-    # a time stride of 0 marks an input repeated over time; the projection
-    # reads the copy in zbuf, since the GEMM's last bits follow its operand layout
-    gates = _project_inputs(params, zbuf[h:, :t_len], inputs.strides[0] == 0)
+    gates = _project_inputs(params, zbuf[h:, :t_len])
     tanh_c = np.empty((t_len, h, b))
 
     w_h = params.w[:, :h]
@@ -229,20 +211,18 @@ def lstm_backward(
     params: LstmLayerParams,
     cache: LstmCache,
     grad_outputs: np.ndarray,
-    out: LstmLayerParams | None = None,
-) -> tuple[LstmLayerParams, np.ndarray]:
+    out: LstmLayerParams,
+) -> np.ndarray:
     """Exact gradients through an unrolled pass, weights shared across steps.
 
     `grad_outputs` must be shaped like the forward pass's outputs:
     (T, batch, hidden) for a return-sequences pass, or (batch, hidden)
     for a final-state-only pass (a gradient on step T-1 only).
 
-    Returns (param_grads, d_inputs) where param_grads is an
-    LstmLayerParams holding the accumulated gradients and d_inputs is
-    (T, batch, input). The weight and bias gradients are written into
-    `out` when it is given, typically views of one flat gradient vector,
-    and into new arrays otherwise; `out` is then what comes back. The
-    zero initial state takes no gradient. The cache's gate buffer is
+    The weight and bias gradients, accumulated over the steps, overwrite
+    `out`, arrays shaped like the layer's and typically views of one flat
+    gradient vector. Returns d_inputs, (T, batch, input). The zero
+    initial state takes no gradient. The cache's gate buffer is
     overwritten.
     """
     t_len = len(cache)
@@ -252,9 +232,7 @@ def lstm_backward(
     b = cache.z.shape[2]
     if cache.z.shape != (h + d, t_len + 1, b):
         raise ShapeError(f"cache shape {cache.z.shape} does not match ({h + d}, T+1, batch)")
-    if out is None:
-        out = LstmLayerParams.zeros(h, d)
-    elif out.w.shape != params.w.shape or out.b.shape != params.b.shape:
+    if out.w.shape != params.w.shape or out.b.shape != params.b.shape:
         raise ShapeError(f"gradient arrays {out.w.shape}, {out.b.shape} do not match the layer's")
 
     grad_outputs = np.asarray(grad_outputs, dtype=np.float64)
@@ -313,8 +291,7 @@ def lstm_backward(
     del a, d4, d_g, d_gates
     np.matmul(d_flat, cache.z[:, :t_len].reshape(h + d, t_len * b).T, out=out.w)
     np.sum(d_flat, axis=1, out=out.b)
-    d_inputs = (params.w[:, h:].T @ d_flat).reshape(d, t_len, b).transpose(1, 2, 0)
-    return out, d_inputs
+    return (params.w[:, h:].T @ d_flat).reshape(d, t_len, b).transpose(1, 2, 0)
 
 
 def lstm_infer(
@@ -330,7 +307,7 @@ def lstm_infer(
     inputs = _check_inputs(params, inputs)
     t_len, b, _ = inputs.shape
     h = params.hidden_size
-    gates = _project_inputs(params, inputs.transpose(2, 0, 1), inputs.strides[0] == 0)
+    gates = _project_inputs(params, inputs.transpose(2, 0, 1))
     outputs = np.empty((h, t_len, b)) if return_sequences else None
 
     w_h = params.w[:, :h]

@@ -12,7 +12,6 @@ pass given a dropout stream.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import math
@@ -95,7 +94,7 @@ class SeqAutoencoderModel:
     in `params()` order: each layer's w and b and the head's arrays are
     views into it, so writing through either changes both, and training
     updates the whole model as one array. Build one with build_model or
-    load_model, which keep that aliasing."""
+    load_model, which keep that aliasing; a deep copy does not."""
 
     vector: np.ndarray
     encoder: list[LstmLayerParams]
@@ -116,13 +115,6 @@ class SeqAutoencoderModel:
         out.append(self.head_w)
         out.append(self.head_b)
         return out
-
-    def __deepcopy__(self, memo) -> "SeqAutoencoderModel":
-        header = {k: getattr(self, k) for k in _HEADER_FIELDS}
-        return _assemble(self.params(), **copy.deepcopy(header, memo))
-
-
-_HEADER_FIELDS = ("timesteps", "features", "dropout_rate", "arch", "init_seed", "threshold")
 
 
 def _unpack(vector: np.ndarray, shapes: list[tuple]):
@@ -323,7 +315,7 @@ def _backward_batch(
     d_seq = d_seq.transpose(1, 2, 0)
 
     for layer, out in zip(reversed(model.decoder), reversed(layers[n_enc:])):
-        _, d_seq = lstm_backward(layer, cache["dec_caches"].pop(), d_seq, out=out)
+        d_seq = lstm_backward(layer, cache["dec_caches"].pop(), d_seq, out)
 
     d_latent = d_seq.sum(axis=0)
     if cache["latent_mask"] is not None:
@@ -331,7 +323,7 @@ def _backward_batch(
 
     grad_out = d_latent  # final-state-only gradient for the last encoder layer
     for layer, out in zip(reversed(model.encoder), reversed(layers[:n_enc])):
-        _, grad_out = lstm_backward(layer, cache["enc_caches"].pop(), grad_out, out=out)
+        grad_out = lstm_backward(layer, cache["enc_caches"].pop(), grad_out, out)
 
 
 def reconstruct_windows(

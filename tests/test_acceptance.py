@@ -106,7 +106,8 @@ def _lstm_gradcheck(seed):
         return float((out * proj).sum())
 
     _, caches = lstm_forward(params, x, return_sequences=True)
-    grads, d_in = lstm_backward(params, caches, proj)
+    grads = LstmLayerParams.zeros(hidden, input_size)
+    d_in = lstm_backward(params, caches, proj, grads)
     worst = worst_relative_error(loss, params.arrays(), grads.arrays())
     worst = max(worst, worst_relative_error(loss, [x], [d_in]))
     return worst, grads

@@ -7,14 +7,7 @@ from gradcheck import REL_TOL, worst_relative_error
 from lstm_reference import reference_backward, reference_forward, reference_step, split_gates
 from seqad.core_math import Rng
 from seqad.errors import EmptyInputError, ShapeError
-from seqad.lstm import (
-    LstmLayerParams,
-    _project_inputs,
-    _step,
-    lstm_backward,
-    lstm_forward,
-    lstm_infer,
-)
+from seqad.lstm import LstmLayerParams, _step, lstm_backward, lstm_forward, lstm_infer
 
 
 def random_params(hidden, input_size, seed, bias_scale=0.1):
@@ -171,38 +164,6 @@ class TestTracerContract:
         assert np.array_equal(cache[2].z[:, h:], x[2])
 
 
-class TestInputProjection:
-    """The special cases equal the stacked GEMM bit for bit and give
-    contiguous (4H, B) step blocks."""
-
-    @staticmethod
-    def stacked(params, x):
-        gates = np.matmul(params.w[:, params.hidden_size :], x.transpose(1, 0, 2))
-        gates += params.b[:, None]
-        return gates
-
-    @pytest.mark.parametrize("d", [1, 3])
-    def test_windows_chunk(self, d):
-        # a chunk of windows as reconstruction reads it: (D, T, B) with
-        # T the innermost stride
-        params = random_params(8, d, 61)
-        series = Rng(62).normal(0, 1, (40, d))
-        windows = np.lib.stride_tricks.sliding_window_view(series, (7, d))[:, 0]
-        x = np.ascontiguousarray(windows).transpose(2, 1, 0)
-        gates = _project_inputs(params, x, False)
-        assert np.array_equal(gates, self.stacked(params, x))
-        assert gates.flags.c_contiguous
-
-    @pytest.mark.parametrize("b", [3, 20, 64])
-    def test_repeated_input_is_projected_once(self, b):
-        params = random_params(8, 5, 65)
-        latent = Rng(66).normal(0, 1, (b, 5))
-        x = np.broadcast_to(latent, (7, b, 5)).transpose(2, 0, 1)
-        gates = _project_inputs(params, x, True)
-        assert np.array_equal(gates, self.stacked(params, x))
-        assert gates.flags.c_contiguous
-
-
 class TestInfer:
     """The forward-only pass against the training forward, to 1e-12."""
 
@@ -249,7 +210,8 @@ class TestAgainstReference:
         # the layer is time-major, the oracle batch-first
         out, caches = lstm_forward(params, x.transpose(1, 0, 2), return_sequences=return_sequences)
         grad_out = seq_grads.transpose(1, 0, 2) if return_sequences else seq_grads[:, -1, :]
-        grads, d_in = lstm_backward(params, caches, grad_out)
+        grads = LstmLayerParams.zeros(hidden, d)
+        d_in = lstm_backward(params, caches, grad_out, grads)
         if return_sequences:
             out = out.transpose(1, 0, 2)
         d_in = d_in.transpose(1, 0, 2)
@@ -284,7 +246,8 @@ class TestBackward:
         params = random_params(3, 2, seed=10)
         x = Rng(11).normal(0, 1, (4, 2, 2))
         _, caches = lstm_forward(params, x, return_sequences=True)
-        grads, d_in = lstm_backward(params, caches, np.zeros((4, 2, 3)))
+        grads = LstmLayerParams(w=np.ones_like(params.w), b=np.ones_like(params.b))
+        d_in = lstm_backward(params, caches, np.zeros((4, 2, 3)), grads)
         for g in grads.arrays():
             assert np.all(g == 0.0)
         assert np.all(d_in == 0.0)
@@ -301,7 +264,8 @@ class TestBackward:
             return float((out * proj).sum())
 
         _, caches = lstm_forward(params, x, return_sequences=True)
-        grads, _ = lstm_backward(params, caches, proj)
+        grads = LstmLayerParams.zeros(1, 1)
+        lstm_backward(params, caches, proj, grads)
         assert worst_relative_error(loss, params.arrays(), grads.arrays()) < REL_TOL
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -316,7 +280,7 @@ class TestBackward:
             return float((out * proj).sum())
 
         _, caches = lstm_forward(params, x, return_sequences=True)
-        _, d_in = lstm_backward(params, caches, proj)
+        d_in = lstm_backward(params, caches, proj, LstmLayerParams.zeros(2, 2))
         assert worst_relative_error(loss, [x], [d_in]) < REL_TOL
 
     def test_last_only_gradients_match_finite_differences(self):
@@ -330,14 +294,18 @@ class TestBackward:
             return float((out * proj).sum())
 
         _, caches = lstm_forward(params, x, return_sequences=False)
-        grads, _ = lstm_backward(params, caches, proj)
+        grads = LstmLayerParams.zeros(3, 1)
+        lstm_backward(params, caches, proj, grads)
         assert worst_relative_error(loss, params.arrays(), grads.arrays()) < REL_TOL
 
     def test_grad_shape_mismatch_rejected(self):
         params = random_params(3, 2, seed=12)
         x = Rng(13).normal(0, 1, (4, 2, 2))
         _, caches = lstm_forward(params, x, return_sequences=True)
+        grads = LstmLayerParams.zeros(3, 2)
         with pytest.raises(ShapeError):
-            lstm_backward(params, caches, np.zeros((5, 2, 3)))
+            lstm_backward(params, caches, np.zeros((5, 2, 3)), grads)
         with pytest.raises(ShapeError):
-            lstm_backward(params, caches, np.zeros((3, 3)))
+            lstm_backward(params, caches, np.zeros((3, 3)), grads)
+        with pytest.raises(ShapeError):
+            lstm_backward(params, caches, np.zeros((4, 2, 3)), LstmLayerParams.zeros(3, 1))

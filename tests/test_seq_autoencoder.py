@@ -212,13 +212,6 @@ class TestParameterVector:
             model.vector[:] = -1.0
             assert all((p == -1.0).all() for p in model.params())
 
-    def test_deep_copy_owns_its_vector(self):
-        model = sa.build_model("1x3", timesteps=4, seed=27)
-        twin = copy.deepcopy(model)
-        assert models_equal(model, twin)
-        twin.head_b[0] += 1.0
-        assert twin.vector[-1] == twin.head_b[0] != model.head_b[0]
-
 
 class TestGradients:
     @pytest.mark.parametrize("seed", [0, 1])
