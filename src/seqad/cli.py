@@ -28,6 +28,8 @@ import os
 import sys
 from dataclasses import asdict
 
+import numpy as np
+
 from . import detector, metrics, pipeline, seq_autoencoder, windowing
 from .errors import ConfigError, DataError, ToolkitError
 
@@ -182,10 +184,17 @@ def _parse_int_list(text: str, key: str):
 
 
 def _read_workspace_series(cfg: RunConfig, name: str) -> pipeline.TimeSeries:
+    """A series `preprocess` wrote. It writes no NaN, which `read_series_csv`
+    accepts for raw input, so a NaN timestamp or value is a data error."""
     path = os.path.join(cfg.out, name)
     if not os.path.exists(path):
         raise DataError(f"{path} not found; run the earlier pipeline stages first")
-    return pipeline.read_series_csv(path)
+    series = pipeline.read_series_csv(path)
+    for what, column in (("timestamp", series.timestamps), ("value", series.values)):
+        bad = np.flatnonzero(np.isnan(column))
+        if bad.size:
+            raise DataError(f"{path} data row {bad[0] + 1} has a NaN {what}; rerun preprocess")
+    return series
 
 
 def _read_scaler(cfg: RunConfig) -> pipeline.ScalerParams:
@@ -193,8 +202,11 @@ def _read_scaler(cfg: RunConfig) -> pipeline.ScalerParams:
     try:
         with pipeline.open_text(path, DataError, "; run preprocess first") as fh:
             doc = json.load(fh)
-        scaler = pipeline.ScalerParams(mean=float(doc["mean"]), std=float(doc["std"]))
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        scaler = pipeline.ScalerParams(
+            mean=pipeline.json_number(doc, "mean", float, DataError, path),
+            std=pipeline.json_number(doc, "std", float, DataError, path),
+        )
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed scaler file {path}: {exc}")
     if not (math.isfinite(scaler.mean) and math.isfinite(scaler.std) and scaler.std > 0):
         raise DataError(f"scaler file {path} has unusable parameters: {doc}")

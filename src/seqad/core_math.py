@@ -8,7 +8,7 @@ row-major numpy arrays; vectors are 1-D arrays.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,66 +77,54 @@ ADAM_BLOCK = 16_384
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators, one per parameter array, and the
-    scratch `adam_step` computes in: two rows of at most ADAM_BLOCK
-    float64, made on the first step, so a step allocates nothing the
-    size of the parameters."""
+    """First and second moment accumulators for one parameter vector, and
+    the scratch `adam_step` computes in: two rows of at most ADAM_BLOCK
+    float64, so a step allocates nothing the size of the parameters."""
 
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
+    m: np.ndarray
+    v: np.ndarray
+    scratch: np.ndarray
     step: int = 0
-    scratch: np.ndarray = field(default_factory=lambda: np.empty((2, 0)))
 
     @classmethod
-    def for_params(cls, params) -> "AdamState":
-        return cls(m=[np.zeros_like(p) for p in params], v=[np.zeros_like(p) for p in params])
+    def for_vector(cls, p: np.ndarray) -> "AdamState":
+        return cls(np.zeros_like(p), np.zeros_like(p), np.empty((2, min(ADAM_BLOCK, p.size))))
 
 
-def adam_step(params, grads, state: AdamState, lr: float) -> None:
-    """One Adam update with bias correction; mutates params and state in
-    place. The caller owns the single-writer discipline; nothing here
-    locks.
+def adam_step(p: np.ndarray, g: np.ndarray, state: AdamState, lr: float) -> None:
+    """One Adam update with bias correction of the 1-D parameter vector
+    `p` by its gradient `g`; mutates p and state in place. The caller
+    owns the single-writer discipline; nothing here locks.
 
-    Each array is updated block by block in the state's scratch, with
+    The vector is updated block by block in the state's scratch, with
     the operations in the order of the textbook update
 
         m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
         p -= lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
 
-    so the result is bit-identical to it. Parameters and gradients must
-    be C-contiguous, since the blocks are views of them.
+    so the result is bit-identical to it. A block of a 1-D array is a
+    view, so the update writes straight into `p`.
     """
-    if len(params) != len(grads) or len(params) != len(state.m):
+    if p.ndim != 1 or g.shape != p.shape or state.m.shape != p.shape:
         raise ShapeError(
-            f"parameter/gradient/state count mismatch: "
-            f"{len(params)}/{len(grads)}/{len(state.m)}"
+            f"need one 1-D shape: parameter {p.shape}, gradient {g.shape}, moments {state.m.shape}"
         )
-    for p, g in zip(params, grads):
-        if p.shape != g.shape:
-            raise ShapeError(f"gradient shape {g.shape} does not match parameter {p.shape}")
-        if not (p.flags.c_contiguous and g.flags.c_contiguous):
-            raise ShapeError("parameters and gradients must be C-contiguous arrays")
-    width = min(ADAM_BLOCK, max((p.size for p in params), default=0))
-    if state.scratch.shape[1] < width:
-        state.scratch = np.empty((2, width))
     state.step += 1
     t = state.step
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1, c2 = 1.0 - b1**t, 1.0 - b2**t
-    for arrays in zip(params, grads, state.m, state.v):
-        p, g, m, v = (a.reshape(-1) for a in arrays)
-        for lo in range(0, p.size, ADAM_BLOCK):
-            block = slice(lo, lo + ADAM_BLOCK)
-            bp, bg, bm, bv = p[block], g[block], m[block], v[block]
-            s, u = state.scratch[:, : bp.size]
-            bm *= b1
-            bm += np.multiply(bg, 1.0 - b1, out=s)
-            bv *= b2
-            np.multiply(bg, 1.0 - b2, out=s)
-            bv += np.multiply(s, bg, out=s)
-            np.divide(bm, c1, out=s)  # m_hat
-            np.divide(bv, c2, out=u)  # v_hat
-            np.sqrt(u, out=u)
-            u += ADAM_EPS
-            s *= lr
-            bp -= np.divide(s, u, out=s)
+    for lo in range(0, p.size, ADAM_BLOCK):
+        block = slice(lo, lo + ADAM_BLOCK)
+        bp, bg, bm, bv = p[block], g[block], state.m[block], state.v[block]
+        s, u = state.scratch[:, : bp.size]
+        bm *= b1
+        bm += np.multiply(bg, 1.0 - b1, out=s)
+        bv *= b2
+        np.multiply(bg, 1.0 - b2, out=s)
+        bv += np.multiply(s, bg, out=s)
+        np.divide(bm, c1, out=s)  # m_hat
+        np.divide(bv, c2, out=u)  # v_hat
+        np.sqrt(u, out=u)
+        u += ADAM_EPS
+        s *= lr
+        bp -= np.divide(s, u, out=s)

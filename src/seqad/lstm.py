@@ -22,9 +22,9 @@ on (4H, B) gates and (H, B) states, so the sigmoid block a[:3H], each
 gate a[kH:(k+1)H] and every cell operand is one contiguous run. The
 pre-activations of all steps are a (T, 4H, B) buffer, [h, x] is kept as
 (H+D, T+1, B) and the cell state and tanh(c) as (T+1, H, B) and
-(T, H, B). The outputs a pass returns are transposed views of its
-(H, T, B) hidden rows, so the next layer reads them back feature-major
-and layers chain without copying a transpose.
+(T, H, B). Every pass returns the outputs of all T steps, a transposed
+view of its (H, T, B) hidden rows, so the next layer reads them back
+feature-major and layers chain without copying a transpose.
 
 The input projection W_x x + b does not depend on the recurrence, so it
 runs for all T steps before the loop, straight into the gate buffer;
@@ -33,7 +33,7 @@ all 4H rows with one tanh call, since sigmoid(x) = (1 + tanh(x / 2)) / 2.
 `lstm_forward`, the training pass, and `lstm_infer`, the forward-only
 pass, share that step body: the training pass writes every step's
 state into the buffers backpropagation reads, the forward-only pass
-carries h and c as (H, B) state and writes only the hidden outputs.
+carries c as (H, B) state and reads each h back from its outputs.
 
 The backward pass computes every gate's local derivative for all steps
 at once, fills a (T, 4H, B) buffer of gate gradients in a loop whose
@@ -92,13 +92,6 @@ class LstmLayerParams:
         cols = hidden_size + input_size
         w_f, w_i, w_g, w_o = (glorot_init(hidden_size, cols, rng) for _ in range(4))
         return cls(w=np.concatenate([w_f, w_i, w_o, w_g]), b=np.zeros(4 * hidden_size))
-
-    @classmethod
-    def zeros(cls, hidden_size: int, input_size: int) -> "LstmLayerParams":
-        return cls(
-            w=np.zeros((4 * hidden_size, hidden_size + input_size)),
-            b=np.zeros(4 * hidden_size),
-        )
 
 
 @dataclass
@@ -175,15 +168,13 @@ def _step(w_h, a, h_prev, c_prev, c, tc, h, work) -> None:
     np.multiply(a[2 * n : s], tc, out=h)
 
 
-def lstm_forward(
-    params: LstmLayerParams, inputs: np.ndarray, return_sequences: bool = True
-) -> tuple[np.ndarray, LstmCache]:
+def lstm_forward(params: LstmLayerParams, inputs: np.ndarray) -> tuple[np.ndarray, LstmCache]:
     """Unroll the cell from zero state over a time-major (T, batch, input)
     array.
 
-    Returns (outputs, cache) where outputs is (T, batch, hidden) when
-    `return_sequences` is set, else just the final hidden state
-    (batch, hidden). Outputs are views into the cache's buffers.
+    Returns (outputs, cache): the hidden outputs (T, batch, hidden) of
+    every step, a view into the cache's buffers, and the buffers the
+    backward pass reads.
     """
     inputs = _check_inputs(params, inputs)
     t_len, b, d = inputs.shape
@@ -202,9 +193,7 @@ def lstm_forward(
     for t in range(t_len):
         _step(w_h, gates[t], zbuf[:h, t], cbuf[t], cbuf[t + 1], tanh_c[t], zbuf[:h, t + 1], work)
     cache = LstmCache(z=zbuf, gates=gates, c=cbuf, tanh_c=tanh_c)
-    if return_sequences:
-        return zbuf[:h, 1:].transpose(1, 2, 0), cache
-    return zbuf[:h, t_len].T, cache
+    return zbuf[:h, 1:].transpose(1, 2, 0), cache
 
 
 def lstm_backward(
@@ -215,9 +204,9 @@ def lstm_backward(
 ) -> np.ndarray:
     """Exact gradients through an unrolled pass, weights shared across steps.
 
-    `grad_outputs` must be shaped like the forward pass's outputs:
-    (T, batch, hidden) for a return-sequences pass, or (batch, hidden)
-    for a final-state-only pass (a gradient on step T-1 only).
+    `grad_outputs` is the gradient of the forward pass's outputs,
+    (T, batch, hidden); a loss on the final state alone puts its
+    gradient on step T-1 and zeros elsewhere.
 
     The weight and bias gradients, accumulated over the steps, overwrite
     `out`, arrays shaped like the layer's and typically views of one flat
@@ -236,17 +225,12 @@ def lstm_backward(
         raise ShapeError(f"gradient arrays {out.w.shape}, {out.b.shape} do not match the layer's")
 
     grad_outputs = np.asarray(grad_outputs, dtype=np.float64)
-    dh = np.zeros((h, b))
-    if grad_outputs.shape == (t_len, b, h):
-        seq_grads = grad_outputs.transpose(2, 0, 1)
-    elif grad_outputs.shape == (b, h):
-        seq_grads = None
-        dh[...] = grad_outputs.T
-    else:
+    if grad_outputs.shape != (t_len, b, h):
         raise ShapeError(
-            f"grad_outputs shape {grad_outputs.shape} matches neither "
-            f"(T={t_len}, batch={b}, hidden={h}) nor (batch={b}, hidden={h})"
+            f"grad_outputs shape {grad_outputs.shape} does not match "
+            f"(T={t_len}, batch={b}, hidden={h})"
         )
+    seq_grads = grad_outputs.transpose(2, 0, 1)
 
     # Everything that does not depend on the recurrence, for all steps at
     # once and in place, on a (T, gate, H, B) view with gates f, i, o, g:
@@ -271,11 +255,11 @@ def lstm_backward(
     # dh and dc carry the gradients of step t's outputs into the loop and
     # leave with those of step t-1's; step 0 passes none on
     w_h_t = params.w[:, :h].T
+    dh = np.zeros((h, b))
     dc = np.zeros((h, b))
     work = np.empty((h, b))
     for t in range(t_len - 1, -1, -1):
-        if seq_grads is not None:
-            dh += seq_grads[:, t]
+        dh += seq_grads[:, t]
         dc += np.multiply(dh, dc_per_dh[t], out=work)
         d4[t, :2] *= dc
         d4[t, 2] *= dh
@@ -294,29 +278,23 @@ def lstm_backward(
     return (params.w[:, h:].T @ d_flat).reshape(d, t_len, b).transpose(1, 2, 0)
 
 
-def lstm_infer(
-    params: LstmLayerParams, inputs: np.ndarray, return_sequences: bool = True
-) -> np.ndarray:
+def lstm_infer(params: LstmLayerParams, inputs: np.ndarray) -> np.ndarray:
     """Forward-only pass over a time-major (T, batch, input) array.
 
     Starts from zero state and keeps no cache. Returns the hidden
-    outputs (T, batch, hidden) when `return_sequences` is set, else the
-    final hidden state (batch, hidden). Equals `lstm_forward` to
-    rounding.
+    outputs (T, batch, hidden), equal to `lstm_forward`'s to rounding.
     """
     inputs = _check_inputs(params, inputs)
     t_len, b, _ = inputs.shape
     h = params.hidden_size
     gates = _project_inputs(params, inputs.transpose(2, 0, 1))
-    outputs = np.empty((h, t_len, b)) if return_sequences else None
+    outputs = np.empty((h, t_len, b))
 
     w_h = params.w[:, :h]
     work = np.empty((4 * h, b))
     c = np.zeros((h, b))
     h_prev = np.zeros((h, b))
     for t in range(t_len):
-        # h_prev is last read by the step's GEMM, so it can take the new state
-        h_t = outputs[:, t] if return_sequences else h_prev
-        _step(w_h, gates[t], h_prev, c, c, work[:h], h_t, work)
-        h_prev = h_t
-    return outputs.transpose(1, 2, 0) if return_sequences else h_prev.T
+        _step(w_h, gates[t], h_prev, c, c, work[:h], outputs[:, t], work)
+        h_prev = outputs[:, t]
+    return outputs.transpose(1, 2, 0)

@@ -139,6 +139,17 @@ def write_json(path: str, doc: dict) -> None:
         fh.write("\n")
 
 
+def json_number(doc: dict, key: str, kind: type, error: type[Exception], where: str):
+    """`doc[key]` as `kind`: int takes a JSON integer, float any JSON
+    number. A bool, string or other value raises `error` naming `where`
+    and the key; a missing key raises KeyError."""
+    value = doc[key]
+    if not (type(value) is int or (kind is float and type(value) is float)):
+        wanted = "an integer" if kind is int else "a number"
+        raise error(f"{where}: {key!r} must be {wanted}, got {value!r}")
+    return kind(value)
+
+
 def read_series_csv(path: str) -> TimeSeries:
     """Read a raw series; tolerates NaN markers, rejects garbage fields.
 

@@ -2,12 +2,12 @@
 once per timestep, LSTM decoder returning sequences, and a shared linear
 head applied at every timestep.
 
-Multi-layer variants stack encoder LSTMs (sequences between layers, last
-layer emits only its final hidden state) and mirror the unit counts in
-reverse order on the decoder side. Exactly two dropout sites exist:
-the latent vector and the decoder's output sequence, both at the
-model's `dropout_rate` with inverted scaling, and only in a training
-pass given a dropout stream.
+Multi-layer variants stack encoder LSTMs, each reading the sequence of
+the one before, the latent being the last one's final hidden state, and
+mirror the unit counts in reverse order on the decoder side. Exactly
+two dropout sites exist: the latent vector and the decoder's output
+sequence, both at the model's `dropout_rate` with inverted scaling, and
+only in a training pass given a dropout stream.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .errors import (
     TrainingDivergedError,
 )
 from .lstm import LstmLayerParams, lstm_backward, lstm_forward, lstm_infer
+from .pipeline import json_number
 from .windowing import WindowSet
 
 __all__ = [
@@ -229,9 +230,10 @@ def _forward_batch(model: SeqAutoencoderModel, batch: np.ndarray, rng: Rng | Non
     """Run a (B, T, m) batch through the full autoencoder, keeping what
     backpropagation needs: the training pass.
 
-    Dropout applies at the model's `dropout_rate`, with masks drawn from
-    `rng`, exactly when an `rng` is given. Returns (reconstruction,
-    cache); the reconstruction is (B, T, m) and the cache is only
+    The latent is step T-1 of the last encoder layer's outputs. Dropout
+    applies at the model's `dropout_rate`, with masks drawn from `rng`,
+    exactly when an `rng` is given. Returns (reconstruction, cache);
+    the reconstruction is (B, T, m) and the cache is only
     meaningful for one subsequent _backward_batch call. Inference
     without a backward pass goes through reconstruct_windows, which
     keeps no cache.
@@ -247,11 +249,10 @@ def _forward_batch(model: SeqAutoencoderModel, batch: np.ndarray, rng: Rng | Non
 
     seq = batch.transpose(1, 0, 2)
     enc_caches = []
-    for layer in model.encoder[:-1]:
-        seq, layer_cache = lstm_forward(layer, seq, return_sequences=True)
+    for layer in model.encoder:
+        seq, layer_cache = lstm_forward(layer, seq)
         enc_caches.append(layer_cache)
-    latent, layer_cache = lstm_forward(model.encoder[-1], seq, return_sequences=False)
-    enc_caches.append(layer_cache)
+    latent = seq[-1]
 
     latent_mask = _dropout_mask(latent.shape, rate, rng) if use_dropout else None
     latent_dropped = latent * latent_mask if use_dropout else latent
@@ -259,7 +260,7 @@ def _forward_batch(model: SeqAutoencoderModel, batch: np.ndarray, rng: Rng | Non
     seq = np.broadcast_to(latent_dropped, (t_len, *latent_dropped.shape))
     dec_caches = []
     for layer in model.decoder:
-        seq, layer_cache = lstm_forward(layer, seq, return_sequences=True)
+        seq, layer_cache = lstm_forward(layer, seq)
         dec_caches.append(layer_cache)
 
     # the decoder outputs as (H, T, B), how its buffers hold them; the
@@ -295,8 +296,9 @@ def _backward_batch(
     `grad` is a float64 vector laid out like model.vector; every entry
     is overwritten, the head's by GEMMs and sums with `out=` here and
     each layer's inside lstm_backward, so nothing parameter-sized is
-    allocated. Consumes the cache: each layer's forward buffers are
-    released once its backward pass has used them.
+    allocated. The latent's gradient is step T-1 of the last encoder
+    layer's, zero elsewhere. Consumes the cache: each layer's forward
+    buffers are released once its backward pass has used them.
     """
     if grad.shape != model.vector.shape:
         raise ShapeError(f"gradient vector {grad.shape} does not match {model.vector.shape}")
@@ -317,11 +319,10 @@ def _backward_batch(
     for layer, out in zip(reversed(model.decoder), reversed(layers[n_enc:])):
         d_seq = lstm_backward(layer, cache["dec_caches"].pop(), d_seq, out)
 
-    d_latent = d_seq.sum(axis=0)
+    grad_out = np.zeros((t_len, b, model.encoder[-1].hidden_size))
+    d_seq.sum(axis=0, out=grad_out[-1])
     if cache["latent_mask"] is not None:
-        d_latent = d_latent * cache["latent_mask"]
-
-    grad_out = d_latent  # final-state-only gradient for the last encoder layer
+        grad_out[-1] *= cache["latent_mask"]
     for layer, out in zip(reversed(model.encoder), reversed(layers[:n_enc])):
         grad_out = lstm_backward(layer, cache["enc_caches"].pop(), grad_out, out)
 
@@ -344,10 +345,9 @@ def reconstruct_windows(
     out = np.empty_like(windows)
     for lo in range(0, windows.shape[0], chunk):
         seq = windows[lo : lo + chunk].transpose(1, 0, 2)
-        for layer in model.encoder[:-1]:
+        for layer in model.encoder:
             seq = lstm_infer(layer, seq)
-        latent = lstm_infer(model.encoder[-1], seq, return_sequences=False)
-        seq = np.broadcast_to(latent, (model.timesteps, *latent.shape))
+        seq = np.broadcast_to(seq[-1], seq.shape)  # the latent, once per timestep
         for layer in model.decoder:
             seq = lstm_infer(layer, seq)
         out[lo : lo + chunk] = _head(model, seq.transpose(2, 0, 1))
@@ -398,9 +398,8 @@ def train(
         return model, trace
 
     model.threshold = None  # fit on the parameters this run replaces
-    params = [model.vector]
     grad = np.empty_like(model.vector)  # every batch overwrites all of it
-    state = AdamState.for_params(params)
+    state = AdamState.for_vector(model.vector)
     shuffle_rng = Rng(cfg.seed).spawn("shuffle")
     dropout_rng = Rng(cfg.seed).spawn("dropout")
     denom = train_data.shape[0] * model.timesteps * model.features
@@ -415,7 +414,7 @@ def train(
             epoch_abs_err += float(np.abs(diff).sum())
             d_recon = np.sign(diff) / diff.size
             _backward_batch(model, cache, d_recon, grad)
-            adam_step(params, [grad], state, cfg.learning_rate)
+            adam_step(model.vector, grad, state, cfg.learning_rate)
         train_mae = epoch_abs_err / denom
         if not (np.isfinite(train_mae) and np.isfinite(model.vector).all()):
             raise TrainingDivergedError(
@@ -455,11 +454,12 @@ def _checked_array(value, shape: tuple, what: str) -> np.ndarray:
 def _threshold_from_doc(doc, path: str) -> ThresholdRecord:
     if doc is None:
         raise ModelFileError(f"model file {path} has no threshold record; retrain the model")
+    where = f"threshold record of model file {path}"
     try:
         record = ThresholdRecord(
-            value=float(doc["value"]),
-            train_points=int(doc["train_points"]),
-            window_len=int(doc["window_len"]),
+            value=json_number(doc, "value", float, ModelFileError, where),
+            train_points=json_number(doc, "train_points", int, ModelFileError, where),
+            window_len=json_number(doc, "window_len", int, ModelFileError, where),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFileError(f"bad threshold record in model file {path}: {exc}") from exc
@@ -515,6 +515,9 @@ def load_model(path: str) -> SeqAutoencoderModel:
     """Read a model saved by save_model, checking its version and threshold
     record, which comes back as the model's `threshold`, and that every
     array has the shape the header's architecture tag implies and is finite.
+    The format version, timesteps, features, init seed and the record's
+    train points and window length must be JSON integers, the dropout
+    rate and threshold value JSON numbers; a bool or string is neither.
     Raises ModelFileError naming the path for any file that fails."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -526,7 +529,7 @@ def load_model(path: str) -> SeqAutoencoderModel:
     if not isinstance(doc, dict):
         raise ModelFileError(f"malformed model file {path}: not a JSON object")
     version = doc.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
+    if type(version) is not int or version != MODEL_FORMAT_VERSION:
         raise ModelVersionError(
             f"model file {path} has format version {version!r}, "
             f"this build supports {MODEL_FORMAT_VERSION}"
@@ -534,8 +537,10 @@ def load_model(path: str) -> SeqAutoencoderModel:
     threshold = _threshold_from_doc(doc.get("threshold"), path)
     # the shapes come from the header, and no array is sized from it
     try:
-        arch, timesteps = str(doc["arch"]), int(doc["timesteps"])
-        features, dropout_rate = int(doc["features"]), float(doc["dropout_rate"])
+        arch = str(doc["arch"])
+        timesteps = json_number(doc, "timesteps", int, ModelFileError, path)
+        features = json_number(doc, "features", int, ModelFileError, path)
+        dropout_rate = json_number(doc, "dropout_rate", float, ModelFileError, path)
         sizes = _layer_sizes(arch, timesteps, features, dropout_rate)
         if threshold.window_len != timesteps:
             raise ShapeError(
@@ -560,7 +565,7 @@ def load_model(path: str) -> SeqAutoencoderModel:
             features=features,
             dropout_rate=dropout_rate,
             arch=arch,
-            init_seed=int(doc["init_seed"]),
+            init_seed=json_number(doc, "init_seed", int, ModelFileError, path),
             threshold=threshold,
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

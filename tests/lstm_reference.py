@@ -3,12 +3,23 @@
 Each gate has its own (H, H+D) weight and (H,) bias, every product is
 computed on the concatenated [h_prev, x], and backpropagation runs one
 step at a time with per-gate GEMMs. Nothing here is shared with
-seqad.lstm except the parameter layout it splits.
+seqad.lstm except the parameter layout it splits and `zero_params`
+builds.
 """
 
 import numpy as np
 
+from seqad.lstm import LstmLayerParams
+
 GATES = ("f", "i", "o", "g")  # row-block order of the fused weight
+
+
+def zero_params(hidden_size, input_size):
+    """An all-zero fused layer: gates at exactly 1/2 and candidate 0, or
+    arrays for lstm_backward to write gradients into."""
+    return LstmLayerParams(
+        w=np.zeros((4 * hidden_size, hidden_size + input_size)), b=np.zeros(4 * hidden_size)
+    )
 
 
 def split_gates(a):

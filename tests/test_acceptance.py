@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from gradcheck import worst_relative_error
+from lstm_reference import zero_params
 from seqad import cli, detector, metrics, pipeline, seq_autoencoder as sa
 from seqad.core_math import Rng
 from seqad.lstm import LstmLayerParams, lstm_backward, lstm_forward
@@ -102,11 +103,11 @@ def _lstm_gradcheck(seed):
     proj = rng.normal(0, 1, (2, t_len, hidden)).transpose(1, 0, 2)
 
     def loss():
-        out, _ = lstm_forward(params, x, return_sequences=True)
+        out, _ = lstm_forward(params, x)
         return float((out * proj).sum())
 
-    _, caches = lstm_forward(params, x, return_sequences=True)
-    grads = LstmLayerParams.zeros(hidden, input_size)
+    _, caches = lstm_forward(params, x)
+    grads = zero_params(hidden, input_size)
     d_in = lstm_backward(params, caches, proj, grads)
     worst = worst_relative_error(loss, params.arrays(), grads.arrays())
     worst = max(worst, worst_relative_error(loss, [x], [d_in]))

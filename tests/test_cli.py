@@ -310,6 +310,49 @@ class TestErrorCodes:
         assert code == cli.EXIT_DATA
         assert "line 22" in err and "non-finite" in err
 
+    @pytest.mark.parametrize(
+        "stage, name, field",
+        [
+            ("detect", "test.csv", "value"),
+            ("detect", "test.csv", "timestamp"),
+            ("train", "train.csv", "value"),
+        ],
+    )
+    def test_nan_in_workspace_series_is_data_error_naming_row(
+        self, workspace, tmp_path, capsys, stage, name, field
+    ):
+        # preprocess writes no NaN, so one in its output is a damaged file
+        out = copy_workspace(workspace, tmp_path)
+        path = os.path.join(out, name)
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        fields = lines[5].split(",")
+        fields[0 if field == "timestamp" else 1] = "nan"
+        lines[5] = ",".join(fields)
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        extra = ["--window", "6", "--epochs", "1"] if stage == "train" else []
+        code, _, err = run(capsys, stage, "--out", out, *extra)
+        assert code == cli.EXIT_DATA
+        assert path in err and "row 5" in err and f"NaN {field}" in err
+        outputs = ("model.json", "training_trace.csv") if stage == "train" else ("report.csv",)
+        for output in outputs:
+            assert not os.path.exists(os.path.join(out, output)), output
+
+    @pytest.mark.parametrize(
+        "doc", [{"mean": "450", "std": 1.0}, {"mean": True, "std": 1.0}, {"mean": 0.0, "std": "1"}]
+    )
+    def test_scaler_number_of_wrong_json_type_is_data_error_naming_key(
+        self, workspace, tmp_path, capsys, doc
+    ):
+        out = copy_workspace(workspace, tmp_path)
+        with open(os.path.join(out, "scaler.json"), "w") as fh:
+            json.dump(doc, fh)
+        code, _, err = run(capsys, "detect", "--out", out)
+        assert code == cli.EXIT_DATA
+        bad = next(key for key, value in doc.items() if type(value) is not float)
+        assert repr(bad) in err and os.path.join(out, "scaler.json") in err
+
     def test_scaler_path_that_is_a_directory_is_data_error_naming_path(
         self, workspace, tmp_path, capsys
     ):

@@ -64,49 +64,51 @@ def adam_oracle_scalar(grads, lr, beta1=0.9, beta2=0.999, eps=1e-8, w0=0.0):
 
 class TestAdam:
     def test_zero_gradient_is_fixed_point(self):
-        params = [np.array([1.0, -2.0]), np.array([[3.0]])]
-        before = [p.copy() for p in params]
-        state = AdamState.for_params(params)
+        p = np.array([1.0, -2.0, 3.0])
+        before = p.copy()
+        state = AdamState.for_vector(p)
         for _ in range(5):
-            adam_step(params, [np.zeros_like(p) for p in params], state, lr=0.1)
-        for p, b in zip(params, before):
-            assert np.array_equal(p, b)
+            adam_step(p, np.zeros_like(p), state, lr=0.1)
+        assert np.array_equal(p, before)
         assert state.step == 5
 
     def test_moments_decay_toward_zero_on_zero_gradients(self):
-        params = [np.array([1.0])]
-        state = AdamState.for_params(params)
-        adam_step(params, [np.array([2.0])], state, lr=0.0)
-        m0 = abs(state.m[0][0])
+        p = np.array([1.0])
+        state = AdamState.for_vector(p)
+        adam_step(p, np.array([2.0]), state, lr=0.0)
+        m0 = abs(state.m[0])
         for _ in range(10):
-            adam_step(params, [np.zeros(1)], state, lr=0.0)
-        assert abs(state.m[0][0]) < m0
-        assert abs(state.m[0][0]) == pytest.approx(m0 * 0.9**10)
+            adam_step(p, np.zeros(1), state, lr=0.0)
+        assert abs(state.m[0]) < m0
+        assert abs(state.m[0]) == pytest.approx(m0 * 0.9**10)
 
     def test_first_step_moves_by_lr(self):
         # g=1 from fresh state: bias-corrected m_hat/sqrt(v_hat) = 1 up to eps
         lr = 0.001
-        params = [np.array([0.0])]
-        state = AdamState.for_params(params)
-        adam_step(params, [np.array([1.0])], state, lr=lr)
-        assert params[0][0] == pytest.approx(-lr, rel=1e-6)
-        assert params[0][0] == adam_oracle_scalar([1.0], lr)
+        p = np.array([0.0])
+        state = AdamState.for_vector(p)
+        adam_step(p, np.array([1.0]), state, lr=lr)
+        assert p[0] == pytest.approx(-lr, rel=1e-6)
+        assert p[0] == adam_oracle_scalar([1.0], lr)
 
     def test_hundred_steps_on_quadratic(self):
         # f(w) = w^2 from w=1, lr=0.1: well inside |w| < 0.5 after 100 steps
         lr = 0.1
-        params = [np.array([1.0])]
-        state = AdamState.for_params(params)
+        p = np.array([1.0])
+        state = AdamState.for_vector(p)
         grad_seq = []
         for _ in range(100):
-            g = 2.0 * params[0][0]
+            g = 2.0 * p[0]
             grad_seq.append(g)
-            adam_step(params, [np.array([g])], state, lr=lr)
-        assert abs(params[0][0]) < 0.5
-        assert params[0][0] == pytest.approx(adam_oracle_scalar(grad_seq, lr, w0=1.0), abs=1e-12)
+            adam_step(p, np.array([g]), state, lr=lr)
+        assert abs(p[0]) < 0.5
+        assert p[0] == pytest.approx(adam_oracle_scalar(grad_seq, lr, w0=1.0), abs=1e-12)
 
     def test_shape_mismatch_rejected(self):
-        params = [np.zeros((2, 2))]
-        state = AdamState.for_params(params)
+        p = np.zeros(4)
+        state = AdamState.for_vector(p)
         with pytest.raises(ShapeError):
-            adam_step(params, [np.zeros(3)], state, lr=0.1)
+            adam_step(p, np.zeros(3), state, lr=0.1)
+        square = np.zeros((2, 2))
+        with pytest.raises(ShapeError):  # one vector, not a matrix
+            adam_step(square, np.zeros((2, 2)), AdamState.for_vector(square), lr=0.1)

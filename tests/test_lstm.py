@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from gradcheck import REL_TOL, worst_relative_error
-from lstm_reference import reference_backward, reference_forward, reference_step, split_gates
+from lstm_reference import (
+    reference_backward,
+    reference_forward,
+    reference_step,
+    split_gates,
+    zero_params,
+)
 from seqad.core_math import Rng
 from seqad.errors import EmptyInputError, ShapeError
 from seqad.lstm import LstmLayerParams, _step, lstm_backward, lstm_forward, lstm_infer
@@ -49,7 +55,7 @@ class TestStep:
     `_step`, from zero state as lstm_forward over T=1."""
 
     def test_zero_params_forces_half_gates(self):
-        params = LstmLayerParams.zeros(3, 2)
+        params = zero_params(3, 2)
         rng = Rng(4)
         h_prev, c_prev = rng.normal(0, 0.5, (2, 3)), rng.normal(0, 2, (2, 3))
         x = rng.normal(0, 1, (2, 2))
@@ -105,7 +111,7 @@ class TestStep:
             assert np.all(np.abs(out) < 1.0)
 
     def test_size_mismatch(self):
-        params = LstmLayerParams.zeros(3, 2)
+        params = zero_params(3, 2)
         with pytest.raises(ShapeError):
             lstm_forward(params, np.zeros((1, 1, 5)))
 
@@ -114,34 +120,35 @@ class TestForward:
     def test_t1_equals_single_step(self):
         params = random_params(3, 2, seed=0)
         x = Rng(1).normal(0, 1, (1, 2, 2))
-        out, caches = lstm_forward(params, x, return_sequences=True)
+        out, caches = lstm_forward(params, x)
         h, _, _ = reference_step(params, np.zeros((2, 3)), np.zeros((2, 3)), x[0])
         assert len(caches) == 1
         assert np.max(np.abs(out[0] - h)) <= 1e-12
 
     def test_zero_params_bounds_hidden(self):
-        params = LstmLayerParams.zeros(2, 1)
+        params = zero_params(2, 1)
         x = Rng(2).normal(0, 5, (5, 3, 1))
-        out, _ = lstm_forward(params, x, return_sequences=True)
+        out, _ = lstm_forward(params, x)
         assert np.all(np.abs(out) <= 0.5)
 
     def test_purity(self):
         params = random_params(4, 2, seed=3)
         x = Rng(4).normal(0, 1, (6, 2, 2))
-        a, _ = lstm_forward(params, x, return_sequences=True)
-        b, _ = lstm_forward(params, x, return_sequences=True)
+        a, _ = lstm_forward(params, x)
+        b, _ = lstm_forward(params, x)
         assert np.array_equal(a, b)
 
-    def test_last_only_mode(self):
+    def test_final_state_is_a_view_of_the_cache(self):
+        # the autoencoder's latent is outputs[-1]: h_{T-1}, held in z[:H, T]
         params = random_params(3, 1, seed=5)
         x = Rng(6).normal(0, 1, (4, 2, 1))
-        seq, _ = lstm_forward(params, x, return_sequences=True)
-        last, _ = lstm_forward(params, x, return_sequences=False)
-        assert last.shape == (2, 3)
-        assert np.array_equal(last, seq[-1])
+        seq, cache = lstm_forward(params, x)
+        assert seq[-1].shape == (2, 3)
+        assert np.shares_memory(seq[-1], cache.z)
+        assert np.array_equal(seq[-1], cache.z[:3, 4].T)
 
     def test_empty_sequence_rejected(self):
-        params = LstmLayerParams.zeros(2, 1)
+        params = zero_params(2, 1)
         with pytest.raises(EmptyInputError):
             lstm_forward(params, np.zeros((0, 1, 1)))
 
@@ -171,22 +178,13 @@ class TestInfer:
     def test_sequences_match_training_forward(self, t_len):
         params = random_params(4, 3, seed=8)
         x = Rng(9).normal(0, 1, (t_len, 5, 3))
-        expected, _ = lstm_forward(params, x, return_sequences=True)
-        got = lstm_infer(params, x, return_sequences=True)
+        expected, _ = lstm_forward(params, x)
+        got = lstm_infer(params, x)
         assert got.shape == (t_len, 5, 4)
         assert np.max(np.abs(got - expected)) <= 1e-12
 
-    @pytest.mark.parametrize("t_len", [1, 7])
-    def test_final_state_matches_training_forward(self, t_len):
-        params = random_params(4, 3, seed=10)
-        x = Rng(11).normal(0, 1, (t_len, 5, 3))
-        expected, _ = lstm_forward(params, x, return_sequences=False)
-        got = lstm_infer(params, x, return_sequences=False)
-        assert got.shape == (5, 4)
-        assert np.max(np.abs(got - expected)) <= 1e-12
-
     def test_bad_shapes_rejected(self):
-        params = LstmLayerParams.zeros(2, 1)
+        params = zero_params(2, 1)
         with pytest.raises(ShapeError):
             lstm_infer(params, np.zeros((3, 1, 2)))
         with pytest.raises(EmptyInputError):
@@ -196,24 +194,23 @@ class TestInfer:
 class TestAgainstReference:
     """The fused layer against the plain four-gate oracle, to 1e-12."""
 
-    @pytest.mark.parametrize("return_sequences", [True, False])
-    def test_forward_and_backward_match(self, return_sequences):
+    @pytest.mark.parametrize("every_step", [True, False])
+    def test_forward_and_backward_match(self, every_step):
+        # without every_step, a gradient on the final state alone
         b, t_len, hidden, d = 3, 5, 4, 2
         params = random_params(hidden, d, seed=40, bias_scale=0.5)
         rng = Rng(41)
         x = rng.normal(0, 1, (b, t_len, d))
         h0, c0 = np.zeros((b, hidden)), np.zeros((b, hidden))
         seq_grads = rng.normal(0, 1, (b, t_len, hidden))
-        if not return_sequences:
+        if not every_step:
             seq_grads[:, :-1, :] = 0.0
 
         # the layer is time-major, the oracle batch-first
-        out, caches = lstm_forward(params, x.transpose(1, 0, 2), return_sequences=return_sequences)
-        grad_out = seq_grads.transpose(1, 0, 2) if return_sequences else seq_grads[:, -1, :]
-        grads = LstmLayerParams.zeros(hidden, d)
-        d_in = lstm_backward(params, caches, grad_out, grads)
-        if return_sequences:
-            out = out.transpose(1, 0, 2)
+        out, caches = lstm_forward(params, x.transpose(1, 0, 2))
+        grads = zero_params(hidden, d)
+        d_in = lstm_backward(params, caches, seq_grads.transpose(1, 0, 2), grads)
+        out = out.transpose(1, 0, 2)
         d_in = d_in.transpose(1, 0, 2)
 
         ref_out, ref_caches = reference_forward(params, x, h0, c0)
@@ -222,7 +219,7 @@ class TestAgainstReference:
         def close(a, b):
             return np.shape(a) == np.shape(b) and np.max(np.abs(a - b)) <= 1e-12
 
-        assert close(out, ref_out if return_sequences else ref_out[:, -1, :])
+        assert close(out, ref_out)
         assert close(d_in, ref_din)
         dw, db = split_gates(grads.w), split_gates(grads.b)
         for gate in ("f", "i", "o", "g"):
@@ -245,7 +242,7 @@ class TestBackward:
     def test_zero_grad_outputs_give_zero_gradients(self):
         params = random_params(3, 2, seed=10)
         x = Rng(11).normal(0, 1, (4, 2, 2))
-        _, caches = lstm_forward(params, x, return_sequences=True)
+        _, caches = lstm_forward(params, x)
         grads = LstmLayerParams(w=np.ones_like(params.w), b=np.ones_like(params.b))
         d_in = lstm_backward(params, caches, np.zeros((4, 2, 3)), grads)
         for g in grads.arrays():
@@ -260,11 +257,11 @@ class TestBackward:
         proj = rng.normal(0, 1, (2, 1, 1))
 
         def loss():
-            out, _ = lstm_forward(params, x, return_sequences=True)
+            out, _ = lstm_forward(params, x)
             return float((out * proj).sum())
 
-        _, caches = lstm_forward(params, x, return_sequences=True)
-        grads = LstmLayerParams.zeros(1, 1)
+        _, caches = lstm_forward(params, x)
+        grads = zero_params(1, 1)
         lstm_backward(params, caches, proj, grads)
         assert worst_relative_error(loss, params.arrays(), grads.arrays()) < REL_TOL
 
@@ -276,36 +273,41 @@ class TestBackward:
         proj = rng.normal(0, 1, (3, 1, 2))
 
         def loss():
-            out, _ = lstm_forward(params, x, return_sequences=True)
+            out, _ = lstm_forward(params, x)
             return float((out * proj).sum())
 
-        _, caches = lstm_forward(params, x, return_sequences=True)
-        d_in = lstm_backward(params, caches, proj, LstmLayerParams.zeros(2, 2))
+        _, caches = lstm_forward(params, x)
+        d_in = lstm_backward(params, caches, proj, zero_params(2, 2))
         assert worst_relative_error(loss, [x], [d_in]) < REL_TOL
 
     def test_last_only_gradients_match_finite_differences(self):
+        # a loss on the final state alone: a gradient on step T-1 only
         params = random_params(3, 1, seed=9)
         rng = Rng(300)
         x = rng.normal(0, 1, (4, 2, 1))
         proj = rng.normal(0, 1, (2, 3))
 
         def loss():
-            out, _ = lstm_forward(params, x, return_sequences=False)
-            return float((out * proj).sum())
+            out, _ = lstm_forward(params, x)
+            return float((out[-1] * proj).sum())
 
-        _, caches = lstm_forward(params, x, return_sequences=False)
-        grads = LstmLayerParams.zeros(3, 1)
-        lstm_backward(params, caches, proj, grads)
+        _, caches = lstm_forward(params, x)
+        grad_out = np.zeros((4, 2, 3))
+        grad_out[-1] = proj
+        grads = zero_params(3, 1)
+        lstm_backward(params, caches, grad_out, grads)
         assert worst_relative_error(loss, params.arrays(), grads.arrays()) < REL_TOL
 
     def test_grad_shape_mismatch_rejected(self):
         params = random_params(3, 2, seed=12)
         x = Rng(13).normal(0, 1, (4, 2, 2))
-        _, caches = lstm_forward(params, x, return_sequences=True)
-        grads = LstmLayerParams.zeros(3, 2)
+        _, caches = lstm_forward(params, x)
+        grads = zero_params(3, 2)
         with pytest.raises(ShapeError):
             lstm_backward(params, caches, np.zeros((5, 2, 3)), grads)
         with pytest.raises(ShapeError):
             lstm_backward(params, caches, np.zeros((3, 3)), grads)
+        with pytest.raises(ShapeError):  # (batch, hidden): the final state alone
+            lstm_backward(params, caches, np.zeros((2, 3)), grads)
         with pytest.raises(ShapeError):
-            lstm_backward(params, caches, np.zeros((4, 2, 3)), LstmLayerParams.zeros(3, 1))
+            lstm_backward(params, caches, np.zeros((4, 2, 3)), zero_params(3, 1))

@@ -102,7 +102,7 @@ class TestForward:
         # each mask entry scales the batch-first element it was drawn for
         seq = batch.transpose(1, 0, 2)
         seq = lstm_infer(model.encoder[0], seq)
-        latent = lstm_infer(model.encoder[1], seq, return_sequences=False) * latent_mask
+        latent = lstm_infer(model.encoder[1], seq)[-1] * latent_mask
         seq = lstm_infer(model.decoder[0], np.broadcast_to(latent, (t_len, b, 4)))
         seq = lstm_infer(model.decoder[1], seq).transpose(1, 0, 2) * dec_mask
         expected = seq @ model.head_w.T + model.head_b
@@ -600,3 +600,40 @@ class TestPersistence:
             tracemalloc.stop()
         assert str(path) in str(info.value)
         assert peak < 2**20  # nothing is sized from the header's tag
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            (None, "timesteps", 5.7),
+            (None, "timesteps", 5.0),
+            (None, "features", True),
+            (None, "init_seed", "24"),
+            (None, "dropout_rate", "0.2"),
+            (None, "dropout_rate", False),
+            ("threshold", "train_points", 100.5),
+            ("threshold", "window_len", 5.0),
+            ("threshold", "value", True),
+            ("threshold", "value", "0.25"),
+        ],
+    )
+    def test_number_of_wrong_json_type_rejected_naming_key(self, tmp_path, section, key, value):
+        # each of these once loaded, truncated or converted
+        model = with_threshold(sa.build_model("1x16", timesteps=5, seed=24))
+        path = tmp_path / "model.json"
+        sa.save_model(model, str(path))
+        doc = json.loads(path.read_text())
+        (doc if section is None else doc[section])[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFileError, match=key) as info:
+            sa.load_model(str(path))
+        assert str(path) in str(info.value)
+
+    def test_float_format_version_is_version_error(self, tmp_path):
+        model = with_threshold(sa.build_model("1x16", timesteps=5, seed=24))
+        path = tmp_path / "model.json"
+        sa.save_model(model, str(path))
+        doc = json.loads(path.read_text())
+        doc["format_version"] = 3.0
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelVersionError, match=r"3\.0"):
+            sa.load_model(str(path))
