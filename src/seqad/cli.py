@@ -26,7 +26,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -38,7 +38,13 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_INTERNAL = 4
 
-# every config-file key: type, default, help
+_TRAIN = seq_autoencoder.TrainConfig
+_SYNTH = pipeline.SynthProfile
+_TRAIN_KEYS = [f.name for f in fields(_TRAIN) if f.name != "seed"]
+_SYNTH_KEYS = [f.name for f in fields(_SYNTH)]
+
+# every config-file key: type, default, help. The training keys and seed take
+# their defaults from TrainConfig, the synthesis keys but `breaks` from SynthProfile
 KEYS = {
     "input": (str, None, "input CSV path (timestamp,value[,label])"),
     "out": (str, "out", "output directory"),
@@ -46,36 +52,32 @@ KEYS = {
     "window": (int, 10, "sliding window length T"),
     "sigma_k": (float, 2.0, "sigma multiplier for the normal band"),
     "arch": (str, "1x16", "architecture tag: 1x16, 2x64-16, or 3x128-64-16"),
-    "learning_rate": (float, 0.001, "Adam learning rate"),
-    "dropout": (float, 0.2, "dropout rate during training"),
-    "batch_size": (int, 64, "training mini-batch size"),
-    "epochs": (int, 30, "training epochs"),
-    "validation_fraction": (float, 0.10, "chronological tail held out for validation"),
-    "seed": (int, 0, "master seed for init/dropout/shuffle/synth"),
+    "learning_rate": (float, _TRAIN.learning_rate, "Adam learning rate"),
+    "dropout": (float, _TRAIN.dropout, "dropout rate during training"),
+    "batch_size": (int, _TRAIN.batch_size, "training mini-batch size"),
+    "epochs": (int, _TRAIN.epochs, "training epochs"),
+    "validation_fraction": (
+        float, _TRAIN.validation_fraction, "chronological tail held out for validation"
+    ),
+    "seed": (int, _TRAIN.seed, "master seed for init/dropout/shuffle/synth"),
     "strict_nan": (bool, False, "drop NaN-valued rows instead of zeroing them"),
     "split": (str, "", "train/test split instant (ISO-8601); overrides split_fraction"),
     "split_fraction": (float, 0.75, "fraction of the series used as the training period"),
     "sweep_windows": (str, "10,20", "comma-separated window lengths for sweep"),
     "sweep_archs": (str, "1x16", "comma-separated architecture tags for sweep"),
-    "length": (int, 10_000, "synthetic series length"),
-    "start": (str, "2018-01-01T00:00:00", "synthetic series start instant"),
-    "step_minutes": (float, 1.0, "synthetic sampling interval in minutes"),
-    "baseline": (float, 450.0, "synthetic baseline level"),
-    "daily_amplitude": (float, 80.0, "synthetic daily-cycle amplitude"),
-    "period_minutes": (float, 1440.0, "synthetic cycle period in minutes"),
-    "noise_sigma": (float, 30.0, "synthetic gaussian noise sigma"),
-    "spike_rate": (float, 0.01, "per-point probability of an injected spike"),
-    "spike_magnitude": (float, 6.0, "spike height in multiples of the clean signal std"),
+    "length": (int, _SYNTH.length, "synthetic series length"),
+    "start": (str, _SYNTH.start, "synthetic series start instant"),
+    "step_minutes": (float, _SYNTH.step_minutes, "synthetic sampling interval in minutes"),
+    "baseline": (float, _SYNTH.baseline, "synthetic baseline level"),
+    "daily_amplitude": (float, _SYNTH.daily_amplitude, "synthetic daily-cycle amplitude"),
+    "period_minutes": (float, _SYNTH.period_minutes, "synthetic cycle period in minutes"),
+    "noise_sigma": (float, _SYNTH.noise_sigma, "synthetic gaussian noise sigma"),
+    "spike_rate": (float, _SYNTH.spike_rate, "per-point probability of an injected spike"),
+    "spike_magnitude": (
+        float, _SYNTH.spike_magnitude, "spike height in multiples of the clean signal std"
+    ),
     "breaks": (str, "", "flat gaps as start:end index pairs, comma separated"),
 }
-
-_TRAIN_KEYS = [
-    "learning_rate",
-    "dropout",
-    "batch_size",
-    "epochs",
-    "validation_fraction",
-]
 
 _COMMAND_KEYS = {
     "preprocess": ["input", "sigma_k", "split", "split_fraction", "strict_nan"],
@@ -83,18 +85,7 @@ _COMMAND_KEYS = {
     "detect": ["model"],
     "evaluate": [],
     "sweep": ["sweep_windows", "sweep_archs", *_TRAIN_KEYS],
-    "synth": [
-        "length",
-        "start",
-        "step_minutes",
-        "baseline",
-        "daily_amplitude",
-        "period_minutes",
-        "noise_sigma",
-        "spike_rate",
-        "spike_magnitude",
-        "breaks",
-    ],
+    "synth": list(_SYNTH_KEYS),  # a copy: the loop below extends each list in place
 }
 # out and seed apply everywhere: one knob drives determinism end to end
 for _keys in _COMMAND_KEYS.values():
@@ -248,7 +239,7 @@ def cmd_preprocess(cfg: RunConfig) -> None:
     pipeline.write_series_csv(os.path.join(cfg.out, "test.csv"), split.test)
     pipeline.write_json(os.path.join(cfg.out, "scaler.json"), {"mean": scaler.mean, "std": scaler.std})
 
-    lo, hi = split.rule.bounds
+    lo, hi = split.band
     print(f"rows read              {report.rows_in}")
     print(f"invalid rows dropped   {report.invalid_dropped}")
     if cfg.strict_nan:
@@ -257,7 +248,7 @@ def cmd_preprocess(cfg: RunConfig) -> None:
         print(f"nan values zeroed      {report.nan_values_zeroed}")
     print(f"duplicates removed     {report.duplicates_removed}")
     print(f"cleaned rows           {len(series)}")
-    print(f"normal band            [{lo:.4f}, {hi:.4f}] (k={split.rule.k})")
+    print(f"normal band            [{lo:.4f}, {hi:.4f}] (k={cfg.sigma_k})")
     print(f"train rows kept        {split.train_kept}")
     print(f"train rows dropped     {split.train_dropped}")
     print(f"test rows              {len(split.test)}")
@@ -392,18 +383,8 @@ def cmd_sweep(cfg: RunConfig) -> None:
 
 
 def cmd_synth(cfg: RunConfig) -> None:
-    profile = pipeline.SynthProfile(
-        length=cfg.length,
-        start=cfg.start,
-        step_minutes=cfg.step_minutes,
-        baseline=cfg.baseline,
-        daily_amplitude=cfg.daily_amplitude,
-        period_minutes=cfg.period_minutes,
-        noise_sigma=cfg.noise_sigma,
-        spike_rate=cfg.spike_rate,
-        spike_magnitude=cfg.spike_magnitude,
-        breaks=_parse_breaks(cfg.breaks),
-    )
+    settings = {key: getattr(cfg, key) for key in _SYNTH_KEYS}
+    profile = pipeline.SynthProfile(**{**settings, "breaks": _parse_breaks(cfg.breaks)})
     series, anomaly_indices = pipeline.generate_synthetic(profile, cfg.seed)
     os.makedirs(cfg.out, exist_ok=True)
     pipeline.write_series_csv(os.path.join(cfg.out, "synthetic.csv"), series)

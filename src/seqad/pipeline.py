@@ -1,5 +1,7 @@
-"""Data handling: the file layer, cleaning, standard scaling, sigma-band
-labeling, train/test construction, and a synthetic-series generator.
+"""Data handling: the file layer, cleaning, standard scaling, the
+train/test split with its sigma-band filter and labels, and a
+synthetic-series generator. The band's mean and population standard
+deviation come from `fit_scaler`, the function that fits the scaler.
 
 Timestamps are UTC epoch seconds held as float64 (NaN marks an invalid
 timestamp in raw, pre-clean data only). Every file but the model is read
@@ -24,7 +26,6 @@ from .errors import ConfigError, CsvParseError, DataError, DegenerateScaleError,
 __all__ = [
     "TimeSeries",
     "ScalerParams",
-    "SigmaRule",
     "CleanReport",
     "SplitResult",
     "SynthProfile",
@@ -35,8 +36,6 @@ __all__ = [
     "clean_report",
     "fit_scaler",
     "apply_scaler",
-    "fit_sigma_rule",
-    "label_by_sigma",
     "build_train_test",
     "generate_synthetic",
 ]
@@ -235,13 +234,10 @@ def clean_report(raw: TimeSeries, strict_nan: bool = False) -> CleanReport:
         nan_values_zeroed = int(nan_vals.sum())
         vals = np.where(nan_vals, 0.0, vals)
 
-    # keep the first occurrence of each timestamp in input order, then sort
+    # the index of each timestamp's first occurrence, in ascending timestamp order
     _, first_pos = np.unique(ts, return_index=True)
     duplicates_removed = ts.shape[0] - first_pos.shape[0]
-    keep = np.sort(first_pos)
-    ts, vals = ts[keep], vals[keep]
-    order = np.argsort(ts, kind="stable")
-    ts, vals = ts[order], vals[order]
+    ts, vals = ts[first_pos], vals[first_pos]
 
     if ts.shape[0] == 0:
         raise EmptyInputError("cleaning removed every record")
@@ -279,71 +275,43 @@ def apply_scaler(values: np.ndarray, scaler: ScalerParams) -> np.ndarray:
 
 
 @dataclass
-class SigmaRule:
-    """Normal band [mean - k*std, mean + k*std], boundary inclusive."""
-
-    mean: float
-    std: float
-    k: float = 2.0
-
-    def __post_init__(self):
-        if self.std <= 0:
-            raise DegenerateScaleError(f"sigma rule needs std > 0, got {self.std}")
-        if self.k < 0:
-            raise ConfigError(f"sigma multiplier must be >= 0, got {self.k}")
-
-    @property
-    def bounds(self) -> tuple[float, float]:
-        return (self.mean - self.k * self.std, self.mean + self.k * self.std)
-
-
-def fit_sigma_rule(values: np.ndarray, k: float = 2.0) -> SigmaRule:
-    values = np.asarray(values, dtype=np.float64)
-    if values.size < 2:
-        raise EmptyInputError(f"sigma rule needs at least 2 values, got {values.size}")
-    std = float(values.std())
-    if std == 0.0:
-        raise DegenerateScaleError("constant series: cannot fit a sigma band")
-    return SigmaRule(mean=float(values.mean()), std=std, k=float(k))
-
-
-def label_by_sigma(series: TimeSeries, rule: SigmaRule) -> TimeSeries:
-    """Label every point: 0 inside the band (inclusive), 1 outside."""
-    lo, hi = rule.bounds
-    inside = (series.values >= lo) & (series.values <= hi)
-    return TimeSeries(series.timestamps, series.values, np.where(inside, 0, 1))
-
-
-@dataclass
 class SplitResult:
+    """The two sides of `build_train_test` and their normal band."""
+
     train: TimeSeries  # pre-split, filtered to the normal band, unlabeled
-    test: TimeSeries  # post-split, everything kept, sigma-labeled
-    rule: SigmaRule
+    test: TimeSeries  # post-split, everything kept, labeled against the band
+    band: tuple[float, float]  # (lo, hi), boundary inclusive
     train_kept: int
     train_dropped: int
 
 
-def build_train_test(series: TimeSeries, split_instant: float, k: float = 2.0) -> SplitResult:
-    """Chronological split; the sigma rule is fit on the training period
-    only and reused to filter training points and label test points."""
+def build_train_test(series: TimeSeries, split_instant: float, k: float) -> SplitResult:
+    """Chronological split. `fit_scaler` on the whole training period gives
+    the normal band [mean - k*std, mean + k*std], which filters the training
+    points and labels the test points, 0 inside (boundary inclusive) and 1
+    outside. A negative `k` raises ConfigError, after the fit."""
     before = series.timestamps < split_instant
     after = ~before
     if not before.any() or not after.any():
         raise EmptyInputError("split instant leaves an empty train or test side")
-    train_side = series.slice(before)
-    test_side = series.slice(after)
+    train_side, test_side = series.slice(before), series.slice(after)
 
-    rule = fit_sigma_rule(train_side.values, k=k)
-    lo, hi = rule.bounds
+    fit = fit_scaler(train_side.values)
+    k = float(k)
+    if k < 0:
+        raise ConfigError(f"sigma multiplier must be >= 0, got {k}")
+    lo, hi = fit.mean - k * fit.std, fit.mean + k * fit.std
+
     keep = (train_side.values >= lo) & (train_side.values <= hi)
     train = TimeSeries(train_side.timestamps[keep], train_side.values[keep])
     if len(train) == 0:
         raise EmptyInputError("sigma filter removed every training point")
-    test = label_by_sigma(TimeSeries(test_side.timestamps, test_side.values), rule)
+    normal = (test_side.values >= lo) & (test_side.values <= hi)
+    test = TimeSeries(test_side.timestamps, test_side.values, np.where(normal, 0, 1))
     return SplitResult(
         train=train,
         test=test,
-        rule=rule,
+        band=(lo, hi),
         train_kept=int(keep.sum()),
         train_dropped=int((~keep).sum()),
     )
@@ -352,7 +320,10 @@ def build_train_test(series: TimeSeries, split_instant: float, k: float = 2.0) -
 @dataclass
 class SynthProfile:
     """Shape of a generated series: a daily cycle plus noise, optional
-    flat gaps (school breaks), and upward spikes injected at random."""
+    flat gaps (school breaks), and upward spikes injected at random.
+
+    Its fields are the CLI's synthesis keys, with their defaults. An
+    out-of-range field raises ConfigError on construction."""
 
     length: int = 10_000
     start: str = "2018-01-01T00:00:00"
@@ -365,7 +336,7 @@ class SynthProfile:
     spike_magnitude: float = 6.0  # in multiples of the clean signal's std
     breaks: tuple = field(default_factory=tuple)  # (start, end) index pairs, cycle suppressed
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.length < 2:
             raise ConfigError(f"length must be >= 2, got {self.length}")
         if self.step_minutes <= 0:
@@ -397,7 +368,6 @@ def generate_synthetic(profile: SynthProfile, seed: int) -> tuple[TimeSeries, np
     spike_magnitude times the clean signal's own std, upward, at
     points drawn independently with probability spike_rate.
     """
-    profile.validate()
     rng = Rng(seed).spawn("synth")
     n = profile.length
     start = parse_timestamp(profile.start)

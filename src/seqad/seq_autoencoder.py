@@ -442,10 +442,18 @@ def _layer_to_doc(layer: LstmLayerParams) -> dict:
     return {"w": layer.w.tolist(), "b": layer.b.tolist()}
 
 
+_JSON_NUMBER_TYPES = {int, float}
+
+
 def _checked_array(value, shape: tuple, what: str) -> np.ndarray:
     array = np.asarray(value, dtype=np.float64)
     if array.shape != shape:
         raise ShapeError(f"{what} has shape {array.shape}, the header implies {shape}")
+    # asarray converts "0.25" and true too, so every element must be a JSON number
+    for row in value if len(shape) == 2 else [value]:
+        if not set(map(type, row)) <= _JSON_NUMBER_TYPES:
+            bad = next(x for x in row if type(x) not in _JSON_NUMBER_TYPES)
+            raise TypeError(f"{what} holds {json.dumps(bad)}, which is not a JSON number")
     if not np.isfinite(array).all():
         raise ShapeError(f"{what} has a non-finite value")
     return array
@@ -514,7 +522,8 @@ def save_model(model: SeqAutoencoderModel, path: str) -> None:
 def load_model(path: str) -> SeqAutoencoderModel:
     """Read a model saved by save_model, checking its version and threshold
     record, which comes back as the model's `threshold`, and that every
-    array has the shape the header's architecture tag implies and is finite.
+    array has the shape the header's architecture tag implies and holds
+    only finite JSON numbers.
     The format version, timesteps, features, init seed and the record's
     train points and window length must be JSON integers, the dropout
     rate and threshold value JSON numbers; a bool or string is neither.

@@ -430,6 +430,27 @@ class TestErrorCodes:
         assert model_path in err and "non-finite" in err
         assert not os.path.exists(os.path.join(out, "report.csv"))
 
+    @pytest.mark.parametrize(
+        "array, value",
+        [("head_bias", "0.25"), ("head_bias", True), ("encoder_bias", True)],
+        ids=["string-head-bias", "bool-head-bias", "bool-encoder-bias"],
+    )
+    def test_model_element_of_wrong_json_type_is_data_error(
+        self, workspace, tmp_path, capsys, array, value
+    ):
+        out = copy_workspace(workspace, tmp_path)
+        os.remove(os.path.join(out, "report.csv"))
+        model_path = os.path.join(out, "model.json")
+        with open(model_path) as fh:
+            doc = json.load(fh)
+        (doc["head_bias"] if array == "head_bias" else doc["encoder"][0]["b"])[0] = value
+        with open(model_path, "w") as fh:
+            json.dump(doc, fh)
+        code, _, err = run(capsys, "detect", "--out", out)
+        assert code == cli.EXIT_DATA
+        assert model_path in err and "not a JSON number" in err
+        assert not os.path.exists(os.path.join(out, "report.csv"))
+
     def test_failed_detect_leaves_no_output_and_evaluate_fails(self, workspace, tmp_path, capsys):
         out = copy_workspace(workspace, tmp_path)
         model_path = os.path.join(out, "model.json")

@@ -149,37 +149,6 @@ class TestScaler:
             pl.fit_scaler(ts(5.0, 5.0, 5.0))
 
 
-class TestSigmaRule:
-    def test_band_boundary_inclusive(self):
-        # mean 488, std 240, k=2: upper bound 968 is still normal
-        rule = pl.SigmaRule(mean=488.0, std=240.0, k=2.0)
-        assert rule.bounds == (8.0, 968.0)
-        series = pl.TimeSeries(ts(0, 60), ts(968.0, 969.0))
-        labeled = pl.label_by_sigma(series, rule)
-        assert list(labeled.labels) == [0, 1]
-
-    def test_mean_is_normal(self):
-        rule = pl.SigmaRule(mean=488.0, std=240.0, k=2.0)
-        labeled = pl.label_by_sigma(pl.TimeSeries(ts(0), ts(488.0)), rule)
-        assert labeled.labels[0] == 0
-
-    def test_zero_k_degenerate_band(self):
-        rule = pl.SigmaRule(mean=10.0, std=1.0, k=0.0)
-        labeled = pl.label_by_sigma(pl.TimeSeries(ts(0, 60, 120), ts(10.0, 10.5, 9.5)), rule)
-        assert list(labeled.labels) == [0, 1, 1]
-
-    def test_negative_k_rejected(self):
-        with pytest.raises(ConfigError):
-            pl.SigmaRule(mean=0.0, std=1.0, k=-1.0)
-
-    def test_labels_partition_everything(self):
-        vals = Rng(3).normal(0, 1, 500)
-        rule = pl.fit_sigma_rule(vals, k=1.0)
-        labeled = pl.label_by_sigma(pl.TimeSeries(np.arange(500.0), vals), rule)
-        assert labeled.labels.shape == (500,)
-        assert set(np.unique(labeled.labels)) <= {0, 1}
-
-
 class TestBuildTrainTest:
     def make_series(self, seed=4, n=800):
         rng = Rng(seed)
@@ -191,7 +160,7 @@ class TestBuildTrainTest:
         series = self.make_series()
         split = pl.build_train_test(series, split_instant=600 * 60.0, k=2.0)
         assert split.train.timestamps.max() < split.test.timestamps.min()
-        lo, hi = split.rule.bounds
+        lo, hi = split.band
         assert np.all((split.train.values >= lo) & (split.train.values <= hi))
         assert split.train.labels is None
         assert split.test.labels is not None
@@ -208,6 +177,31 @@ class TestBuildTrainTest:
             pl.build_train_test(series, split_instant=0.0, k=2.0)
         with pytest.raises(EmptyInputError):
             pl.build_train_test(series, split_instant=1e12, k=2.0)
+
+    def test_band_boundary_inclusive(self):
+        # training side [-1, 1]: mean 0, std 1, so k=1 gives exactly (-1, 1)
+        series = pl.TimeSeries(ts(0, 60, 120, 180), ts(-1.0, 1.0, 1.0, 1.0000001))
+        split = pl.build_train_test(series, split_instant=120.0, k=1.0)
+        assert split.band == (-1.0, 1.0)
+        assert list(split.train.values) == [-1.0, 1.0]
+        assert list(split.test.labels) == [0, 1]
+
+    def test_zero_k_keeps_only_the_mean(self):
+        series = pl.TimeSeries(ts(0, 60, 120, 180, 240), ts(-1.0, 0.0, 1.0, 0.0, 0.5))
+        split = pl.build_train_test(series, split_instant=180.0, k=0.0)
+        assert split.band == (0.0, 0.0)
+        assert list(split.train.values) == [0.0]
+        assert (split.train_kept, split.train_dropped) == (1, 2)
+        assert list(split.test.labels) == [0, 1]
+
+    def test_negative_k_rejected(self):
+        with pytest.raises(ConfigError):
+            pl.build_train_test(self.make_series(), split_instant=600 * 60.0, k=-1.0)
+
+    def test_constant_training_period_rejected(self):
+        series = pl.TimeSeries(ts(0, 60, 120, 180), ts(5.0, 5.0, 5.0, 9.0))
+        with pytest.raises(DegenerateScaleError):
+            pl.build_train_test(series, split_instant=180.0, k=2.0)
 
     def test_labels_match_injected_spikes(self):
         profile = pl.SynthProfile(length=2000, spike_rate=0.05)

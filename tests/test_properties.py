@@ -1,5 +1,6 @@
-"""Property tests: the loss aggregation, the strict threshold verdict and
-the series CSV round trip, each over inputs drawn by hypothesis. The
+"""Property tests: the loss aggregation, the strict threshold verdict,
+the series CSV round trip and duplicate removal in cleaning, each over
+inputs drawn by hypothesis. The
 settings profile in conftest.py fixes the draws, so every run of the
 suite checks the same examples."""
 
@@ -100,3 +101,23 @@ def test_series_csv_round_trip(csv_path, original):
         assert loaded.labels is None
     else:
         assert np.array_equal(loaded.labels, original.labels)
+
+
+# few distinct instants, so most draws repeat some; -0.0 and 0.0 are one instant
+repeated_instants = st.integers(-4, 4).map(float) | st.sampled_from([-0.0, 0.5])
+
+
+@given(st.lists(st.tuples(repeated_instants, st.floats(allow_nan=False)), min_size=1, max_size=24))
+def test_clean_keeps_each_timestamps_first_reading_in_order(rows):
+    first = {}
+    for stamp, value in rows:  # input order; a dict keeps the first key and value
+        first.setdefault(stamp, value)
+    expected = sorted(first.items())
+    stamps, values = zip(*rows)
+    report = pipeline.clean_report(pipeline.TimeSeries(stamps, values))
+    out = report.series
+    assert np.all(np.diff(out.timestamps) > 0)
+    for got, want in zip((out.timestamps, out.values), zip(*expected)):
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert report.duplicates_removed == len(rows) - len(first)

@@ -628,6 +628,24 @@ class TestPersistence:
             sa.load_model(str(path))
         assert str(path) in str(info.value)
 
+    @pytest.mark.parametrize(
+        "array, value",
+        [("head_bias", "0.25"), ("head_bias", True), ("encoder_bias", True)],
+        ids=["string-head-bias", "bool-head-bias", "bool-encoder-bias"],
+    )
+    def test_array_element_of_wrong_json_type_rejected(self, tmp_path, array, value):
+        # asarray once loaded these as 0.25 and 1.0
+        model = with_threshold(sa.build_model("1x2", timesteps=5, seed=24))
+        path = tmp_path / "model.json"
+        sa.save_model(model, str(path))
+        doc = json.loads(path.read_text())
+        (doc["head_bias"] if array == "head_bias" else doc["encoder"][0]["b"])[0] = value
+        path.write_text(json.dumps(doc))
+        what = "head bias" if array == "head_bias" else "layer 0 bias"
+        with pytest.raises(ModelFileError, match=f"{what} holds {json.dumps(value)}") as info:
+            sa.load_model(str(path))
+        assert str(path) in str(info.value)
+
     def test_float_format_version_is_version_error(self, tmp_path):
         model = with_threshold(sa.build_model("1x16", timesteps=5, seed=24))
         path = tmp_path / "model.json"
