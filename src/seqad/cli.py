@@ -21,7 +21,6 @@ substreams. Exit codes: 0 success, 2 configuration error, 3 data error,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import os
@@ -214,8 +213,12 @@ def _remove_outputs(*paths: str) -> None:
     """Delete a stage's earlier outputs before it runs, so a stage that
     fails leaves none of them behind for a later stage to read."""
     for path in paths:
-        with contextlib.suppress(FileNotFoundError):
+        try:
             os.remove(path)
+        except FileNotFoundError:
+            pass
+        except OSError as exc:
+            raise DataError(f"cannot remove earlier output {path}: {exc}") from exc
 
 
 def cmd_preprocess(cfg: RunConfig) -> None:

@@ -12,6 +12,7 @@ only in a training pass given a dropout stream.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -50,7 +51,10 @@ __all__ = [
     "MODEL_FORMAT_VERSION",
 ]
 
-MODEL_FORMAT_VERSION = 3
+MODEL_FORMAT_VERSION = 4
+# the digest names the model, not the file layout, so version 4's file
+# layout left it as it was under version 3
+_DIGEST_VERSION = 3
 
 # training fails when its final train MAE exceeds this multiple of the
 # MAE of reconstructing every training window as zeros
@@ -130,11 +134,10 @@ def _unpack(vector: np.ndarray, shapes: list[tuple]):
     return layers, views[-2], views[-1]
 
 
-def _assemble(arrays: list[np.ndarray], **header) -> SeqAutoencoderModel:
-    """A model whose parameters are `arrays`, in params() order, copied
-    into one vector that the layers and the head are views of."""
-    vector = np.concatenate([a.ravel() for a in arrays])
-    layers, head_w, head_b = _unpack(vector, [a.shape for a in arrays])
+def _from_vector(vector: np.ndarray, shapes: list[tuple], **header) -> SeqAutoencoderModel:
+    """A model whose layers and head are views of `vector`, laid out as
+    the params() arrays of `shapes`."""
+    layers, head_w, head_b = _unpack(vector, shapes)
     n_side = len(layers) // 2
     return SeqAutoencoderModel(
         vector=vector,
@@ -175,8 +178,9 @@ def build_model(
     for h, d in sizes:
         arrays.extend(LstmLayerParams.init(h, d, rng).arrays())
     arrays += [glorot_init(features, sizes[-1][0], rng), np.zeros(features)]
-    return _assemble(
-        arrays,
+    return _from_vector(
+        np.concatenate([a.ravel() for a in arrays]),
+        [a.shape for a in arrays],
         timesteps=int(timesteps),
         features=int(features),
         dropout_rate=float(dropout_rate),
@@ -438,27 +442,6 @@ def train(
     return model, trace
 
 
-def _layer_to_doc(layer: LstmLayerParams) -> dict:
-    return {"w": layer.w.tolist(), "b": layer.b.tolist()}
-
-
-_JSON_NUMBER_TYPES = {int, float}
-
-
-def _checked_array(value, shape: tuple, what: str) -> np.ndarray:
-    array = np.asarray(value, dtype=np.float64)
-    if array.shape != shape:
-        raise ShapeError(f"{what} has shape {array.shape}, the header implies {shape}")
-    # asarray converts "0.25" and true too, so every element must be a JSON number
-    for row in value if len(shape) == 2 else [value]:
-        if not set(map(type, row)) <= _JSON_NUMBER_TYPES:
-            bad = next(x for x in row if type(x) not in _JSON_NUMBER_TYPES)
-            raise TypeError(f"{what} holds {json.dumps(bad)}, which is not a JSON number")
-    if not np.isfinite(array).all():
-        raise ShapeError(f"{what} has a non-finite value")
-    return array
-
-
 def _threshold_from_doc(doc, path: str) -> ThresholdRecord:
     if doc is None:
         raise ModelFileError(f"model file {path} has no threshold record; retrain the model")
@@ -478,9 +461,9 @@ def _threshold_from_doc(doc, path: str) -> ThresholdRecord:
     return record
 
 
-def _model_header(model: SeqAutoencoderModel) -> dict:
+def _model_header(model: SeqAutoencoderModel, version: int) -> dict:
     return {
-        "format_version": MODEL_FORMAT_VERSION,
+        "format_version": version,
         "kind": "lstm-autoencoder",
         "arch": model.arch,
         "timesteps": model.timesteps,
@@ -492,91 +475,87 @@ def _model_header(model: SeqAutoencoderModel) -> dict:
 
 
 def save_model(model: SeqAutoencoderModel, path: str) -> None:
-    """Write the model and its threshold record as a versioned JSON document.
+    """Write the model and its threshold record: one JSON header line,
+    then `model.vector` as little-endian float64 bytes.
 
-    Floats are serialized as shortest round-tripping decimals, so a
-    load returns bit-identical parameters. The write goes through a
+    A load returns bit-identical parameters. The write goes through a
     temp file + rename so a crashed save never leaves a partial model.
     Raises ModelFileError for a model without a threshold record, which
-    load_model would reject.
+    load_model would reject, and naming the path for a failed write.
     """
     if model.threshold is None:
         raise ModelFileError("cannot save a model without its threshold record")
-    # One-shot dumps runs CPython's C encoder; json.dump to a file never
-    # does. Each array is dumped alone and the pieces joined as dumps joins
-    # a whole document, so the float lists and text of a deep model are
-    # never all in memory at once.
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(_model_header(model))[:-1])
-        for side in ("encoder", "decoder"):
-            fh.write(f', "{side}": [')
-            for idx, layer in enumerate(getattr(model, side)):
-                fh.write((", " if idx else "") + json.dumps(_layer_to_doc(layer)))
-            fh.write("]")
-        fh.write(f', "head_weight": {json.dumps(model.head_w.tolist())}')
-        fh.write(f', "head_bias": {json.dumps(model.head_b.tolist())}}}\n')
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(json.dumps(_model_header(model, MODEL_FORMAT_VERSION)).encode() + b"\n")
+            fh.write(np.ascontiguousarray(model.vector, dtype="<f8"))
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise ModelFileError(f"cannot write model file {path}: {exc}") from exc
 
 
 def load_model(path: str) -> SeqAutoencoderModel:
     """Read a model saved by save_model, checking its version and threshold
-    record, which comes back as the model's `threshold`, and that every
-    array has the shape the header's architecture tag implies and holds
-    only finite JSON numbers.
+    record, which comes back as the model's `threshold`, that the
+    payload holds exactly the parameters the header's architecture tag
+    implies, and that every one is finite.
     The format version, timesteps, features, init seed and the record's
     train points and window length must be JSON integers, the dropout
     rate and threshold value JSON numbers; a bool or string is neither.
     Raises ModelFileError naming the path for any file that fails."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:
+            payload_bytes = os.fstat(fh.fileno()).st_size
+            line = fh.readline()
+            payload_bytes -= len(line)
+            if not line.endswith(b"\n"):
+                raise ValueError("no newline ends a header line")
+            doc = json.loads(line)
+            if not isinstance(doc, dict):
+                raise ValueError("the header line is not a JSON object")
+            version = doc.get("format_version")
+            if type(version) is not int or version != MODEL_FORMAT_VERSION:
+                raise ModelVersionError(
+                    f"model file {path} has format version {version!r}, "
+                    f"this build supports {MODEL_FORMAT_VERSION}; retrain the model"
+                )
+            threshold = _threshold_from_doc(doc.get("threshold"), path)
+            arch = str(doc["arch"])
+            timesteps = json_number(doc, "timesteps", int, ModelFileError, path)
+            features = json_number(doc, "features", int, ModelFileError, path)
+            dropout_rate = json_number(doc, "dropout_rate", float, ModelFileError, path)
+            sizes = _layer_sizes(arch, timesteps, features, dropout_rate)
+            if threshold.window_len != timesteps:
+                raise ShapeError(
+                    f"threshold fit on windows of {threshold.window_len}, "
+                    f"model has {timesteps} timesteps"
+                )
+            shapes = [shape for h, d in sizes for shape in ((4 * h, h + d), (4 * h,))]
+            shapes += [(features, sizes[-1][0]), (features,)]
+            # the count comes from the header, and nothing is sized from it
+            count = sum(math.prod(shape) for shape in shapes)
+            if payload_bytes != 8 * count:
+                raise ShapeError(
+                    f"the payload is {payload_bytes} bytes, {arch!r} implies {8 * count}"
+                )
+            vector = np.fromfile(fh, dtype="<f8", count=count)
+            if not np.isfinite(vector).all():
+                raise ShapeError("a parameter has a non-finite value")
+            return _from_vector(
+                vector,
+                shapes,
+                timesteps=timesteps,
+                features=features,
+                dropout_rate=dropout_rate,
+                arch=arch,
+                init_seed=json_number(doc, "init_seed", int, ModelFileError, path),
+                threshold=threshold,
+            )
     except OSError as exc:
         raise ModelFileError(f"cannot read model file {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ModelFileError(f"malformed model file {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ModelFileError(f"malformed model file {path}: not a JSON object")
-    version = doc.get("format_version")
-    if type(version) is not int or version != MODEL_FORMAT_VERSION:
-        raise ModelVersionError(
-            f"model file {path} has format version {version!r}, "
-            f"this build supports {MODEL_FORMAT_VERSION}"
-        )
-    threshold = _threshold_from_doc(doc.get("threshold"), path)
-    # the shapes come from the header, and no array is sized from it
-    try:
-        arch = str(doc["arch"])
-        timesteps = json_number(doc, "timesteps", int, ModelFileError, path)
-        features = json_number(doc, "features", int, ModelFileError, path)
-        dropout_rate = json_number(doc, "dropout_rate", float, ModelFileError, path)
-        sizes = _layer_sizes(arch, timesteps, features, dropout_rate)
-        if threshold.window_len != timesteps:
-            raise ShapeError(
-                f"threshold fit on windows of {threshold.window_len}, "
-                f"model has {timesteps} timesteps"
-            )
-        n_side = len(sizes) // 2
-        layer_docs = []
-        for side in ("encoder", "decoder"):
-            if not isinstance(doc[side], list) or len(doc[side]) != n_side:
-                raise ShapeError(f"{side} is not a list of the {n_side} layers {arch!r} implies")
-            layer_docs += doc[side]
-        arrays = []
-        for k, (layer_doc, (h, d)) in enumerate(zip(layer_docs, sizes)):  # encoder first
-            arrays.append(_checked_array(layer_doc["w"], (4 * h, h + d), f"layer {k} weight"))
-            arrays.append(_checked_array(layer_doc["b"], (4 * h,), f"layer {k} bias"))
-        arrays.append(_checked_array(doc["head_weight"], (features, sizes[-1][0]), "head weight"))
-        arrays.append(_checked_array(doc["head_bias"], (features,), "head bias"))
-        return _assemble(
-            arrays,
-            timesteps=timesteps,
-            features=features,
-            dropout_rate=dropout_rate,
-            arch=arch,
-            init_seed=json_number(doc, "init_seed", int, ModelFileError, path),
-            threshold=threshold,
-        )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFileError(f"malformed model file {path}: {exc}") from exc
     except (ShapeError, ConfigError) as exc:
@@ -592,7 +571,8 @@ def model_digest(model: SeqAutoencoderModel) -> str:
     parameter as little-endian float64 bytes in `params()` order, which
     is `model.vector`.
     """
-    header = {**_model_header(model), "shapes": [list(p.shape) for p in model.params()]}
+    shapes = [list(p.shape) for p in model.params()]
+    header = {**_model_header(model, _DIGEST_VERSION), "shapes": shapes}
     digest = hashlib.sha256(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
     digest.update(np.ascontiguousarray(model.vector, dtype="<f8"))
     return digest.hexdigest()

@@ -6,6 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
+from model_files import rewrite_model_file, with_entry, write_v3_model_file
 from seqad import cli, detector, pipeline, seq_autoencoder
 from seqad.pipeline import format_timestamp, parse_timestamp, read_series_csv
 from seqad.windowing import make_windows
@@ -420,45 +421,38 @@ class TestErrorCodes:
         out = copy_workspace(workspace, tmp_path)
         os.remove(os.path.join(out, "report.csv"))
         model_path = os.path.join(out, "model.json")
-        with open(model_path) as fh:
-            doc = json.load(fh)
-        doc["head_weight"][0][0] = float("nan")
-        with open(model_path, "w") as fh:
-            json.dump(doc, fh)
+        rewrite_model_file(model_path, vector=with_entry(-2, float("nan")))  # a head weight
         code, _, err = run(capsys, "detect", "--out", out)
         assert code == cli.EXIT_DATA
         assert model_path in err and "non-finite" in err
         assert not os.path.exists(os.path.join(out, "report.csv"))
 
-    @pytest.mark.parametrize(
-        "array, value",
-        [("head_bias", "0.25"), ("head_bias", True), ("encoder_bias", True)],
-        ids=["string-head-bias", "bool-head-bias", "bool-encoder-bias"],
-    )
-    def test_model_element_of_wrong_json_type_is_data_error(
-        self, workspace, tmp_path, capsys, array, value
-    ):
+    def test_version_3_model_is_data_error_asking_to_retrain(self, workspace, tmp_path, capsys):
         out = copy_workspace(workspace, tmp_path)
-        os.remove(os.path.join(out, "report.csv"))
         model_path = os.path.join(out, "model.json")
-        with open(model_path) as fh:
-            doc = json.load(fh)
-        (doc["head_bias"] if array == "head_bias" else doc["encoder"][0]["b"])[0] = value
-        with open(model_path, "w") as fh:
-            json.dump(doc, fh)
+        write_v3_model_file(seq_autoencoder.load_model(model_path), model_path)
         code, _, err = run(capsys, "detect", "--out", out)
         assert code == cli.EXIT_DATA
-        assert model_path in err and "not a JSON number" in err
+        assert model_path in err and "version 3" in err and "retrain the model" in err
         assert not os.path.exists(os.path.join(out, "report.csv"))
+
+    @pytest.mark.parametrize("where", ["missing-directory", "existing-directory"])
+    def test_unusable_model_path_is_data_error_naming_it(self, workspace, tmp_path, capsys, where):
+        # once a traceback: from save_model after training, or from removing a directory
+        out = copy_workspace(workspace, tmp_path)
+        model_path = os.path.join(out, "nodir", "m.json")
+        if where == "existing-directory":
+            model_path = os.path.join(out, "adir")
+            os.mkdir(model_path)
+        code, _, err = run(capsys, "train", "--out", out, "--model", model_path, "--epochs", "1")
+        assert code == cli.EXIT_DATA
+        assert model_path in err
+        assert not os.path.exists(f"{model_path}.tmp")
 
     def test_failed_detect_leaves_no_output_and_evaluate_fails(self, workspace, tmp_path, capsys):
         out = copy_workspace(workspace, tmp_path)
         model_path = os.path.join(out, "model.json")
-        with open(model_path) as fh:
-            doc = json.load(fh)
-        doc["head_bias"][0] = float("nan")
-        with open(model_path, "w") as fh:
-            json.dump(doc, fh)
+        rewrite_model_file(model_path, vector=with_entry(-1, float("nan")))  # the head bias
         code, _, _ = run(capsys, "detect", "--out", out)
         assert code == cli.EXIT_DATA
         for name in ("report.csv", "detection_summary.json"):

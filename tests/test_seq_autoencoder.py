@@ -1,11 +1,13 @@
 import copy
 import json
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from gradcheck import REL_TOL, worst_relative_error
+from model_files import rewrite_model_file, with_entry, write_v3_model_file
 from seqad.core_math import Rng
 from seqad.errors import (
     ConfigError,
@@ -423,13 +425,12 @@ class TestPersistence:
         assert loaded.threshold == sa.ThresholdRecord(np.nextafter(0.1, 1.0), 100, 10)
         assert sa.model_digest(loaded) == sa.model_digest(model)
 
-    def test_file_is_one_json_dumps_of_the_document(self, tmp_path):
-        # the file is written one array at a time; its bytes are those of one dumps
+    def test_file_is_the_header_line_then_the_vector(self, tmp_path):
         model = with_threshold(sa.build_model("2x5-3", timesteps=4, dropout_rate=0.1, seed=21))
         path = tmp_path / "model.json"
         sa.save_model(model, str(path))
-        doc = {
-            "format_version": 3,
+        header = {
+            "format_version": 4,
             "kind": "lstm-autoencoder",
             "arch": "2x5-3",
             "timesteps": 4,
@@ -437,18 +438,35 @@ class TestPersistence:
             "dropout_rate": 0.1,
             "init_seed": 21,
             "threshold": {"value": 0.25, "train_points": 100, "window_len": 4},
-            "encoder": [{"w": l.w.tolist(), "b": l.b.tolist()} for l in model.encoder],
-            "decoder": [{"w": l.w.tolist(), "b": l.b.tolist()} for l in model.decoder],
-            "head_weight": model.head_w.tolist(),
-            "head_bias": model.head_b.tolist(),
         }
-        assert path.read_bytes() == (json.dumps(doc) + "\n").encode()
+        expected = (json.dumps(header) + "\n").encode() + model.vector.astype("<f8").tobytes()
+        assert path.read_bytes() == expected
+
+    def test_loaded_vector_is_like_a_built_one(self, tmp_path):
+        model = with_threshold(sa.build_model("2x5-3", timesteps=4, seed=21))
+        path = tmp_path / "model.json"
+        sa.save_model(model, str(path))
+        for vector in (model.vector, sa.load_model(str(path)).vector):
+            assert vector.dtype == np.float64
+            assert vector.flags.c_contiguous and vector.flags.writeable
 
     def test_save_without_threshold_rejected(self, tmp_path):
         model = sa.build_model("1x3", timesteps=4, seed=21)
         with pytest.raises(ModelFileError, match="threshold"):
             sa.save_model(model, str(tmp_path / "model.json"))
         assert not (tmp_path / "model.json").exists()
+
+    @pytest.mark.parametrize("where", ["missing-directory", "existing-directory"])
+    def test_failed_save_names_path_and_leaves_no_temp_file(self, tmp_path, where):
+        model = with_threshold(sa.build_model("1x3", timesteps=4, seed=21))
+        path = tmp_path / "nodir" / "model.json"
+        if where == "existing-directory":
+            path = tmp_path / "adir"
+            path.mkdir()
+        with pytest.raises(ModelFileError, match="cannot write") as info:
+            sa.save_model(model, str(path))
+        assert str(path) in str(info.value)
+        assert not os.path.exists(f"{path}.tmp")
 
     def test_digest_names_the_threshold_record(self):
         model = with_threshold(sa.build_model("1x3", timesteps=4, seed=21), 0.25)
@@ -488,29 +506,42 @@ class TestPersistence:
             sa.load_model(str(path))
 
     def test_version_mismatch_names_both_versions(self, tmp_path):
-        import json
-
         model = with_threshold(sa.build_model("1x16", timesteps=5, seed=23))
         path = tmp_path / "model.json"
         sa.save_model(model, str(path))
-        doc = json.loads(path.read_text())
-        doc["format_version"] = 99
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ModelVersionError, match=r"99.*3"):
+        rewrite_model_file(path, header=lambda doc: doc.update(format_version=99))
+        with pytest.raises(ModelVersionError, match=r"99.*4"):
             sa.load_model(str(path))
 
     def test_version_2_file_is_version_error(self, tmp_path):
-        import json
-
         model = with_threshold(sa.build_model("1x16", timesteps=5, seed=23))
         path = tmp_path / "model.json"
         sa.save_model(model, str(path))
-        doc = json.loads(path.read_text())
-        doc["format_version"] = 2
-        del doc["threshold"]
-        path.write_text(json.dumps(doc))
+
+        def to_version_2(doc):
+            doc["format_version"] = 2
+            del doc["threshold"]
+
+        rewrite_model_file(path, header=to_version_2)
         with pytest.raises(ModelVersionError, match=r"version 2"):
             sa.load_model(str(path))
+
+    def test_version_3_json_file_is_version_error_asking_to_retrain(self, tmp_path):
+        model = with_threshold(sa.build_model("1x16", timesteps=5, seed=23))
+        path = tmp_path / "model.json"
+        write_v3_model_file(model, str(path))
+        with pytest.raises(ModelVersionError, match=r"version 3, .* 4; retrain the model") as info:
+            sa.load_model(str(path))
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("content", [b"", b'{"format_version": 4}'], ids=["empty", "no-newline"])
+    def test_file_without_a_header_line_rejected_naming_path(self, tmp_path, content):
+        path = tmp_path / "model.json"
+        path.write_bytes(content)
+        with pytest.raises(ModelFileError, match="header line") as info:
+            sa.load_model(str(path))
+        assert str(path) in str(info.value)
+        assert not isinstance(info.value, ModelVersionError)
 
     @pytest.mark.parametrize(
         "record",
@@ -530,67 +561,61 @@ class TestPersistence:
         ],  # fmt: skip
     )
     def test_bad_threshold_record_rejected(self, tmp_path, record):
-        import json
-
         model = with_threshold(sa.build_model("1x16", timesteps=5, seed=24))
         path = tmp_path / "model.json"
         sa.save_model(model, str(path))
-        doc = json.loads(path.read_text())
-        if record is None:
-            del doc["threshold"]
-        else:
-            doc["threshold"] = record
-        path.write_text(json.dumps(doc))
+
+        def set_record(doc):
+            if record is None:
+                del doc["threshold"]
+            else:
+                doc["threshold"] = record
+
+        rewrite_model_file(path, header=set_record)
         with pytest.raises(ModelFileError, match="threshold") as info:
             sa.load_model(str(path))
         assert not isinstance(info.value, ModelVersionError)
 
-    def test_non_matrix_weight_rejected(self, tmp_path):
-        import json
-
+    @pytest.mark.parametrize(
+        "header, vector",
+        [
+            (None, lambda v: v[:-1]),
+            (None, lambda v: np.append(v, 0.0)),
+            (lambda doc: doc.update(arch="2x16-16"), None),
+        ],
+        ids=["one-float-short", "one-float-extra", "tag-with-another-layer"],
+    )
+    def test_payload_of_other_length_rejected(self, tmp_path, header, vector):
         model = with_threshold(sa.build_model("1x16", timesteps=5, seed=24))
         path = tmp_path / "model.json"
         sa.save_model(model, str(path))
-        doc = json.loads(path.read_text())
-        doc["decoder"][0]["w"] = 5.0
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ModelFileError):
+        rewrite_model_file(path, header=header, vector=vector)
+        with pytest.raises(ModelFileError, match="payload is .* bytes") as info:
             sa.load_model(str(path))
-
-    def test_shape_inconsistency_rejected(self, tmp_path):
-        import json
-
-        model = with_threshold(sa.build_model("1x16", timesteps=5, seed=24))
-        path = tmp_path / "model.json"
-        sa.save_model(model, str(path))
-        doc = json.loads(path.read_text())
-        doc["encoder"][0]["b"] = [0.0, 0.0]  # wrong length
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ModelFileError):
-            sa.load_model(str(path))
+        assert str(path) in str(info.value)
 
     @pytest.mark.parametrize(
-        "edit",
+        "header, vector",
         [
-            lambda doc: doc["head_weight"][0].__setitem__(0, float("nan")),
-            lambda doc: doc["head_bias"].__setitem__(0, float("inf")),
-            lambda doc: doc.__setitem__("arch", "1x100000000"),
-            lambda doc: doc["decoder"].append(copy.deepcopy(doc["decoder"][-1])),
-            lambda doc: doc.__setitem__("timesteps", float("inf")),
-            lambda doc: doc["threshold"].__setitem__("train_points", float("inf")),
+            # a 1x16 model ends with the head's 16 weights and 1 bias,
+            # after the decoder layer's 2,112 values
+            (None, with_entry(-17, float("nan"))),
+            (None, with_entry(-1, float("inf"))),
+            (lambda doc: doc.update(arch="1x100000000"), None),
+            (None, lambda v: np.concatenate([v, v[-2129:-17]])),
+            (lambda doc: doc.update(timesteps=float("inf")), None),
+            (lambda doc: doc["threshold"].update(train_points=float("inf")), None),
         ],
         ids=[
             "nan-head-weight", "inf-head-bias", "huge-arch", "extra-decoder-layer",
             "inf-timesteps", "inf-train-points",
         ],  # fmt: skip
     )
-    def test_hostile_file_rejected_naming_path(self, tmp_path, edit):
+    def test_hostile_file_rejected_naming_path(self, tmp_path, header, vector):
         model = with_threshold(sa.build_model("1x16", timesteps=5, seed=24))
         path = tmp_path / "model.json"
         sa.save_model(model, str(path))
-        doc = json.loads(path.read_text())
-        edit(doc)
-        path.write_text(json.dumps(doc))
+        rewrite_model_file(path, header=header, vector=vector)
         tracemalloc.start()
         try:
             with pytest.raises(ModelFileError) as info:
@@ -621,28 +646,10 @@ class TestPersistence:
         model = with_threshold(sa.build_model("1x16", timesteps=5, seed=24))
         path = tmp_path / "model.json"
         sa.save_model(model, str(path))
-        doc = json.loads(path.read_text())
-        (doc if section is None else doc[section])[key] = value
-        path.write_text(json.dumps(doc))
+        rewrite_model_file(
+            path, header=lambda doc: (doc if section is None else doc[section]).update({key: value})
+        )
         with pytest.raises(ModelFileError, match=key) as info:
-            sa.load_model(str(path))
-        assert str(path) in str(info.value)
-
-    @pytest.mark.parametrize(
-        "array, value",
-        [("head_bias", "0.25"), ("head_bias", True), ("encoder_bias", True)],
-        ids=["string-head-bias", "bool-head-bias", "bool-encoder-bias"],
-    )
-    def test_array_element_of_wrong_json_type_rejected(self, tmp_path, array, value):
-        # asarray once loaded these as 0.25 and 1.0
-        model = with_threshold(sa.build_model("1x2", timesteps=5, seed=24))
-        path = tmp_path / "model.json"
-        sa.save_model(model, str(path))
-        doc = json.loads(path.read_text())
-        (doc["head_bias"] if array == "head_bias" else doc["encoder"][0]["b"])[0] = value
-        path.write_text(json.dumps(doc))
-        what = "head bias" if array == "head_bias" else "layer 0 bias"
-        with pytest.raises(ModelFileError, match=f"{what} holds {json.dumps(value)}") as info:
             sa.load_model(str(path))
         assert str(path) in str(info.value)
 
@@ -650,8 +657,6 @@ class TestPersistence:
         model = with_threshold(sa.build_model("1x16", timesteps=5, seed=24))
         path = tmp_path / "model.json"
         sa.save_model(model, str(path))
-        doc = json.loads(path.read_text())
-        doc["format_version"] = 3.0
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ModelVersionError, match=r"3\.0"):
+        rewrite_model_file(path, header=lambda doc: doc.update(format_version=4.0))
+        with pytest.raises(ModelVersionError, match=r"4\.0"):
             sa.load_model(str(path))
