@@ -8,8 +8,9 @@ that stored threshold and never reads the training series, so a
 `--model` from another workspace brings its own threshold. `sweep`
 fits and scores each configuration through the same `detector.fit`
 and `detector.detect`, and `evaluate` reads only `report.csv`.
-`train`, `detect`, `evaluate` and `sweep` first delete the files they
-write, so one that fails leaves no earlier output for the next stage.
+Every stage (`synth`, `preprocess`, `train`, `detect`, `evaluate` and
+`sweep`) first deletes the files it writes, so one that fails leaves no
+earlier output for the next stage.
 
 Configuration is a flat `key = value` text file; every key is also a
 same-named command-line flag (dashes for underscores) and flags win.
@@ -222,7 +223,12 @@ def _remove_outputs(*paths: str) -> None:
 
 
 def cmd_preprocess(cfg: RunConfig) -> None:
-    raw = pipeline.read_series_csv(cfg.require_input())
+    outputs = [os.path.join(cfg.out, name) for name in ("train.csv", "test.csv", "scaler.json")]
+    source = cfg.require_input()
+    if os.path.realpath(source) in map(os.path.realpath, outputs):
+        raise ConfigError(f"input {source} is one of preprocess's own outputs")
+    _remove_outputs(*outputs)
+    raw = pipeline.read_series_csv(source)
     report = pipeline.clean_report(raw, strict_nan=cfg.strict_nan)
     series = report.series
     if cfg.split:
@@ -238,9 +244,10 @@ def cmd_preprocess(cfg: RunConfig) -> None:
     scaler = pipeline.fit_scaler(split.train.values)
 
     os.makedirs(cfg.out, exist_ok=True)
-    pipeline.write_series_csv(os.path.join(cfg.out, "train.csv"), split.train)
-    pipeline.write_series_csv(os.path.join(cfg.out, "test.csv"), split.test)
-    pipeline.write_json(os.path.join(cfg.out, "scaler.json"), {"mean": scaler.mean, "std": scaler.std})
+    train_path, test_path, scaler_path = outputs
+    pipeline.write_series_csv(train_path, split.train)
+    pipeline.write_series_csv(test_path, split.test)
+    pipeline.write_json(scaler_path, {"mean": scaler.mean, "std": scaler.std})
 
     lo, hi = split.band
     print(f"rows read              {report.rows_in}")
@@ -265,6 +272,10 @@ def cmd_train(cfg: RunConfig) -> None:
     scaler = _read_scaler(cfg)
     scaled = pipeline.apply_scaler(train_series.values, scaler)
     windows = windowing.make_windows(scaled, cfg.window)
+    # a model path that is a directory already failed in _remove_outputs
+    model_dir = os.path.dirname(cfg.model_path()) or "."
+    if not os.path.isdir(model_dir):
+        raise DataError(f"cannot write model file {cfg.model_path()}: no directory {model_dir}")
     model, trace = detector.fit(windows, cfg.arch, _train_config(cfg))
 
     os.makedirs(cfg.out, exist_ok=True)
@@ -386,19 +397,22 @@ def cmd_sweep(cfg: RunConfig) -> None:
 
 
 def cmd_synth(cfg: RunConfig) -> None:
+    csv_path = os.path.join(cfg.out, "synthetic.csv")
+    anomalies_path = os.path.join(cfg.out, "anomalies.csv")
+    _remove_outputs(csv_path, anomalies_path)
     settings = {key: getattr(cfg, key) for key in _SYNTH_KEYS}
     profile = pipeline.SynthProfile(**{**settings, "breaks": _parse_breaks(cfg.breaks)})
     series, anomaly_indices = pipeline.generate_synthetic(profile, cfg.seed)
     os.makedirs(cfg.out, exist_ok=True)
-    pipeline.write_series_csv(os.path.join(cfg.out, "synthetic.csv"), series)
+    pipeline.write_series_csv(csv_path, series)
     stamps = series.timestamps[anomaly_indices].tolist()
     pipeline.write_csv(
-        os.path.join(cfg.out, "anomalies.csv"),
+        anomalies_path,
         ["index", "timestamp"],
         zip(map(str, anomaly_indices.tolist()), map(pipeline.format_timestamp, stamps)),
     )
     print(f"synthetic series       {len(series)} points, {anomaly_indices.size} injected anomalies")
-    print(f"written                {os.path.join(cfg.out, 'synthetic.csv')}")
+    print(f"written                {csv_path}")
 
 
 _COMMANDS = {

@@ -21,27 +21,29 @@ one row per unit and one column per sequence of the batch: a step works
 on (4H, B) gates and (H, B) states, so the sigmoid block a[:3H], each
 gate a[kH:(k+1)H] and every cell operand is one contiguous run. The
 pre-activations of all steps are a (T, 4H, B) buffer, [h, x] is kept as
-(H+D, T+1, B) and the cell state and tanh(c) as (T+1, H, B) and
-(T, H, B). Every pass returns the outputs of all T steps, a transposed
-view of its (H, T, B) hidden rows, so the next layer reads them back
-feature-major and layers chain without copying a transpose.
+(H+D, T+1, B) and the cell state as (T+1, H, B). Every pass returns the
+outputs of all T steps, a transposed view of its (H, T, B) hidden rows,
+so the next layer reads them back feature-major and layers chain
+without copying a transpose.
 
 The input projection W_x x + b does not depend on the recurrence, so it
 runs for all T steps before the loop, straight into the gate buffer;
 each step then adds one W_h h and activates its (4H, B) block in place,
 all 4H rows with one tanh call, since sigmoid(x) = (1 + tanh(x / 2)) / 2.
 `lstm_forward`, the training pass, and `lstm_infer`, the forward-only
-pass, share that step body: the training pass writes every step's
-state into the buffers backpropagation reads, the forward-only pass
-carries c as (H, B) state and reads each h back from its outputs.
+pass, drive that step body the same way and differ only in where c and
+h land: the training pass writes every step's c and h into the buffers
+backpropagation reads, the forward-only pass carries c as (H, B) state
+and writes each h to its outputs.
 
-The backward pass computes every gate's local derivative for all steps
-at once, fills a (T, 4H, B) buffer of gate gradients in a loop whose
-only GEMM is the W_h product for the hidden-state gradient of the step
-before (none at t = 0, whose previous state is the zero start), transposes
-those gradients to (4H, T*B) in the gate buffer, which the loop no
-longer needs, and then takes the weight gradient, straight into the
-caller's array, and the input gradient as one GEMM each.
+The backward pass recomputes tanh(c) for all steps with one call,
+computes every gate's local derivative for all steps at once, fills a
+(T, 4H, B) buffer of gate gradients in a loop whose only GEMM is the W_h
+product for the hidden-state gradient of the step before (none at t = 0,
+whose previous state is the zero start), transposes those gradients to
+(4H, T*B) in the gate buffer, which the loop no longer needs, and then
+takes the weight gradient, straight into the caller's array, and the
+input gradient as one GEMM each.
 """
 
 from __future__ import annotations
@@ -105,8 +107,8 @@ class LstmStepCache:
 
 @dataclass
 class LstmCache:
-    """The feature-major buffers of one forward pass, which the backward
-    pass reads whole.
+    """The feature-major buffers of one forward pass: exactly what the
+    backward pass reads, which recomputes tanh(c) from `c`.
 
     A sequence of T steps: `cache[t]` is step t's LstmStepCache, made of
     views into these buffers. The backward pass reuses the gate buffer,
@@ -116,7 +118,6 @@ class LstmCache:
     z: np.ndarray  # (H+D, T+1, B): z[:, t] = [h_{t-1}; x_t]; h_t is z[:H, t+1]; z[H:, T] unused
     gates: np.ndarray  # (T, 4H, B), activated f, i, o, g
     c: np.ndarray  # (T+1, H, B): c[0] is the zero initial cell state
-    tanh_c: np.ndarray  # (T, H, B)
 
     def __len__(self) -> int:
         return self.gates.shape[0]
@@ -145,14 +146,13 @@ def _project_inputs(params: LstmLayerParams, x: np.ndarray) -> np.ndarray:
     return gates
 
 
-def _step(w_h, a, h_prev, c_prev, c, tc, h, work) -> None:
+def _step(w_h, a, h_prev, c_prev, c, h, work) -> None:
     """One cell update on feature-major arrays, in place.
 
     `a` holds the step's (4H, B) input projection and leaves holding the
-    activated gates; the new cell state, its tanh and the new hidden
-    state are written to `c`, `tc` and `h`, each (H, B). `c` may be
-    `c_prev`, `h` may be `h_prev` and `tc` may be `work[:H]`; `work` is
-    a (4H, B) scratch buffer.
+    activated gates; the new cell and hidden states are written to `c`
+    and `h`, each (H, B), and `c` may be `c_prev`. `work` is a (4H, B)
+    scratch buffer; tanh(c) passes through `work[:H]` and is not kept.
     """
     n = c.shape[0]
     s = 3 * n
@@ -164,8 +164,7 @@ def _step(w_h, a, h_prev, c_prev, c, tc, h, work) -> None:
     a[:s] += 0.5
     np.multiply(a[:n], c_prev, out=c)
     c += np.multiply(a[n : 2 * n], a[s:], out=work[:n])
-    tanh(c, out=tc)
-    np.multiply(a[2 * n : s], tc, out=h)
+    np.multiply(a[2 * n : s], tanh(c, out=work[:n]), out=h)
 
 
 def lstm_forward(params: LstmLayerParams, inputs: np.ndarray) -> tuple[np.ndarray, LstmCache]:
@@ -186,14 +185,12 @@ def lstm_forward(params: LstmLayerParams, inputs: np.ndarray) -> tuple[np.ndarra
     cbuf = np.empty((t_len + 1, h, b))
     cbuf[0] = 0.0
     gates = _project_inputs(params, zbuf[h:, :t_len])
-    tanh_c = np.empty((t_len, h, b))
 
     w_h = params.w[:, :h]
     work = np.empty((4 * h, b))
     for t in range(t_len):
-        _step(w_h, gates[t], zbuf[:h, t], cbuf[t], cbuf[t + 1], tanh_c[t], zbuf[:h, t + 1], work)
-    cache = LstmCache(z=zbuf, gates=gates, c=cbuf, tanh_c=tanh_c)
-    return zbuf[:h, 1:].transpose(1, 2, 0), cache
+        _step(w_h, gates[t], zbuf[:h, t], cbuf[t], cbuf[t + 1], zbuf[:h, t + 1], work)
+    return zbuf[:h, 1:].transpose(1, 2, 0), LstmCache(z=zbuf, gates=gates, c=cbuf)
 
 
 def lstm_backward(
@@ -236,18 +233,20 @@ def lstm_backward(
     # once and in place, on a (T, gate, H, B) view with gates f, i, o, g:
     # each gate's local derivative times the state it multiplies. The loop
     # then scales the f, i and g blocks by dc and the o block by dh, which
-    # leaves the gate gradients in `d_gates`.
+    # leaves the gate gradients in `d_gates`. tanh(c) is recomputed into
+    # the array that becomes dc/dh once the o block has read it.
     a = cache.gates.reshape(t_len, 4, h, b)
+    dc_per_dh = np.tanh(cache.c[1:])
     d4 = np.subtract(1.0, a)
     d4[:, :3] *= a[:, :3]
     d4[:, 0] *= cache.c[:-1]
     d4[:, 1] *= a[:, 3]
-    d4[:, 2] *= cache.tanh_c
+    d4[:, 2] *= dc_per_dh
     d_g = d4[:, 3]
     np.multiply(a[:, 3], a[:, 3], out=d_g)
     np.subtract(1.0, d_g, out=d_g)
     d_g *= a[:, 1]
-    dc_per_dh = np.multiply(cache.tanh_c, cache.tanh_c)
+    np.multiply(dc_per_dh, dc_per_dh, out=dc_per_dh)
     np.subtract(1.0, dc_per_dh, out=dc_per_dh)
     dc_per_dh *= a[:, 2]
     d_gates = d4.reshape(t_len, 4 * h, b)
@@ -295,6 +294,6 @@ def lstm_infer(params: LstmLayerParams, inputs: np.ndarray) -> np.ndarray:
     c = np.zeros((h, b))
     h_prev = np.zeros((h, b))
     for t in range(t_len):
-        _step(w_h, gates[t], h_prev, c, c, work[:h], outputs[:, t], work)
+        _step(w_h, gates[t], h_prev, c, c, outputs[:, t], work)
         h_prev = outputs[:, t]
     return outputs.transpose(1, 2, 0)

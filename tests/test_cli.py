@@ -437,8 +437,12 @@ class TestErrorCodes:
         assert not os.path.exists(os.path.join(out, "report.csv"))
 
     @pytest.mark.parametrize("where", ["missing-directory", "existing-directory"])
-    def test_unusable_model_path_is_data_error_naming_it(self, workspace, tmp_path, capsys, where):
-        # once a traceback: from save_model after training, or from removing a directory
+    def test_unusable_model_path_is_data_error_naming_it(
+        self, workspace, tmp_path, capsys, monkeypatch, where
+    ):
+        # once a traceback: from save_model after training, or from removing a directory;
+        # the path is checked before training, not after every epoch
+        monkeypatch.setattr(detector, "fit", lambda *a: pytest.fail("trained before the check"))
         out = copy_workspace(workspace, tmp_path)
         model_path = os.path.join(out, "nodir", "m.json")
         if where == "existing-directory":
@@ -481,6 +485,41 @@ class TestErrorCodes:
         code, _, _ = run(capsys, "sweep", "--out", out, "--sweep-archs", "2x64")
         assert code == cli.EXIT_CONFIG
         assert not os.path.exists(os.path.join(out, "sweep.csv"))
+
+
+    def test_failed_preprocess_leaves_no_output_and_train_fails(self, workspace, tmp_path, capsys):
+        out = str(tmp_path / "ws")
+        argv = ["preprocess", "--out", out, "--input", os.path.join(workspace, "synthetic.csv")]
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        code, _, _ = run(capsys, *argv, "--sigma-k", "-1")
+        assert code == cli.EXIT_CONFIG
+        for name in ("train.csv", "test.csv", "scaler.json"):
+            assert not os.path.exists(os.path.join(out, name)), name
+        code, _, err = run(capsys, "train", "--out", out, "--epochs", "1")
+        assert code == cli.EXIT_DATA
+        assert "train.csv" in err and "run the earlier pipeline stages first" in err
+
+    @pytest.mark.parametrize("name", ["train.csv", "test.csv", "scaler.json"])
+    def test_preprocess_input_that_is_its_own_output_is_config_error(
+        self, workspace, tmp_path, capsys, name
+    ):
+        out = copy_workspace(workspace, tmp_path)
+        source = os.path.join(out, ".", name)
+        with open(os.path.join(out, name), "rb") as fh:
+            before = fh.read()
+        code, _, err = run(capsys, "preprocess", "--out", out, "--input", source)
+        assert code == cli.EXIT_CONFIG
+        assert source in err
+        with open(os.path.join(out, name), "rb") as fh:
+            assert fh.read() == before
+
+    def test_failed_synth_leaves_no_output(self, workspace, tmp_path, capsys):
+        out = copy_workspace(workspace, tmp_path)
+        code, _, _ = run(capsys, "synth", "--out", out, "--length", "1")
+        assert code == cli.EXIT_CONFIG
+        for name in ("synthetic.csv", "anomalies.csv"):
+            assert not os.path.exists(os.path.join(out, name)), name
 
 
 class TestStoredThreshold:

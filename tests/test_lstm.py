@@ -34,8 +34,8 @@ def step_from(params, h_prev, c_prev, x):
     states, batch-first."""
     h, b = params.hidden_size, x.shape[0]
     a = params.w[:, h:] @ x.T + params.b[:, None]
-    c, tc, h_new, work = (np.empty((n, b)) for n in (h, h, h, 4 * h))
-    _step(params.w[:, :h], a, h_prev.T.copy(), c_prev.T.copy(), c, tc, h_new, work)
+    c, h_new, work = (np.empty((n, b)) for n in (h, h, 4 * h))
+    _step(params.w[:, :h], a, h_prev.T.copy(), c_prev.T.copy(), c, h_new, work)
     return np.split(a.T, 4, axis=1), c.T, h_new.T
 
 
