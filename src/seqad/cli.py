@@ -278,7 +278,6 @@ def cmd_train(cfg: RunConfig) -> None:
         raise DataError(f"cannot write model file {cfg.model_path()}: no directory {model_dir}")
     model, trace = detector.fit(windows, cfg.arch, _train_config(cfg))
 
-    os.makedirs(cfg.out, exist_ok=True)
     seq_autoencoder.save_model(model, cfg.model_path())
     epochs = map(str, range(1, len(trace) + 1))
     pipeline.write_csv(
@@ -303,7 +302,6 @@ def cmd_detect(cfg: RunConfig) -> None:
 
     report = detector.detect(model, test_series, scaler)
 
-    os.makedirs(cfg.out, exist_ok=True)
     detector.write_report_csv(os.path.join(cfg.out, "report.csv"), report)
     threshold = model.threshold
     summary = {
@@ -387,7 +385,6 @@ def cmd_sweep(cfg: RunConfig) -> None:
                 f"auc {metrics.format_percent(roc.auc)}"
             )
 
-    os.makedirs(cfg.out, exist_ok=True)
     pipeline.write_csv(
         os.path.join(cfg.out, "sweep.csv"),
         ["window", "arch", "threshold", "accuracy", "precision", "recall", "f1", "auc"],

@@ -91,7 +91,6 @@ def fit(
     model = build_model(
         arch,
         timesteps=windows.window_len,
-        features=windows.features,
         dropout_rate=train_cfg.dropout,
         seed=train_cfg.seed,
     )
@@ -112,15 +111,13 @@ def detect(
     window coverage); the verdict is 1 only for loss strictly greater
     than the threshold. Ground-truth labels, when present, ride along
     for evaluation. Raises ModelFileError for a model without a
-    threshold record or with a feature count other than the series',
-    and InsufficientDataError for a series shorter than one window.
+    threshold record and InsufficientDataError for a series shorter
+    than one window.
     """
     if model.threshold is None:
         raise ModelFileError("cannot score with a model without its threshold record")
     scaled = apply_scaler(test_series.values, scaler)
     windows = make_windows(scaled, model.timesteps)
-    if windows.features != model.features:
-        raise ModelFileError(f"model has {model.features} features, series has {windows.features}")
     losses = point_losses(model, windows)
     verdicts = (losses > model.threshold.value).astype(np.int64)
     return DetectionReport(

@@ -15,7 +15,7 @@ so the three sigmoid gates are one contiguous block; columns are
 Every pass starts from zero hidden and cell state, since each window is
 read on its own, and no gradient flows back into that state.
 
-Layout. At the interface, sequences are time-major, (T, batch, features),
+Layout. At the interface, sequences are time-major, (T, batch, inputs),
 and states are (batch, hidden). Inside, every array is feature-major,
 one row per unit and one column per sequence of the batch: a step works
 on (4H, B) gates and (H, B) states, so the sigmoid block a[:3H], each

@@ -42,19 +42,32 @@ __all__ = [
 
 _NAN_TOKENS = {"", "nan", "NaN", "NAN", "null", "NULL", "na", "NA"}
 
+# format_timestamp writes the UTC years 1 to 9999. Inside these instants a
+# parsed time is surely one of them; outside, a UTC offset or the rounding
+# to whole microseconds can carry it past either end.
+_SURELY_WRITABLE = (
+    datetime(2, 1, 1, tzinfo=timezone.utc).timestamp(),
+    datetime(9999, 1, 1, tzinfo=timezone.utc).timestamp(),
+)
+
 
 def parse_timestamp(text: str) -> float:
-    """ISO-8601 timestamp -> UTC epoch seconds."""
+    """ISO-8601 timestamp -> UTC epoch seconds. Text that is not one, or
+    an instant that format_timestamp cannot write, raises ValueError."""
     dt = datetime.fromisoformat(text)
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    return dt.timestamp()
+    epoch = dt.timestamp()
+    if not _SURELY_WRITABLE[0] <= epoch < _SURELY_WRITABLE[1]:
+        format_timestamp(epoch)
+    return epoch
 
 
 def format_timestamp(epoch: float) -> str:
-    """UTC epoch seconds -> ISO-8601, with microseconds only when non-zero."""
-    dt = datetime.fromtimestamp(epoch, tz=timezone.utc)
-    return dt.strftime("%Y-%m-%dT%H:%M:%S.%f" if dt.microsecond else "%Y-%m-%dT%H:%M:%S")
+    """UTC epoch seconds -> ISO-8601 with a four-digit year and
+    microseconds only when non-zero. An instant outside the UTC years 1
+    to 9999 raises ValueError, or OverflowError far outside them."""
+    return datetime.fromtimestamp(epoch, tz=timezone.utc).replace(tzinfo=None).isoformat()
 
 
 @dataclass
@@ -355,6 +368,14 @@ class SynthProfile:
             raise ConfigError(f"bad start timestamp {self.start!r}")
         if not math.isfinite(start):
             raise ConfigError(f"bad start timestamp {self.start!r}")
+        try:
+            # the last of generate_synthetic's timestamps, computed as it does
+            format_timestamp(start + (self.length - 1) * (self.step_minutes * 60.0))
+        except (ValueError, OverflowError):
+            raise ConfigError(
+                f"length {self.length} at step_minutes {self.step_minutes!r} from {self.start} "
+                f"runs past the UTC year 9999, the last a series CSV can hold"
+            ) from None
         for pair in self.breaks:
             if len(pair) != 2 or not (0 <= pair[0] < pair[1] <= self.length):
                 raise ConfigError(f"bad break range {pair!r}")
@@ -366,7 +387,8 @@ def generate_synthetic(profile: SynthProfile, seed: int) -> tuple[TimeSeries, np
     The clean signal is baseline + daily sinusoid + gaussian noise, with
     the sinusoid suppressed inside break ranges. Spikes add
     spike_magnitude times the clean signal's own std, upward, at
-    points drawn independently with probability spike_rate.
+    points drawn independently with probability spike_rate. A profile
+    whose values overflow float64 raises ConfigError.
     """
     rng = Rng(seed).spawn("synth")
     n = profile.length
@@ -377,11 +399,19 @@ def generate_synthetic(profile: SynthProfile, seed: int) -> tuple[TimeSeries, np
     cycle = profile.daily_amplitude * np.sin(phase)
     for lo, hi in profile.breaks:
         cycle[int(lo) : int(hi)] = 0.0
-    clean_values = profile.baseline + cycle + rng.normal(0.0, profile.noise_sigma, n)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        clean_values = profile.baseline + cycle + rng.normal(0.0, profile.noise_sigma, n)
 
-    spikes = rng.uniform(size=n) < profile.spike_rate
-    anomaly_indices = np.nonzero(spikes)[0]
-    values = clean_values.copy()
-    if anomaly_indices.size:
-        values[anomaly_indices] += profile.spike_magnitude * clean_values.std()
+        spikes = rng.uniform(size=n) < profile.spike_rate
+        anomaly_indices = np.nonzero(spikes)[0]
+        values = clean_values.copy()
+        if anomaly_indices.size:
+            values[anomaly_indices] += profile.spike_magnitude * clean_values.std()
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ConfigError(
+            f"synthetic point {bad[0]} is {values[bad[0]]}: baseline {profile.baseline!r}, "
+            f"daily_amplitude {profile.daily_amplitude!r}, noise_sigma {profile.noise_sigma!r} "
+            f"and spike_magnitude {profile.spike_magnitude!r} overflow float64"
+        )
     return TimeSeries(timestamps, values), anomaly_indices

@@ -104,10 +104,9 @@ class SeqAutoencoderModel:
     vector: np.ndarray
     encoder: list[LstmLayerParams]
     decoder: list[LstmLayerParams]
-    head_w: np.ndarray  # (features, last decoder hidden)
-    head_b: np.ndarray  # (features,)
+    head_w: np.ndarray  # (1, last decoder hidden)
+    head_b: np.ndarray  # (1,)
     timesteps: int
-    features: int
     dropout_rate: float
     arch: str
     init_seed: int
@@ -149,40 +148,34 @@ def _from_vector(vector: np.ndarray, shapes: list[tuple], **header) -> SeqAutoen
     )
 
 
-def _layer_sizes(arch: str, timesteps: int, features: int, dropout_rate: float) -> list[tuple]:
+def _layer_sizes(arch: str, timesteps: int, dropout_rate: float) -> list[tuple]:
     """Check a model header; return each encoder layer's (hidden, input)
-    size, then each decoder layer's. The decoder mirrors the encoder's
-    units, and each layer reads the one before it. Raises ConfigError."""
+    size, then each decoder layer's. The first layer reads one value per
+    step, the decoder mirrors the encoder's units, and each later layer
+    reads the one before it. Raises ConfigError."""
     if timesteps < 1:
         raise ConfigError(f"timesteps must be >= 1, got {timesteps}")
-    if features < 1:
-        raise ConfigError(f"features must be >= 1, got {features}")
     if not (0.0 <= dropout_rate < 1.0):
         raise ConfigError(f"dropout rate must be in [0, 1), got {dropout_rate}")
     units = parse_arch(arch)
     hidden = units + units[::-1]
-    return list(zip(hidden, [features, *hidden[:-1]]))
+    return list(zip(hidden, [1, *hidden[:-1]]))
 
 
 def build_model(
-    arch: str,
-    timesteps: int,
-    features: int = 1,
-    dropout_rate: float = 0.2,
-    seed: int = 0,
+    arch: str, timesteps: int, dropout_rate: float = 0.2, seed: int = 0
 ) -> SeqAutoencoderModel:
     """Construct a freshly initialized model for one architecture tag."""
-    sizes = _layer_sizes(arch, timesteps, features, dropout_rate)
+    sizes = _layer_sizes(arch, timesteps, dropout_rate)
     rng = Rng(seed).spawn("init")
     arrays = []
     for h, d in sizes:
         arrays.extend(LstmLayerParams.init(h, d, rng).arrays())
-    arrays += [glorot_init(features, sizes[-1][0], rng), np.zeros(features)]
+    arrays += [glorot_init(1, sizes[-1][0], rng), np.zeros(1)]
     return _from_vector(
         np.concatenate([a.ravel() for a in arrays]),
         [a.shape for a in arrays],
         timesteps=int(timesteps),
-        features=int(features),
         dropout_rate=float(dropout_rate),
         arch=arch,
         init_seed=int(seed),
@@ -231,22 +224,20 @@ def _dropout_mask(shape, rate: float, rng: Rng) -> np.ndarray:
 
 
 def _forward_batch(model: SeqAutoencoderModel, batch: np.ndarray, rng: Rng | None = None):
-    """Run a (B, T, m) batch through the full autoencoder, keeping what
+    """Run a (B, T, 1) batch through the full autoencoder, keeping what
     backpropagation needs: the training pass.
 
     The latent is step T-1 of the last encoder layer's outputs. Dropout
     applies at the model's `dropout_rate`, with masks drawn from `rng`,
     exactly when an `rng` is given. Returns (reconstruction, cache);
-    the reconstruction is (B, T, m) and the cache is only
+    the reconstruction is (B, T, 1) and the cache is only
     meaningful for one subsequent _backward_batch call. Inference
     without a backward pass goes through reconstruct_windows, which
     keeps no cache.
     """
     batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 3 or batch.shape[1:] != (model.timesteps, model.features):
-        raise ShapeError(
-            f"batch shape {batch.shape} does not match (B, {model.timesteps}, {model.features})"
-        )
+    if batch.ndim != 3 or batch.shape[1:] != (model.timesteps, 1):
+        raise ShapeError(f"batch shape {batch.shape} does not match (B, {model.timesteps}, 1)")
     rate = model.dropout_rate
     use_dropout = rng is not None and rate > 0.0
     t_len = model.timesteps
@@ -284,18 +275,18 @@ def _forward_batch(model: SeqAutoencoderModel, batch: np.ndarray, rng: Rng | Non
 
 
 def _head(model: SeqAutoencoderModel, dec_out: np.ndarray) -> np.ndarray:
-    """The linear head on (H, T, B) decoder outputs, as a (B, T, m) view."""
+    """The linear head on (H, T, B) decoder outputs, as a (B, T, 1) view."""
     hidden, t_len, b = dec_out.shape
     recon = model.head_w @ dec_out.reshape(hidden, t_len * b)
     recon += model.head_b[:, None]
-    return recon.reshape(model.features, t_len, b).T
+    return recon.reshape(1, t_len, b).T
 
 
 def _backward_batch(
     model: SeqAutoencoderModel, cache: dict, d_recon: np.ndarray, grad: np.ndarray
 ) -> None:
     """Gradients of a scalar loss wrt every parameter, given d loss/d recon
-    for a (B, T, m) reconstruction, written into `grad`.
+    for a (B, T, 1) reconstruction, written into `grad`.
 
     `grad` is a float64 vector laid out like model.vector; every entry
     is overwritten, the head's by GEMMs and sums with `out=` here and
@@ -310,7 +301,7 @@ def _backward_batch(
     n_enc = len(model.encoder)
     dec_dropped = cache.pop("dec_dropped")
     hidden, t_len, b = dec_dropped.shape
-    d_flat = d_recon.T.reshape(model.features, t_len * b)
+    d_flat = d_recon.T.reshape(1, t_len * b)
     np.matmul(d_flat, dec_dropped.reshape(hidden, t_len * b).T, out=d_head_w)
     np.sum(d_flat, axis=1, out=d_head_b)
     del dec_dropped
@@ -334,17 +325,16 @@ def _backward_batch(
 def reconstruct_windows(
     model: SeqAutoencoderModel, windows: np.ndarray, chunk: int = 256
 ) -> np.ndarray:
-    """Inference-mode reconstruction of a (count, T, m) stack, chunked.
+    """Inference-mode reconstruction of a (count, T, 1) stack, chunked.
 
     A forward-only pass: each layer keeps only its outputs, so one
     chunk holds at most one layer's (T, 4H, chunk) gate buffer and the
     hidden outputs either side of it.
     """
     windows = np.asarray(windows, dtype=np.float64)
-    if windows.ndim != 3 or windows.shape[1:] != (model.timesteps, model.features):
+    if windows.ndim != 3 or windows.shape[1:] != (model.timesteps, 1):
         raise ShapeError(
-            f"windows shape {windows.shape} does not match "
-            f"(count, {model.timesteps}, {model.features})"
+            f"windows shape {windows.shape} does not match (count, {model.timesteps}, 1)"
         )
     out = np.empty_like(windows)
     for lo in range(0, windows.shape[0], chunk):
@@ -406,7 +396,7 @@ def train(
     state = AdamState.for_vector(model.vector)
     shuffle_rng = Rng(cfg.seed).spawn("shuffle")
     dropout_rng = Rng(cfg.seed).spawn("dropout")
-    denom = train_data.shape[0] * model.timesteps * model.features
+    denom = train_data.shape[0] * model.timesteps
 
     for epoch in range(1, cfg.epochs + 1):
         order = shuffle_rng.permutation(n_train)
@@ -467,7 +457,7 @@ def _model_header(model: SeqAutoencoderModel, version: int) -> dict:
         "kind": "lstm-autoencoder",
         "arch": model.arch,
         "timesteps": model.timesteps,
-        "features": model.features,
+        "features": 1,
         "dropout_rate": model.dropout_rate,
         "init_seed": model.init_seed,
         "threshold": None if model.threshold is None else asdict(model.threshold),
@@ -502,10 +492,11 @@ def load_model(path: str) -> SeqAutoencoderModel:
     record, which comes back as the model's `threshold`, that the
     payload holds exactly the parameters the header's architecture tag
     implies, and that every one is finite.
-    The format version, timesteps, features, init seed and the record's
-    train points and window length must be JSON integers, the dropout
-    rate and threshold value JSON numbers; a bool or string is neither.
-    Raises ModelFileError naming the path for any file that fails."""
+    The kind and the feature count must be the two values save_model
+    always writes. The format version, timesteps, init seed and the
+    record's train points and window length must be JSON integers, the
+    dropout rate and threshold value JSON numbers; a bool or string is
+    neither. Raises ModelFileError naming the path for any file that fails."""
     try:
         with open(path, "rb") as fh:
             payload_bytes = os.fstat(fh.fileno()).st_size
@@ -522,19 +513,22 @@ def load_model(path: str) -> SeqAutoencoderModel:
                     f"model file {path} has format version {version!r}, "
                     f"this build supports {MODEL_FORMAT_VERSION}; retrain the model"
                 )
+            for key, value in (("kind", "lstm-autoencoder"), ("features", 1)):
+                found = doc.get(key)
+                if type(found) is not type(value) or found != value:
+                    raise ValueError(f"{key!r} is {found!r}, expected {value!r}")
             threshold = _threshold_from_doc(doc.get("threshold"), path)
             arch = str(doc["arch"])
             timesteps = json_number(doc, "timesteps", int, ModelFileError, path)
-            features = json_number(doc, "features", int, ModelFileError, path)
             dropout_rate = json_number(doc, "dropout_rate", float, ModelFileError, path)
-            sizes = _layer_sizes(arch, timesteps, features, dropout_rate)
+            sizes = _layer_sizes(arch, timesteps, dropout_rate)
             if threshold.window_len != timesteps:
                 raise ShapeError(
                     f"threshold fit on windows of {threshold.window_len}, "
                     f"model has {timesteps} timesteps"
                 )
             shapes = [shape for h, d in sizes for shape in ((4 * h, h + d), (4 * h,))]
-            shapes += [(features, sizes[-1][0]), (features,)]
+            shapes += [(1, sizes[-1][0]), (1,)]
             # the count comes from the header, and nothing is sized from it
             count = sum(math.prod(shape) for shape in shapes)
             if payload_bytes != 8 * count:
@@ -548,7 +542,6 @@ def load_model(path: str) -> SeqAutoencoderModel:
                 vector,
                 shapes,
                 timesteps=timesteps,
-                features=features,
                 dropout_rate=dropout_rate,
                 arch=arch,
                 init_seed=json_number(doc, "init_seed", int, ModelFileError, path),
@@ -565,9 +558,9 @@ def load_model(path: str) -> SeqAutoencoderModel:
 def model_digest(model: SeqAutoencoderModel) -> str:
     """Stable identity of a model, without serialising it.
 
-    sha256 over a canonical JSON header (format version, kind, arch,
-    timesteps, features, dropout rate, init seed, threshold record and
-    the shape of every array of `params()`), a newline, then every
+    sha256 over a canonical JSON header (the model file's header, but
+    for its format version, plus the shape of every array of
+    `params()`), a newline, then every
     parameter as little-endian float64 bytes in `params()` order, which
     is `model.vector`.
     """

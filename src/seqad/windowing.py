@@ -25,30 +25,24 @@ class WindowSet:
 
     source_len: int
     window_len: int
-    windows: np.ndarray  # (count, T, m)
+    windows: np.ndarray  # (count, T, 1)
 
     def __len__(self) -> int:
         return self.windows.shape[0]
 
-    @property
-    def features(self) -> int:
-        return self.windows.shape[2]
-
 
 def make_windows(values: np.ndarray, window_len: int) -> WindowSet:
-    """Cut a series (N,) or (N, m) into all length-T stride-1 windows."""
+    """Cut a series (N,) into all length-T stride-1 windows, each (T, 1)."""
     values = np.asarray(values, dtype=np.float64)
-    if values.ndim == 1:
-        values = values[:, None]
-    if values.ndim != 2:
-        raise ShapeError(f"expected a (N,) or (N, m) series, got shape {values.shape}")
+    if values.ndim != 1:
+        raise ShapeError(f"expected a (N,) series, got shape {values.shape}")
     n = values.shape[0]
     t = int(window_len)
     if t < 1:
         raise ShapeError(f"window length must be >= 1, got {t}")
     if n < t:
         raise InsufficientDataError(f"series of length {n} is shorter than window length {t}")
-    windows = np.ascontiguousarray(sliding_window_view(values, t, axis=0).transpose(0, 2, 1))
+    windows = np.ascontiguousarray(sliding_window_view(values, t)[:, :, None])
     return WindowSet(source_len=n, window_len=t, windows=windows)
 
 
@@ -62,7 +56,7 @@ def coverage_counts(source_len: int, window_len: int) -> np.ndarray:
 def per_point_loss(windows: WindowSet, reconstructions: np.ndarray) -> np.ndarray:
     """Mean absolute error per source point, averaged over covering windows.
 
-    `reconstructions` must hold one (T, m) output per window, in window
+    `reconstructions` must hold one (T, 1) output per window, in window
     order. Each point accumulates its windows in ascending window order
     (offset k within the window descending), so results are
     bit-reproducible. Returns a length-N non-negative vector.
@@ -73,7 +67,7 @@ def per_point_loss(windows: WindowSet, reconstructions: np.ndarray) -> np.ndarra
             f"reconstruction shape {recon.shape} does not match windows {windows.windows.shape}"
         )
     n, t = windows.source_len, windows.window_len
-    err = np.abs(recon - windows.windows).mean(axis=2)  # (count, T): MAE across features
+    err = np.abs(recon - windows.windows)[:, :, 0]  # (count, T)
     count = len(windows)
     total = np.zeros(n)
     for k in range(t - 1, -1, -1):

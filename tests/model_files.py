@@ -41,7 +41,7 @@ def write_v3_model_file(model, path):
         "kind": "lstm-autoencoder",
         "arch": model.arch,
         "timesteps": model.timesteps,
-        "features": model.features,
+        "features": 1,
         "dropout_rate": model.dropout_rate,
         "init_seed": model.init_seed,
         "threshold": vars(model.threshold),

@@ -115,7 +115,7 @@ def _lstm_gradcheck(seed):
 
 
 def _autoencoder_gradcheck(seed):
-    model = sa.build_model("1x3", timesteps=4, features=1, dropout_rate=0.0, seed=seed)
+    model = sa.build_model("1x3", timesteps=4, dropout_rate=0.0, seed=seed)
     batch = Rng(1000 + seed).normal(0, 1, (2, 4, 1))
 
     def loss():

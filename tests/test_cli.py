@@ -386,6 +386,53 @@ class TestErrorCodes:
         assert code == cli.EXIT_DATA
         assert "line 4" in err and "non-finite loss" in err
 
+    @pytest.mark.parametrize("key, value", [("step_minutes", "1e9"), ("noise_sigma", "1e308")])
+    def test_synth_profile_it_cannot_write_is_config_error_naming_key(
+        self, tmp_path, capsys, key, value
+    ):
+        # once a traceback after a partial synthetic.csv, or exit 0 after inf and nan values
+        out = tmp_path / "o"
+        flag = "--" + key.replace("_", "-")
+        code, _, err = run(capsys, "synth", "--out", str(out), "--length", "50", flag, value)
+        assert code == cli.EXIT_CONFIG
+        assert key in err
+        assert not out.exists()
+
+    def test_instant_past_the_year_9999_is_data_error_naming_line(self, tmp_path, capsys):
+        # once a traceback from writing train.csv, leaving it partial
+        path = tmp_path / "late.csv"
+        rows = [f"2018-01-01T00:{minute:02d}:00,{400 + minute}" for minute in range(40)]
+        rows.append("9999-12-31T23:59:59-01:00,1")
+        path.write_text("\n".join(["timestamp,value", *rows]) + "\n")
+        out = tmp_path / "o"
+        code, _, err = run(capsys, "preprocess", "--out", str(out), "--input", str(path))
+        assert code == cli.EXIT_DATA
+        assert "line 42" in err
+        assert not out.exists()
+
+    def test_split_instant_past_the_year_9999_is_config_error(self, workspace, tmp_path, capsys):
+        source = os.path.join(workspace, "synthetic.csv")
+        out = str(tmp_path / "o")
+        late = "9999-12-31T23:59:59-01:00"
+        code, _, err = run(capsys, "preprocess", "--out", out, "--input", source, "--split", late)
+        assert code == cli.EXIT_CONFIG
+        assert late in err
+
+    def test_report_instant_past_the_year_9999_fails_evaluate_naming_line(
+        self, workspace, tmp_path, capsys
+    ):
+        out = copy_workspace(workspace, tmp_path)
+        report_path = os.path.join(out, "report.csv")
+        with open(report_path) as fh:
+            lines = fh.read().splitlines()
+        lines[-1] = "9999-12-31T23:59:59-01:00," + lines[-1].split(",", 1)[1]
+        with open(report_path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        code, _, err = run(capsys, "evaluate", "--out", out)
+        assert code == cli.EXIT_DATA
+        assert f"line {len(lines)}" in err
+        assert not os.path.exists(os.path.join(out, "evaluation.json"))
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_non_finite_float_is_config_error_naming_key(self, tmp_path, capsys, source, value):
@@ -401,18 +448,18 @@ class TestErrorCodes:
         assert "noise_sigma" in err
         assert not out.exists()
 
-    def test_model_of_other_feature_count_is_data_error_naming_both(
-        self, workspace, tmp_path, capsys
+    @pytest.mark.parametrize("key, value", [("features", 2), ("kind", "other")])
+    def test_model_of_other_feature_count_or_kind_is_data_error_naming_path_and_key(
+        self, workspace, tmp_path, capsys, key, value
     ):
-        model = seq_autoencoder.build_model("1x4", timesteps=6, features=2)
-        model.threshold = seq_autoencoder.ThresholdRecord(value=0.5, train_points=100, window_len=6)
-        path = str(tmp_path / "model.json")
-        seq_autoencoder.save_model(model, path)
+        # the load rejects it, so no stage ever scores with such a model
         out = copy_workspace(workspace, tmp_path)
         os.remove(os.path.join(out, "report.csv"))
-        code, _, err = run(capsys, "detect", "--out", out, "--model", path)
+        model_path = os.path.join(out, "model.json")
+        rewrite_model_file(model_path, header=lambda doc: doc.update({key: value}))
+        code, _, err = run(capsys, "detect", "--out", out)
         assert code == cli.EXIT_DATA
-        assert "2 features" in err and "has 1" in err
+        assert model_path in err and f"{key!r} is {value!r}" in err
         assert not os.path.exists(os.path.join(out, "report.csv"))
 
     def test_non_finite_model_weight_is_data_error_and_writes_no_report(

@@ -36,6 +36,26 @@ class TestTimestamps:
             back = pl.parse_timestamp(pl.format_timestamp(epoch))
             assert abs(back - epoch) < 1e-6
 
+    @pytest.mark.parametrize(
+        "text",
+        ["9999-12-31T23:59:59-01:00", "9999-12-31T23:59:59.999999", "0001-01-01T00:00:00+00:01"],
+    )
+    def test_instant_outside_the_writable_years_rejected(self, text):
+        # each once parsed, and then failed in format_timestamp
+        with pytest.raises(ValueError, match="out of range"):
+            pl.parse_timestamp(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "9999-12-31T23:59:59", "9999-12-31T22:59:59-01:00",
+            "0001-01-01T00:00:00", "0001-01-01T00:00:00-05:00",
+        ],
+    )  # fmt: skip
+    def test_first_and_last_writable_instants_round_trip(self, text):
+        epoch = pl.parse_timestamp(text)
+        assert pl.parse_timestamp(pl.format_timestamp(epoch)) == epoch
+
 
 class TestCsv:
     def test_read_write_round_trip(self, tmp_path):
@@ -253,3 +273,17 @@ class TestSynthetic:
             pl.generate_synthetic(pl.SynthProfile(breaks=((100, 50),)), seed=0)
         with pytest.raises(ConfigError):
             pl.generate_synthetic(pl.SynthProfile(start="someday"), seed=0)
+
+    @pytest.mark.parametrize(
+        "key, fields",
+        [
+            ("step_minutes", {"step_minutes": 1e9}),
+            ("step_minutes", {"step_minutes": 1e300}),
+            ("noise_sigma", {"noise_sigma": 1e308}),
+            # finite values whose std overflows, so every spike is inf
+            ("noise_sigma", {"noise_sigma": 1e200, "spike_rate": 0.5}),
+        ],
+    )
+    def test_profile_a_series_csv_cannot_hold_rejected_naming_key(self, key, fields):
+        with pytest.raises(ConfigError, match=key):
+            pl.generate_synthetic(pl.SynthProfile(length=50, **fields), seed=0)

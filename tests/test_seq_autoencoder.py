@@ -51,7 +51,7 @@ class TestArch:
 
     @pytest.mark.parametrize("tag,latent", [("1x16", 16), ("2x64-16", 16), ("3x128-64-16", 16)])
     def test_build_mirrors_decoder(self, tag, latent):
-        model = sa.build_model(tag, timesteps=10, features=1, seed=0)
+        model = sa.build_model(tag, timesteps=10, seed=0)
         assert model.encoder[-1].hidden_size == latent
         units = sa.parse_arch(tag)
         assert [l.hidden_size for l in model.encoder] == units
@@ -80,7 +80,7 @@ class TestForward:
     def test_latent_shape_chain(self):
         # T=10, m=1, latent 16: encoder out 16, repeated 10x16, head out 10x1;
         # the decoder output is kept feature-major, (hidden, T, B)
-        model = sa.build_model("1x16", timesteps=10, features=1, seed=5)
+        model = sa.build_model("1x16", timesteps=10, seed=5)
         window = Rng(6).normal(0, 1, (10, 1))
         recon, cache = sa._forward_batch(model, window[None])
         assert model.encoder[-1].hidden_size == 16
@@ -112,9 +112,9 @@ class TestForward:
 
     @pytest.mark.parametrize("tag", ["1x16", "2x64-16", "3x128-64-16"])
     def test_output_shape_equals_input_shape(self, tag):
-        model = sa.build_model(tag, timesteps=7, features=2, seed=7)
-        window = Rng(8).normal(0, 1, (7, 2))
-        assert sa.reconstruct_windows(model, window[None])[0].shape == (7, 2)
+        model = sa.build_model(tag, timesteps=7, seed=7)
+        window = Rng(8).normal(0, 1, (7, 1))
+        assert sa.reconstruct_windows(model, window[None])[0].shape == (7, 1)
 
     def test_train_mode_dropout_changes_output(self):
         model = sa.build_model("1x16", timesteps=10, dropout_rate=0.5, seed=9)
@@ -141,8 +141,8 @@ class TestInferencePass:
     @pytest.mark.parametrize("tag", ["1x3", "2x8-4", "3x8-6-4"])
     @pytest.mark.parametrize("t_len", [1, 7])
     def test_matches_training_forward(self, tag, t_len):
-        model = perturbed(sa.build_model(tag, timesteps=t_len, features=2, seed=30), 31)
-        windows = Rng(32).normal(0, 1, (5, t_len, 2))
+        model = perturbed(sa.build_model(tag, timesteps=t_len, seed=30), 31)
+        windows = Rng(32).normal(0, 1, (5, t_len, 1))
         expected, _ = sa._forward_batch(model, windows)
         got = sa.reconstruct_windows(model, windows)
         assert np.max(np.abs(got - expected)) <= 1e-12
@@ -218,7 +218,7 @@ class TestParameterVector:
 class TestGradients:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_mae_gradients_match_finite_differences(self, seed):
-        model = sa.build_model("1x3", timesteps=4, features=1, dropout_rate=0.0, seed=seed)
+        model = sa.build_model("1x3", timesteps=4, dropout_rate=0.0, seed=seed)
         batch = Rng(500 + seed).normal(0, 1, (2, 4, 1))
 
         def loss():
@@ -232,7 +232,7 @@ class TestGradients:
         assert worst_relative_error(loss, [model.vector], [grad]) < REL_TOL
 
     def test_stacked_gradients_match_finite_differences(self):
-        model = sa.build_model("2x4-3", timesteps=3, features=1, dropout_rate=0.0, seed=13)
+        model = sa.build_model("2x4-3", timesteps=3, dropout_rate=0.0, seed=13)
         batch = Rng(600).normal(0, 1, (2, 3, 1))
 
         def loss():
@@ -419,7 +419,7 @@ class TestPersistence:
         sa.save_model(model, str(path))
         loaded = sa.load_model(str(path))
         assert models_equal(model, loaded)
-        assert (loaded.arch, loaded.timesteps, loaded.features) == ("2x64-16", 10, 1)
+        assert (loaded.arch, loaded.timesteps) == ("2x64-16", 10)
         assert loaded.dropout_rate == 0.2
         assert loaded.init_seed == 21
         assert loaded.threshold == sa.ThresholdRecord(np.nextafter(0.1, 1.0), 100, 10)
@@ -605,10 +605,15 @@ class TestPersistence:
             (None, lambda v: np.concatenate([v, v[-2129:-17]])),
             (lambda doc: doc.update(timesteps=float("inf")), None),
             (lambda doc: doc["threshold"].update(train_points=float("inf")), None),
+            # save_model always writes this kind and one feature: another
+            # kind once loaded, and another feature count failed in detect
+            (lambda doc: doc.update(kind="other"), None),
+            (lambda doc: doc.pop("kind"), None),
+            (lambda doc: doc.update(features=2), None),
         ],
         ids=[
             "nan-head-weight", "inf-head-bias", "huge-arch", "extra-decoder-layer",
-            "inf-timesteps", "inf-train-points",
+            "inf-timesteps", "inf-train-points", "other-kind", "no-kind", "two-features",
         ],  # fmt: skip
     )
     def test_hostile_file_rejected_naming_path(self, tmp_path, header, vector):

@@ -35,9 +35,10 @@ class TestMakeWindows:
         with pytest.raises(InsufficientDataError):
             make_windows(np.zeros(4), 5)
 
-    def test_multifeature(self):
-        ws = make_windows(np.arange(12.0).reshape(6, 2), 3)
-        assert ws.windows.shape == (4, 3, 2)
+    @pytest.mark.parametrize("shape", [(6, 2), (6, 1), ()])
+    def test_series_that_is_not_one_dimensional_rejected(self, shape):
+        with pytest.raises(ShapeError, match=r"expected a \(N,\) series"):
+            make_windows(np.zeros(shape), 3)
 
 
 class TestCoverage:
@@ -112,13 +113,6 @@ class TestPerPointLoss:
             total[k : k + ws.window_len] += err[k]
         reversed_order = total / coverage_counts(ws.source_len, ws.window_len)
         assert np.max(np.abs(forward_order - reversed_order)) <= 1e-12
-
-    def test_multifeature_loss_matches_brute_force(self):
-        rng = Rng(10)
-        ws = make_windows(rng.normal(0, 1, (20, 2)), 5)
-        recons = rng.normal(0, 1, ws.windows.shape)
-        oracle, _ = brute_force_loss(ws, recons)
-        assert np.max(np.abs(per_point_loss(ws, recons) - oracle)) <= 1e-12
 
     def test_count_mismatch_rejected(self):
         ws = make_windows(np.arange(10.0), 3)

@@ -16,8 +16,10 @@ checkout path with a placeholder. The commands are:
 - preprocess, train, detect and evaluate on the seed-1 `train_paper`
   and `train_deep` series of the checkout's `bench/gen.py`, with the
   benchmark's own flags;
-- three inputs that must fail: `--sigma-k -1`, a constant training
-  period, and `synth --length 1`.
+- six inputs that must fail: `--sigma-k -1`, a constant training
+  period, `synth --length 1`, a synth whose timestamps run past the
+  year 9999 or whose noise overflows float64, and a raw reading dated
+  past the year 9999.
 
 Prints every difference and exits 1 if there is one, else exits 0.
 Uses the standard library only; the whole run takes about 70 s on a
@@ -81,6 +83,15 @@ STEPS = [
     ),
     ("constant training period", ["preprocess", "--out", "constant", "--input", "constant.csv"]),
     ("synth --length 1", ["synth", "--out", "short", "--length", "1"]),
+    (
+        "synth past the year 9999",
+        ["synth", "--out", "late_synth", "--length", "50", "--step-minutes", "1e9"],
+    ),
+    (
+        "synth overflowing noise",
+        ["synth", "--out", "huge_noise", "--length", "50", "--noise-sigma", "1e308"],
+    ),
+    ("reading past the year 9999", ["preprocess", "--out", "late", "--input", "late.csv"]),
 ]
 
 
@@ -93,12 +104,23 @@ def _constant_csv(path: str) -> None:
             fh.write(f"2018-01-01T00:{i:02d}:00,{5.0 if i < 30 else 5.0 + i}\n")
 
 
+def _late_csv(path: str) -> None:
+    """40 readings a minute apart, then one at 9999-12-31T23:59:59 in
+    UTC-1, which is in the year 10000 in UTC."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("timestamp,value\n")
+        for i in range(40):
+            fh.write(f"2018-01-01T00:{i:02d}:00,{400 + i}\n")
+        fh.write("9999-12-31T23:59:59-01:00,1\n")
+
+
 def run_side(checkout: str, workdir: str) -> tuple[dict, dict]:
     """Run every step in `workdir`. Returns ({label: (exit code, stdout,
     stderr)}, {relative path: bytes}), with `workdir` and `checkout`
     replaced by placeholders."""
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"), COLUMNS="100")
     _constant_csv(os.path.join(workdir, "constant.csv"))
+    _late_csv(os.path.join(workdir, "late.csv"))
 
     def neutral(data: bytes) -> bytes:
         for path, mark in ((workdir, b"<WORKDIR>"), (checkout, b"<CHECKOUT>")):
