@@ -138,6 +138,8 @@ class RunConfig:
             if typ is float and not math.isfinite(value):
                 raise ConfigError(f"config key {key!r} must be finite, got {value!r}")
             setattr(self, key, value)
+        if self.seed < 0:
+            raise ConfigError(f"config key 'seed' must be a non-negative integer, got {self.seed}")
         self.command = command
 
     def model_path(self) -> str:
@@ -197,7 +199,7 @@ def _read_scaler(cfg: RunConfig) -> pipeline.ScalerParams:
             mean=pipeline.json_number(doc, "mean", float, DataError, path),
             std=pipeline.json_number(doc, "std", float, DataError, path),
         )
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed scaler file {path}: {exc}")
     if not (math.isfinite(scaler.mean) and math.isfinite(scaler.std) and scaler.std > 0):
         raise DataError(f"scaler file {path} has unusable parameters: {doc}")

@@ -1,4 +1,4 @@
-"""Dense float64 kernels: the tanh activation, seeded RNG, Glorot init, Adam.
+"""Dense float64 kernels: the tanh activation, seeded streams, Glorot init, Adam.
 
 Everything runs in 64-bit precision so that finite-difference gradient
 checks are meaningful at 1e-4 relative tolerance. Matrices are plain
@@ -16,7 +16,7 @@ from .errors import ShapeError
 
 __all__ = [
     "tanh",
-    "Rng",
+    "substream",
     "glorot_init",
     "AdamState",
     "adam_step",
@@ -29,34 +29,15 @@ def tanh(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.tanh(np.asarray(x, dtype=np.float64), out=out)
 
 
-class Rng:
-    """Deterministic random source: one seed, reproducible draw sequence.
-
-    Thin wrapper over numpy's PCG64 generator. `spawn(name)` derives an
-    independent, named substream so a single top-level seed can drive
-    initialization, dropout, and data synthesis separately.
-    """
-
-    def __init__(self, seed: int):
-        self.seed = int(seed)
-        self._gen = np.random.Generator(np.random.PCG64(self.seed))
-
-    def uniform(self, low=0.0, high=1.0, size=None) -> np.ndarray:
-        return self._gen.uniform(low, high, size)
-
-    def normal(self, loc=0.0, scale=1.0, size=None) -> np.ndarray:
-        return self._gen.normal(loc, scale, size)
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
-
-    def spawn(self, name: str) -> "Rng":
-        """Derive a child generator keyed by `name`; stable across runs."""
-        mix = zlib.crc32(name.encode("utf-8"))
-        return Rng((self.seed * 1_000_003 + mix) % (1 << 63))
+def substream(seed: int, name: str) -> np.random.Generator:
+    """The PCG64 stream that `name` derives from `seed`, independent of
+    the other names' streams and stable across runs, so one top-level
+    seed drives initialization, shuffling, dropout and synthesis apart."""
+    mix = zlib.crc32(name.encode("utf-8"))
+    return np.random.Generator(np.random.PCG64((seed * 1_000_003 + mix) % 2**63))
 
 
-def glorot_init(rows: int, cols: int, rng: Rng) -> np.ndarray:
+def glorot_init(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     """Glorot-uniform matrix: entries in ±sqrt(6 / (rows + cols))."""
     if rows < 1 or cols < 1:
         raise ShapeError(f"matrix dimensions must be positive, got ({rows}, {cols})")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CsvParseError, EmptyInputError, ModelFileError
+from .errors import CsvParseError, DataError, ModelFileError
 from .metrics import ConfusionCounts, confusion
 from .pipeline import (
     ScalerParams,
@@ -71,7 +71,7 @@ def fit_threshold(model: SeqAutoencoderModel, train_windows: WindowSet) -> Thres
     """Maximum per-point training loss, in normalized units; training data
     never exceeds it. The record is what `train` stores with the model."""
     if len(train_windows) == 0:
-        raise EmptyInputError("cannot fit a threshold on an empty window set")
+        raise DataError("cannot fit a threshold on an empty window set")
     losses = point_losses(model, train_windows)
     return ThresholdRecord(
         value=float(losses.max()),
@@ -111,7 +111,7 @@ def detect(
     window coverage); the verdict is 1 only for loss strictly greater
     than the threshold. Ground-truth labels, when present, ride along
     for evaluation. Raises ModelFileError for a model without a
-    threshold record and InsufficientDataError for a series shorter
+    threshold record and DataError for a series shorter
     than one window.
     """
     if model.threshold is None:

@@ -1,9 +1,9 @@
 """Exception types shared across the toolkit.
 
 The CLI maps these onto exit codes: ConfigError for bad configuration,
-DataError subclasses for problems with the data itself, and everything
-else (including ShapeError escaping from the numeric core) is treated
-as an internal invariant violation.
+DataError and its subclasses for problems with the data itself, and
+everything else (including ShapeError escaping from the numeric core) is
+treated as an internal invariant violation.
 """
 
 
@@ -19,12 +19,6 @@ class ConfigError(ToolkitError):
     """Invalid configuration value, flag, or profile."""
 
 
-class TrainingDivergedError(ConfigError):
-    """Training diverged: a non-finite loss or parameter, or a final loss
-    far above that of reconstructing every window as zeros. The usual
-    cause is a learning rate that is too high."""
-
-
 class DataError(ToolkitError):
     """The input data cannot be processed as requested."""
 
@@ -37,22 +31,6 @@ class CsvParseError(DataError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
-
-
-class EmptyInputError(DataError):
-    """An operation that needs at least one element received none."""
-
-
-class InsufficientDataError(DataError):
-    """Series shorter than the requested window length."""
-
-
-class DegenerateScaleError(DataError):
-    """Constant series: standard deviation is zero, scaling undefined."""
-
-
-class DegenerateLabelsError(DataError):
-    """Label vector contains only one class; ranking metrics undefined."""
 
 
 class ModelFileError(DataError):

@@ -52,8 +52,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_math import Rng, glorot_init, tanh
-from .errors import EmptyInputError, ShapeError
+from .core_math import glorot_init, tanh
+from .errors import DataError, ShapeError
 
 __all__ = [
     "LstmLayerParams",
@@ -84,7 +84,7 @@ class LstmLayerParams:
         return [self.w, self.b]
 
     @classmethod
-    def init(cls, hidden_size: int, input_size: int, rng: Rng) -> "LstmLayerParams":
+    def init(cls, hidden_size: int, input_size: int, rng: np.random.Generator) -> "LstmLayerParams":
         """Glorot-uniform weights per gate, zero biases.
 
         The gate blocks are drawn in f, i, g, o order, so a seed gives the
@@ -134,7 +134,7 @@ def _check_inputs(params: LstmLayerParams, inputs) -> np.ndarray:
     if inputs.shape[2] != params.input_size:
         raise ShapeError(f"input shape {inputs.shape} does not match input size {params.input_size}")
     if inputs.shape[0] == 0:
-        raise EmptyInputError("cannot run an LSTM over an empty sequence")
+        raise DataError("cannot run an LSTM over an empty sequence")
     return inputs
 
 
@@ -213,7 +213,7 @@ def lstm_backward(
     """
     t_len = len(cache)
     if t_len == 0:
-        raise EmptyInputError("no cached steps to backpropagate through")
+        raise DataError("no cached steps to backpropagate through")
     h, d = params.hidden_size, params.input_size
     b = cache.z.shape[2]
     if cache.z.shape != (h + d, t_len + 1, b):

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DegenerateLabelsError
+from .errors import DataError
 
 __all__ = [
     "ConfusionCounts",
@@ -119,7 +119,7 @@ def roc_auc(labels, scores) -> RocCurve:
     n_pos = int((labels == 1).sum())
     n_neg = labels.shape[0] - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise DegenerateLabelsError("ROC needs at least one positive and one negative label")
+        raise DataError("ROC needs at least one positive and one negative label")
 
     order = np.argsort(-scores, kind="stable")
     sorted_scores = scores[order]

@@ -20,8 +20,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .core_math import Rng
-from .errors import ConfigError, CsvParseError, DataError, DegenerateScaleError, EmptyInputError
+from .core_math import substream
+from .errors import ConfigError, CsvParseError, DataError
 
 __all__ = [
     "TimeSeries",
@@ -253,7 +253,7 @@ def clean_report(raw: TimeSeries, strict_nan: bool = False) -> CleanReport:
     ts, vals = ts[first_pos], vals[first_pos]
 
     if ts.shape[0] == 0:
-        raise EmptyInputError("cleaning removed every record")
+        raise DataError("cleaning removed every record")
     return CleanReport(
         series=TimeSeries(ts, vals),
         rows_in=rows_in,
@@ -275,11 +275,16 @@ class ScalerParams:
 def fit_scaler(values: np.ndarray) -> ScalerParams:
     values = np.asarray(values, dtype=np.float64)
     if values.size < 2:
-        raise EmptyInputError(f"scaler needs at least 2 values, got {values.size}")
-    mean = float(values.mean())
-    std = float(values.std())  # population form
+        raise DataError(f"scaler needs at least 2 values, got {values.size}")
+    with np.errstate(over="ignore"):  # checked below
+        mean = float(values.mean())
+        std = float(values.std())  # population form
+    if not (math.isfinite(mean) and math.isfinite(std)):
+        raise DataError(
+            f"scaler of {values.size} values overflows float64: mean {mean!r}, std {std!r}"
+        )
     if std == 0.0:
-        raise DegenerateScaleError("constant series: standard deviation is zero")
+        raise DataError("constant series: standard deviation is zero")
     return ScalerParams(mean=mean, std=std)
 
 
@@ -306,7 +311,7 @@ def build_train_test(series: TimeSeries, split_instant: float, k: float) -> Spli
     before = series.timestamps < split_instant
     after = ~before
     if not before.any() or not after.any():
-        raise EmptyInputError("split instant leaves an empty train or test side")
+        raise DataError("split instant leaves an empty train or test side")
     train_side, test_side = series.slice(before), series.slice(after)
 
     fit = fit_scaler(train_side.values)
@@ -318,7 +323,7 @@ def build_train_test(series: TimeSeries, split_instant: float, k: float) -> Spli
     keep = (train_side.values >= lo) & (train_side.values <= hi)
     train = TimeSeries(train_side.timestamps[keep], train_side.values[keep])
     if len(train) == 0:
-        raise EmptyInputError("sigma filter removed every training point")
+        raise DataError("sigma filter removed every training point")
     normal = (test_side.values >= lo) & (test_side.values <= hi)
     test = TimeSeries(test_side.timestamps, test_side.values, np.where(normal, 0, 1))
     return SplitResult(
@@ -366,8 +371,6 @@ class SynthProfile:
             start = parse_timestamp(self.start)
         except ValueError:
             raise ConfigError(f"bad start timestamp {self.start!r}")
-        if not math.isfinite(start):
-            raise ConfigError(f"bad start timestamp {self.start!r}")
         try:
             # the last of generate_synthetic's timestamps, computed as it does
             format_timestamp(start + (self.length - 1) * (self.step_minutes * 60.0))
@@ -390,7 +393,7 @@ def generate_synthetic(profile: SynthProfile, seed: int) -> tuple[TimeSeries, np
     points drawn independently with probability spike_rate. A profile
     whose values overflow float64 raises ConfigError.
     """
-    rng = Rng(seed).spawn("synth")
+    rng = substream(seed, "synth")
     n = profile.length
     start = parse_timestamp(profile.start)
     timestamps = start + np.arange(n) * (profile.step_minutes * 60.0)

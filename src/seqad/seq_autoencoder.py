@@ -22,15 +22,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .core_math import AdamState, Rng, adam_step, glorot_init
-from .errors import (
-    ConfigError,
-    EmptyInputError,
-    ModelFileError,
-    ModelVersionError,
-    ShapeError,
-    TrainingDivergedError,
-)
+from .core_math import AdamState, adam_step, glorot_init, substream
+from .errors import ConfigError, DataError, ModelFileError, ModelVersionError, ShapeError
 from .lstm import LstmLayerParams, lstm_backward, lstm_forward, lstm_infer
 from .pipeline import json_number
 from .windowing import WindowSet
@@ -167,7 +160,7 @@ def build_model(
 ) -> SeqAutoencoderModel:
     """Construct a freshly initialized model for one architecture tag."""
     sizes = _layer_sizes(arch, timesteps, dropout_rate)
-    rng = Rng(seed).spawn("init")
+    rng = substream(seed, "init")
     arrays = []
     for h, d in sizes:
         arrays.extend(LstmLayerParams.init(h, d, rng).arrays())
@@ -218,12 +211,14 @@ class TrainTrace:
         return len(self.train_loss)
 
 
-def _dropout_mask(shape, rate: float, rng: Rng) -> np.ndarray:
+def _dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
     # inverted scaling: expectation preserved, inference applies nothing
     return (rng.uniform(size=shape) >= rate) / (1.0 - rate)
 
 
-def _forward_batch(model: SeqAutoencoderModel, batch: np.ndarray, rng: Rng | None = None):
+def _forward_batch(
+    model: SeqAutoencoderModel, batch: np.ndarray, rng: np.random.Generator | None = None
+):
     """Run a (B, T, 1) batch through the full autoencoder, keeping what
     backpropagation needs: the training pass.
 
@@ -372,18 +367,18 @@ def train(
     Training drops any threshold record the model carried, which the
     caller fits again for the new parameters.
 
-    Raises TrainingDivergedError, leaving the model unusable, when an
+    Raises ConfigError, leaving the model unusable, when an
     epoch ends with a non-finite loss or parameter, or when the final
     train MAE exceeds DIVERGENCE_FACTOR times the MAE of an all-zero
     reconstruction of the training windows.
     """
     if len(windows) == 0:
-        raise EmptyInputError("training requires at least one window")
+        raise DataError("training requires at least one window")
     data = windows.windows
     n_val = int(len(windows) * cfg.validation_fraction)
     n_train = len(windows) - n_val
     if n_train == 0:
-        raise EmptyInputError("validation split leaves no training windows")
+        raise DataError("validation split leaves no training windows")
     train_data = data[:n_train]
     val_data = data[n_train:]
 
@@ -394,8 +389,8 @@ def train(
     model.threshold = None  # fit on the parameters this run replaces
     grad = np.empty_like(model.vector)  # every batch overwrites all of it
     state = AdamState.for_vector(model.vector)
-    shuffle_rng = Rng(cfg.seed).spawn("shuffle")
-    dropout_rng = Rng(cfg.seed).spawn("dropout")
+    shuffle_rng = substream(cfg.seed, "shuffle")
+    dropout_rng = substream(cfg.seed, "dropout")
     denom = train_data.shape[0] * model.timesteps
 
     for epoch in range(1, cfg.epochs + 1):
@@ -411,7 +406,7 @@ def train(
             adam_step(model.vector, grad, state, cfg.learning_rate)
         train_mae = epoch_abs_err / denom
         if not (np.isfinite(train_mae) and np.isfinite(model.vector).all()):
-            raise TrainingDivergedError(
+            raise ConfigError(
                 f"training diverged at epoch {epoch}: train MAE {train_mae!r} with a "
                 f"non-finite loss or parameter at learning rate {cfg.learning_rate!r}"
             )
@@ -424,7 +419,7 @@ def train(
 
     zero_mae = float(np.abs(train_data).mean())
     if train_mae > DIVERGENCE_FACTOR * zero_mae:
-        raise TrainingDivergedError(
+        raise ConfigError(
             f"training diverged: final epoch {cfg.epochs} ended at train MAE {train_mae!r}, "
             f"over {DIVERGENCE_FACTOR:g} times the {zero_mae!r} of an all-zero reconstruction, "
             f"at learning rate {cfg.learning_rate!r}"

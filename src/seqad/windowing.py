@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InsufficientDataError, ShapeError
+from .errors import DataError, ShapeError
 
 __all__ = ["WindowSet", "make_windows", "coverage_counts", "per_point_loss"]
 
@@ -41,7 +41,7 @@ def make_windows(values: np.ndarray, window_len: int) -> WindowSet:
     if t < 1:
         raise ShapeError(f"window length must be >= 1, got {t}")
     if n < t:
-        raise InsufficientDataError(f"series of length {n} is shorter than window length {t}")
+        raise DataError(f"series of length {n} is shorter than window length {t}")
     windows = np.ascontiguousarray(sliding_window_view(values, t)[:, :, None])
     return WindowSet(source_len=n, window_len=t, windows=windows)
 

@@ -16,7 +16,6 @@ import pytest
 from gradcheck import worst_relative_error
 from lstm_reference import zero_params
 from seqad import cli, detector, metrics, pipeline, seq_autoencoder as sa
-from seqad.core_math import Rng
 from seqad.lstm import LstmLayerParams, lstm_backward, lstm_forward
 from seqad.windowing import coverage_counts, make_windows, per_point_loss
 
@@ -92,7 +91,7 @@ def test_criterion_2_metrics_replay():
 
 
 def _lstm_gradcheck(seed):
-    rng = Rng(seed)
+    rng = np.random.default_rng(seed)
     hidden = 1 + int(rng.uniform(0, 4))
     t_len = 1 + int(rng.uniform(0, 5))
     input_size = 1 + int(rng.uniform(0, 3))
@@ -116,7 +115,7 @@ def _lstm_gradcheck(seed):
 
 def _autoencoder_gradcheck(seed):
     model = sa.build_model("1x3", timesteps=4, dropout_rate=0.0, seed=seed)
-    batch = Rng(1000 + seed).normal(0, 1, (2, 4, 1))
+    batch = np.random.default_rng(1000 + seed).normal(0, 1, (2, 4, 1))
 
     def loss():
         recon, _ = sa._forward_batch(model, batch)
@@ -147,7 +146,7 @@ def test_criterion_3_gradient_suite():
 
 def test_criterion_4_aggregation_oracle():
     start = time.monotonic()
-    rng = Rng(4)
+    rng = np.random.default_rng(4)
     worst = 0.0
     for _ in range(200):
         n = int(rng.uniform(1, 51))
@@ -181,7 +180,7 @@ def pair_count_auc(labels, scores):
 
 def test_criterion_5_auc_oracle():
     start = time.monotonic()
-    rng = Rng(5)
+    rng = np.random.default_rng(5)
     worst = 0.0
     for _ in range(50):
         labels = (rng.uniform(size=200) < 0.3).astype(int)

@@ -448,6 +448,43 @@ class TestErrorCodes:
         assert "noise_sigma" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed_is_config_error_naming_key(self, workspace, tmp_path, capsys, source):
+        # once a numpy ValueError traceback with exit 1
+        out = copy_workspace(workspace, tmp_path)
+        if source == "flag":
+            extra = ["--seed", "-5"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("seed = -5\n")
+            extra = ["--config", str(cfg)]
+        model = os.path.join(out, "model.json")
+        with open(model, "rb") as fh:
+            before = fh.read()
+        code, _, err = run(capsys, "train", "--out", out, "--epochs", "1", *extra)
+        assert code == cli.EXIT_CONFIG
+        assert "'seed' must be a non-negative integer, got -5" in err
+        with open(model, "rb") as fh:
+            assert fh.read() == before
+        synth_out = tmp_path / "o"
+        code, _, err = run(capsys, "synth", "--out", str(synth_out), "--length", "50", *extra)
+        assert code == cli.EXIT_CONFIG
+        assert "'seed'" in err
+        assert not synth_out.exists()
+
+    def test_scaler_that_overflows_is_data_error_and_writes_nothing(self, tmp_path, capsys):
+        # once exit 0 with a band of [-inf, inf] and "std": Infinity in scaler.json
+        out = str(tmp_path / "big")
+        argv = ["--out", out, "--length", "200", "--noise-sigma", "1e200", "--spike-rate", "0"]
+        assert cli.main(["synth", *argv]) == 0
+        code, _, err = run(
+            capsys, "preprocess", "--out", out, "--input", os.path.join(out, "synthetic.csv")
+        )
+        assert code == cli.EXIT_DATA
+        assert "overflows float64" in err
+        for name in ("train.csv", "test.csv", "scaler.json"):
+            assert not os.path.exists(os.path.join(out, name)), name
+
     @pytest.mark.parametrize("key, value", [("features", 2), ("kind", "other")])
     def test_model_of_other_feature_count_or_kind_is_data_error_naming_path_and_key(
         self, workspace, tmp_path, capsys, key, value

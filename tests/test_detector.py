@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from seqad.core_math import Rng
 from seqad import detector, pipeline, seq_autoencoder as sa
-from seqad.errors import CsvParseError, EmptyInputError, InsufficientDataError, ModelFileError
+from seqad.errors import CsvParseError, DataError, ModelFileError
 from seqad.windowing import make_windows
 
 
@@ -41,13 +40,13 @@ class TestFitThreshold:
         model = zero_model(3)
         windows = make_windows(np.zeros(10), 3)
         windows.windows = windows.windows[:0]
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(DataError, match="cannot fit a threshold on an empty window set"):
             detector.fit_threshold(model, windows)
 
 
 class TestFit:
     def test_equals_build_train_then_threshold_fit(self):
-        windows = make_windows(Rng(5).normal(0, 1, 60), 6)
+        windows = make_windows(np.random.default_rng(5).normal(0, 1, 60), 6)
         cfg = sa.TrainConfig(epochs=2, dropout=0.1, batch_size=16, seed=5)
         model, trace = detector.fit(windows, "2x8-4", cfg)
         expected = sa.build_model("2x8-4", timesteps=6, dropout_rate=0.1, seed=5)
@@ -86,7 +85,7 @@ class TestDetect:
     def test_monotonicity_in_threshold(self):
         model = zero_model(1)
         model.threshold = detector.fit_threshold(model, make_windows(np.array([0.5]), 1))
-        values = Rng(4).uniform(0, 1, 50)
+        values = np.random.default_rng(4).uniform(0, 1, 50)
         flagged = []
         for eta in (0.1, 0.3, 0.7):
             model.threshold.value = eta
@@ -97,7 +96,7 @@ class TestDetect:
     def test_series_shorter_than_window_rejected(self):
         model = zero_model(5)
         model.threshold = sa.ThresholdRecord(value=1.0, train_points=10, window_len=5)
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(DataError, match="series of length 2 is shorter than window length 5"):
             detector.detect(model, series([1.0, 2.0]), IDENTITY_SCALER)
 
     def test_model_without_threshold_rejected(self):

@@ -11,13 +11,12 @@ from lstm_reference import (
     split_gates,
     zero_params,
 )
-from seqad.core_math import Rng
-from seqad.errors import EmptyInputError, ShapeError
+from seqad.errors import DataError, ShapeError
 from seqad.lstm import LstmLayerParams, _step, lstm_backward, lstm_forward, lstm_infer
 
 
 def random_params(hidden, input_size, seed, bias_scale=0.1):
-    rng = Rng(seed)
+    rng = np.random.default_rng(seed)
     params = LstmLayerParams.init(hidden, input_size, rng)
     params.b += rng.uniform(-bias_scale, bias_scale, params.b.shape)
     return params
@@ -56,7 +55,7 @@ class TestStep:
 
     def test_zero_params_forces_half_gates(self):
         params = zero_params(3, 2)
-        rng = Rng(4)
+        rng = np.random.default_rng(4)
         h_prev, c_prev = rng.normal(0, 0.5, (2, 3)), rng.normal(0, 2, (2, 3))
         x = rng.normal(0, 1, (2, 2))
         (f, i, o, g), c, h = step_from(params, h_prev, c_prev, x)
@@ -71,7 +70,7 @@ class TestStep:
         params = random_params(4, 3, seed=8)
         params.b[:4] = 1e3
         params.b[4:8] = -1e3
-        rng = Rng(9)
+        rng = np.random.default_rng(9)
         h, c = rng.normal(0, 0.5, (1, 4)), rng.normal(0, 1.5, (1, 4))
         c_start = c.copy()
         for x in rng.normal(0, 1, (6, 1, 3)):
@@ -98,7 +97,7 @@ class TestStep:
         assert out[0, 0, 0] == pytest.approx(0.36960635293570576, abs=1e-15)
 
     def test_gate_and_state_ranges(self):
-        rng = Rng(21)
+        rng = np.random.default_rng(21)
         for seed in range(5):
             params = random_params(3, 2, seed=seed, bias_scale=1.0)
             out, caches = lstm_forward(params, rng.normal(0, 3, (7, 4, 2)))
@@ -119,7 +118,7 @@ class TestStep:
 class TestForward:
     def test_t1_equals_single_step(self):
         params = random_params(3, 2, seed=0)
-        x = Rng(1).normal(0, 1, (1, 2, 2))
+        x = np.random.default_rng(1).normal(0, 1, (1, 2, 2))
         out, caches = lstm_forward(params, x)
         h, _, _ = reference_step(params, np.zeros((2, 3)), np.zeros((2, 3)), x[0])
         assert len(caches) == 1
@@ -127,13 +126,13 @@ class TestForward:
 
     def test_zero_params_bounds_hidden(self):
         params = zero_params(2, 1)
-        x = Rng(2).normal(0, 5, (5, 3, 1))
+        x = np.random.default_rng(2).normal(0, 5, (5, 3, 1))
         out, _ = lstm_forward(params, x)
         assert np.all(np.abs(out) <= 0.5)
 
     def test_purity(self):
         params = random_params(4, 2, seed=3)
-        x = Rng(4).normal(0, 1, (6, 2, 2))
+        x = np.random.default_rng(4).normal(0, 1, (6, 2, 2))
         a, _ = lstm_forward(params, x)
         b, _ = lstm_forward(params, x)
         assert np.array_equal(a, b)
@@ -141,7 +140,7 @@ class TestForward:
     def test_final_state_is_a_view_of_the_cache(self):
         # the autoencoder's latent is outputs[-1]: h_{T-1}, held in z[:H, T]
         params = random_params(3, 1, seed=5)
-        x = Rng(6).normal(0, 1, (4, 2, 1))
+        x = np.random.default_rng(6).normal(0, 1, (4, 2, 1))
         seq, cache = lstm_forward(params, x)
         assert seq[-1].shape == (2, 3)
         assert np.shares_memory(seq[-1], cache.z)
@@ -149,7 +148,7 @@ class TestForward:
 
     def test_empty_sequence_rejected(self):
         params = zero_params(2, 1)
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(DataError, match="cannot run an LSTM over an empty sequence"):
             lstm_forward(params, np.zeros((0, 1, 1)))
 
 
@@ -161,7 +160,7 @@ class TestTracerContract:
     def test_step_count_and_cache_views(self):
         t_len, b, d, h = 6, 3, 2, 4
         params = random_params(h, d, seed=60)
-        x = Rng(61).normal(0, 1, (t_len, b, d))
+        x = np.random.default_rng(61).normal(0, 1, (t_len, b, d))
         out, cache = lstm_forward(params, x)
         assert np.prod(np.shape(x)[:2]) == b * t_len
         assert len(cache) == t_len
@@ -177,7 +176,7 @@ class TestInfer:
     @pytest.mark.parametrize("t_len", [1, 7])
     def test_sequences_match_training_forward(self, t_len):
         params = random_params(4, 3, seed=8)
-        x = Rng(9).normal(0, 1, (t_len, 5, 3))
+        x = np.random.default_rng(9).normal(0, 1, (t_len, 5, 3))
         expected, _ = lstm_forward(params, x)
         got = lstm_infer(params, x)
         assert got.shape == (t_len, 5, 4)
@@ -187,7 +186,7 @@ class TestInfer:
         params = zero_params(2, 1)
         with pytest.raises(ShapeError):
             lstm_infer(params, np.zeros((3, 1, 2)))
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(DataError, match="cannot run an LSTM over an empty sequence"):
             lstm_infer(params, np.zeros((0, 1, 1)))
 
 
@@ -199,7 +198,7 @@ class TestAgainstReference:
         # without every_step, a gradient on the final state alone
         b, t_len, hidden, d = 3, 5, 4, 2
         params = random_params(hidden, d, seed=40, bias_scale=0.5)
-        rng = Rng(41)
+        rng = np.random.default_rng(41)
         x = rng.normal(0, 1, (b, t_len, d))
         h0, c0 = np.zeros((b, hidden)), np.zeros((b, hidden))
         seq_grads = rng.normal(0, 1, (b, t_len, hidden))
@@ -228,10 +227,10 @@ class TestAgainstReference:
 
     def test_init_matches_per_gate_draws(self):
         # one Glorot block per gate, drawn in f, i, c, o order
-        rng = Rng(42)
+        rng = np.random.default_rng(42)
         blocks = [rng.uniform(-np.sqrt(6.0 / 10), np.sqrt(6.0 / 10), (3, 7)) for _ in range(4)]
         w_f, w_i, w_c, w_o = blocks
-        params = LstmLayerParams.init(3, 4, Rng(42))
+        params = LstmLayerParams.init(3, 4, np.random.default_rng(42))
         w = split_gates(params.w)
         assert np.array_equal(w["f"], w_f) and np.array_equal(w["i"], w_i)
         assert np.array_equal(w["o"], w_o) and np.array_equal(w["g"], w_c)
@@ -241,7 +240,7 @@ class TestAgainstReference:
 class TestBackward:
     def test_zero_grad_outputs_give_zero_gradients(self):
         params = random_params(3, 2, seed=10)
-        x = Rng(11).normal(0, 1, (4, 2, 2))
+        x = np.random.default_rng(11).normal(0, 1, (4, 2, 2))
         _, caches = lstm_forward(params, x)
         grads = LstmLayerParams(w=np.ones_like(params.w), b=np.ones_like(params.b))
         d_in = lstm_backward(params, caches, np.zeros((4, 2, 3)), grads)
@@ -252,7 +251,7 @@ class TestBackward:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_parameter_gradients_match_finite_differences(self, seed):
         params = random_params(1, 1, seed=seed)
-        rng = Rng(100 + seed)
+        rng = np.random.default_rng(100 + seed)
         x = rng.normal(0, 1, (2, 1, 1))
         proj = rng.normal(0, 1, (2, 1, 1))
 
@@ -268,7 +267,7 @@ class TestBackward:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_input_gradients_match_finite_differences(self, seed):
         params = random_params(2, 2, seed=seed)
-        rng = Rng(200 + seed)
+        rng = np.random.default_rng(200 + seed)
         x = rng.normal(0, 1, (3, 1, 2))
         proj = rng.normal(0, 1, (3, 1, 2))
 
@@ -283,7 +282,7 @@ class TestBackward:
     def test_last_only_gradients_match_finite_differences(self):
         # a loss on the final state alone: a gradient on step T-1 only
         params = random_params(3, 1, seed=9)
-        rng = Rng(300)
+        rng = np.random.default_rng(300)
         x = rng.normal(0, 1, (4, 2, 1))
         proj = rng.normal(0, 1, (2, 3))
 
@@ -300,7 +299,7 @@ class TestBackward:
 
     def test_grad_shape_mismatch_rejected(self):
         params = random_params(3, 2, seed=12)
-        x = Rng(13).normal(0, 1, (4, 2, 2))
+        x = np.random.default_rng(13).normal(0, 1, (4, 2, 2))
         _, caches = lstm_forward(params, x)
         grads = zero_params(3, 2)
         with pytest.raises(ShapeError):

@@ -3,13 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from seqad.core_math import Rng
-from seqad.errors import (
-    ConfigError,
-    CsvParseError,
-    DegenerateScaleError,
-    EmptyInputError,
-)
+from seqad.errors import ConfigError, CsvParseError, DataError
 from seqad import pipeline as pl
 
 
@@ -146,7 +140,7 @@ class TestClean:
 
     def test_everything_removed_is_an_error(self):
         raw = pl.TimeSeries(ts(np.nan), np.array([np.nan]))
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(DataError, match="cleaning removed every record"):
             pl.clean_report(raw)
 
 
@@ -159,19 +153,27 @@ class TestScaler:
         assert np.max(np.abs(z - [-1.224744871391589, 0.0, 1.224744871391589])) <= 1e-12
 
     def test_scaled_data_is_standardized(self):
-        vals = Rng(2).normal(500, 80, 5000)
+        vals = np.random.default_rng(2).normal(500, 80, 5000)
         z = pl.apply_scaler(vals, pl.fit_scaler(vals))
         assert abs(z.mean()) < 1e-9
         assert abs(z.std() - 1.0) < 1e-9
 
     def test_constant_series_rejected(self):
-        with pytest.raises(DegenerateScaleError):
+        with pytest.raises(DataError, match="constant series: standard deviation is zero"):
             pl.fit_scaler(ts(5.0, 5.0, 5.0))
+
+    @pytest.mark.parametrize(
+        "values", [(1e200, -1e200, 1e200), (1.5e308, 1.5e308, 1.0)], ids=["std", "mean"]
+    )
+    def test_overflowing_mean_or_std_rejected(self, values):
+        # once a scaler with an infinite std and a band of [-inf, inf]
+        with pytest.raises(DataError, match=r"scaler of 3 values overflows float64: mean .*std inf"):
+            pl.fit_scaler(ts(*values))
 
 
 class TestBuildTrainTest:
     def make_series(self, seed=4, n=800):
-        rng = Rng(seed)
+        rng = np.random.default_rng(seed)
         vals = rng.normal(100, 10, n)
         vals[rng.uniform(size=n) < 0.05] += 80.0  # clear outliers
         return pl.TimeSeries(np.arange(n) * 60.0, vals)
@@ -193,9 +195,9 @@ class TestBuildTrainTest:
 
     def test_empty_side_rejected(self):
         series = self.make_series(n=10)
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(DataError, match="split instant leaves an empty train or test side"):
             pl.build_train_test(series, split_instant=0.0, k=2.0)
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(DataError, match="split instant leaves an empty train or test side"):
             pl.build_train_test(series, split_instant=1e12, k=2.0)
 
     def test_band_boundary_inclusive(self):
@@ -220,7 +222,7 @@ class TestBuildTrainTest:
 
     def test_constant_training_period_rejected(self):
         series = pl.TimeSeries(ts(0, 60, 120, 180), ts(5.0, 5.0, 5.0, 9.0))
-        with pytest.raises(DegenerateScaleError):
+        with pytest.raises(DataError, match="constant series: standard deviation is zero"):
             pl.build_train_test(series, split_instant=180.0, k=2.0)
 
     def test_labels_match_injected_spikes(self):

@@ -8,15 +8,7 @@ import pytest
 
 from gradcheck import REL_TOL, worst_relative_error
 from model_files import rewrite_model_file, with_entry, write_v3_model_file
-from seqad.core_math import Rng
-from seqad.errors import (
-    ConfigError,
-    EmptyInputError,
-    ModelFileError,
-    ModelVersionError,
-    ShapeError,
-    TrainingDivergedError,
-)
+from seqad.errors import ConfigError, DataError, ModelFileError, ModelVersionError, ShapeError
 from seqad import seq_autoencoder as sa
 from seqad.lstm import lstm_infer
 from seqad.windowing import make_windows
@@ -68,12 +60,12 @@ class TestArch:
 class TestForward:
     def test_zero_model_reconstructs_bias(self):
         model = zeroed(sa.build_model("1x16", timesteps=10, seed=1))
-        window = Rng(2).normal(0, 1, (10, 1))
+        window = np.random.default_rng(2).normal(0, 1, (10, 1))
         assert np.array_equal(sa.reconstruct_windows(model, window[None])[0], np.zeros((10, 1)))
 
     def test_inference_is_deterministic(self):
         model = sa.build_model("1x16", timesteps=10, dropout_rate=0.5, seed=3)
-        windows = Rng(4).normal(0, 1, (1, 10, 1))
+        windows = np.random.default_rng(4).normal(0, 1, (1, 10, 1))
         first = sa.reconstruct_windows(model, windows)
         assert np.array_equal(first, sa.reconstruct_windows(model, windows))
 
@@ -81,7 +73,7 @@ class TestForward:
         # T=10, m=1, latent 16: encoder out 16, repeated 10x16, head out 10x1;
         # the decoder output is kept feature-major, (hidden, T, B)
         model = sa.build_model("1x16", timesteps=10, seed=5)
-        window = Rng(6).normal(0, 1, (10, 1))
+        window = np.random.default_rng(6).normal(0, 1, (10, 1))
         recon, cache = sa._forward_batch(model, window[None])
         assert model.encoder[-1].hidden_size == 16
         assert cache["dec_caches"][-1][0].z.shape == (1, 16 + 16)
@@ -94,9 +86,9 @@ class TestForward:
         # wrong axes cannot broadcast
         b, t_len, rate = 3, 5, 0.3
         model = perturbed(sa.build_model("2x8-4", timesteps=t_len, dropout_rate=rate, seed=50), 51)
-        batch = Rng(52).normal(0, 1, (b, t_len, 1))
-        recon, cache = sa._forward_batch(model, batch, rng=Rng(53))
-        rng = Rng(53)
+        batch = np.random.default_rng(52).normal(0, 1, (b, t_len, 1))
+        recon, cache = sa._forward_batch(model, batch, rng=np.random.default_rng(53))
+        rng = np.random.default_rng(53)
         latent_mask = (rng.uniform(size=(b, 4)) >= rate) / (1.0 - rate)
         dec_mask = (rng.uniform(size=(b, t_len, 8)) >= rate) / (1.0 - rate)
         assert np.array_equal(cache["latent_mask"], latent_mask)
@@ -113,14 +105,14 @@ class TestForward:
     @pytest.mark.parametrize("tag", ["1x16", "2x64-16", "3x128-64-16"])
     def test_output_shape_equals_input_shape(self, tag):
         model = sa.build_model(tag, timesteps=7, seed=7)
-        window = Rng(8).normal(0, 1, (7, 1))
+        window = np.random.default_rng(8).normal(0, 1, (7, 1))
         assert sa.reconstruct_windows(model, window[None])[0].shape == (7, 1)
 
     def test_train_mode_dropout_changes_output(self):
         model = sa.build_model("1x16", timesteps=10, dropout_rate=0.5, seed=9)
-        windows = Rng(10).normal(0, 1, (1, 10, 1))
+        windows = np.random.default_rng(10).normal(0, 1, (1, 10, 1))
         plain = sa.reconstruct_windows(model, windows)
-        dropped, _ = sa._forward_batch(model, windows, rng=Rng(11))
+        dropped, _ = sa._forward_batch(model, windows, rng=np.random.default_rng(11))
         assert not np.array_equal(plain, dropped)
 
     def test_shape_mismatch_rejected(self):
@@ -131,7 +123,7 @@ class TestForward:
 
 def perturbed(model, seed):
     """The model with every parameter, biases included, moved off its init."""
-    rng = Rng(seed)
+    rng = np.random.default_rng(seed)
     for p in model.params():
         p += rng.normal(0, 0.2, p.shape)
     return model
@@ -142,21 +134,21 @@ class TestInferencePass:
     @pytest.mark.parametrize("t_len", [1, 7])
     def test_matches_training_forward(self, tag, t_len):
         model = perturbed(sa.build_model(tag, timesteps=t_len, seed=30), 31)
-        windows = Rng(32).normal(0, 1, (5, t_len, 1))
+        windows = np.random.default_rng(32).normal(0, 1, (5, t_len, 1))
         expected, _ = sa._forward_batch(model, windows)
         got = sa.reconstruct_windows(model, windows)
         assert np.max(np.abs(got - expected)) <= 1e-12
 
     def test_chunk_boundary(self):
         model = perturbed(sa.build_model("2x8-4", timesteps=7, seed=33), 34)
-        windows = Rng(35).normal(0, 1, (4, 7, 1))
+        windows = np.random.default_rng(35).normal(0, 1, (4, 7, 1))
         expected, _ = sa._forward_batch(model, windows)
         got = sa.reconstruct_windows(model, windows, chunk=3)
         assert np.max(np.abs(got - expected)) <= 1e-12
 
     def test_repeated_calls_bit_identical(self):
         model = perturbed(sa.build_model("3x8-6-4", timesteps=7, seed=36), 37)
-        windows = Rng(38).normal(0, 1, (9, 7, 1))
+        windows = np.random.default_rng(38).normal(0, 1, (9, 7, 1))
         first = sa.reconstruct_windows(model, windows, chunk=4)
         assert np.array_equal(first, sa.reconstruct_windows(model, windows, chunk=4))
 
@@ -164,7 +156,7 @@ class TestInferencePass:
         # one window scored alone matches the same window scored inside a
         # batch: no window's reconstruction depends on its batch mates
         model = perturbed(sa.build_model("2x8-4", timesteps=7, seed=39), 40)
-        windows = Rng(41).normal(0, 1, (5, 7, 1))
+        windows = np.random.default_rng(41).normal(0, 1, (5, 7, 1))
         alone = sa.reconstruct_windows(model, windows[2:3])[0]
         assert np.max(np.abs(alone - sa.reconstruct_windows(model, windows)[2])) <= 1e-12
 
@@ -172,7 +164,7 @@ class TestInferencePass:
         # the widest layer's (T, B, 4H) gate buffer: 10 x 1024 x 256 float64, 20 MiB;
         # a pass that keeps the backward caches of every layer peaks near 100 MiB
         model = sa.build_model("2x64-16", timesteps=10, seed=42)
-        windows = Rng(43).normal(0, 1, (1024, 10, 1))
+        windows = np.random.default_rng(43).normal(0, 1, (1024, 10, 1))
         gate_buffer = 10 * 1024 * 4 * 64 * 8
         tracemalloc.start()
         try:
@@ -185,7 +177,7 @@ class TestInferencePass:
     def test_default_chunk_peaks_below_12_mib(self):
         # 7.6 MiB with chunks of 256 windows; 29.6 MiB with chunks of 1024
         model = sa.build_model("2x64-16", timesteps=10, seed=42)
-        windows = Rng(43).normal(0, 1, (1024, 10, 1))
+        windows = np.random.default_rng(43).normal(0, 1, (1024, 10, 1))
         tracemalloc.start()
         try:
             sa.reconstruct_windows(model, windows)
@@ -219,7 +211,7 @@ class TestGradients:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_mae_gradients_match_finite_differences(self, seed):
         model = sa.build_model("1x3", timesteps=4, dropout_rate=0.0, seed=seed)
-        batch = Rng(500 + seed).normal(0, 1, (2, 4, 1))
+        batch = np.random.default_rng(500 + seed).normal(0, 1, (2, 4, 1))
 
         def loss():
             recon, _ = sa._forward_batch(model, batch)
@@ -233,7 +225,7 @@ class TestGradients:
 
     def test_stacked_gradients_match_finite_differences(self):
         model = sa.build_model("2x4-3", timesteps=3, dropout_rate=0.0, seed=13)
-        batch = Rng(600).normal(0, 1, (2, 3, 1))
+        batch = np.random.default_rng(600).normal(0, 1, (2, 3, 1))
 
         def loss():
             recon, _ = sa._forward_batch(model, batch)
@@ -252,10 +244,10 @@ class TestTrainingStepMemory:
         # pass; 10.67 MiB when the weight-gradient GEMM reads transposed
         # copies of the gate gradients and of [h, x]
         model = sa.build_model("2x64-16", timesteps=10, seed=42)
-        batch = Rng(43).normal(0, 1, (64, 10, 1))
+        batch = np.random.default_rng(43).normal(0, 1, (64, 10, 1))
         tracemalloc.start()
         try:
-            recon, cache = sa._forward_batch(model, batch, rng=Rng(44))
+            recon, cache = sa._forward_batch(model, batch, rng=np.random.default_rng(44))
             grad = np.empty_like(model.vector)
             sa._backward_batch(model, cache, np.sign(recon - batch) / recon.size, grad)
             _, peak = tracemalloc.get_traced_memory()
@@ -280,15 +272,15 @@ class TestTrainingStepMemory:
 
     def test_backward_releases_the_caches(self):
         model = sa.build_model("2x8-4", timesteps=5, seed=45)
-        batch = Rng(46).normal(0, 1, (3, 5, 1))
-        recon, cache = sa._forward_batch(model, batch, rng=Rng(47))
+        batch = np.random.default_rng(46).normal(0, 1, (3, 5, 1))
+        recon, cache = sa._forward_batch(model, batch, rng=np.random.default_rng(47))
         sa._backward_batch(model, cache, np.sign(recon - batch) / recon.size, np.empty_like(model.vector))
         assert cache["enc_caches"] == [] and cache["dec_caches"] == []
         assert "dec_dropped" not in cache
 
 
 def sinusoid_windows(n=2000, t=10, seed=0):
-    x = np.sin(np.linspace(0, 40 * np.pi, n)) + Rng(seed).normal(0, 0.05, n)
+    x = np.sin(np.linspace(0, 40 * np.pi, n)) + np.random.default_rng(seed).normal(0, 0.05, n)
     return make_windows(x, t)
 
 
@@ -340,7 +332,7 @@ class TestTrain:
     def test_empty_window_set_rejected(self):
         windows = sinusoid_windows(n=50)
         windows.windows = windows.windows[:0]
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(DataError, match="training requires at least one window"):
             sa.train(sa.build_model("1x16", timesteps=10, seed=0), windows, sa.TrainConfig())
 
     def test_epoch_count_matches_trace(self):
@@ -368,14 +360,14 @@ class TestTrain:
     def test_diverging_optimiser_raises(self):
         windows = sinusoid_windows(n=300)
         model = sa.build_model("1x16", timesteps=10, seed=7)
-        with pytest.raises(TrainingDivergedError, match=r"epoch 2.*MAE.*learning rate 1000000\.0"):
+        with pytest.raises(ConfigError, match=r"epoch 2.*MAE.*learning rate 1000000\.0"):
             sa.train(model, windows, sa.TrainConfig(epochs=2, learning_rate=1e6, seed=7))
 
     def test_non_finite_parameter_raises_at_its_epoch(self):
         windows = sinusoid_windows(n=300)
         model = sa.build_model("1x16", timesteps=10, seed=8)
         model.head_b[0] = np.inf
-        with pytest.raises(TrainingDivergedError, match=r"epoch 1: .*non-finite"):
+        with pytest.raises(ConfigError, match=r"epoch 1: .*non-finite"):
             sa.train(model, windows, sa.TrainConfig(epochs=3, seed=8))
 
     def test_training_drops_the_old_threshold_record(self):

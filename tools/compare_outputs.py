@@ -16,10 +16,11 @@ checkout path with a placeholder. The commands are:
 - preprocess, train, detect and evaluate on the seed-1 `train_paper`
   and `train_deep` series of the checkout's `bench/gen.py`, with the
   benchmark's own flags;
-- six inputs that must fail: `--sigma-k -1`, a constant training
-  period, `synth --length 1`, a synth whose timestamps run past the
-  year 9999 or whose noise overflows float64, and a raw reading dated
-  past the year 9999.
+- eight inputs that must fail: `--sigma-k -1`, a constant training
+  period, `synth --length 1`, `synth --seed -1`, a synth whose
+  timestamps run past the year 9999 or whose noise overflows float64,
+  a preprocess of a synth whose noise overflows the scaler's float64
+  std, and a raw reading dated past the year 9999.
 
 Prints every difference and exits 1 if there is one, else exits 0.
 Uses the standard library only; the whole run takes about 70 s on a
@@ -83,6 +84,7 @@ STEPS = [
     ),
     ("constant training period", ["preprocess", "--out", "constant", "--input", "constant.csv"]),
     ("synth --length 1", ["synth", "--out", "short", "--length", "1"]),
+    ("synth --seed -1", ["synth", "--out", "neg_seed", "--length", "50", "--seed", "-1"]),
     (
         "synth past the year 9999",
         ["synth", "--out", "late_synth", "--length", "50", "--step-minutes", "1e9"],
@@ -90,6 +92,14 @@ STEPS = [
     (
         "synth overflowing noise",
         ["synth", "--out", "huge_noise", "--length", "50", "--noise-sigma", "1e308"],
+    ),
+    (
+        "synth 1e200 noise",
+        ["synth", "--out", "big", "--length", "200", "--noise-sigma", "1e200", "--spike-rate", "0"],
+    ),
+    (
+        "preprocess overflowing scaler",
+        ["preprocess", "--out", "big", "--input", "big/synthetic.csv"],
     ),
     ("reading past the year 9999", ["preprocess", "--out", "late", "--input", "late.csv"]),
 ]
