@@ -692,3 +692,61 @@ class TestDuplicateReporting:
             line.startswith("duplicates removed") and line.split()[-1] == "10"
             for line in out.splitlines()
         )
+
+
+def write_messy_csv(path):
+    """40 readings a minute apart with NaN and empty value tokens at
+    minutes 7, 13 and 33, then a row with a NaN timestamp and a second
+    reading at minute 20."""
+    rows = ["timestamp,value"]
+    for minute in range(40):
+        value = {7: "nan", 13: "", 33: "NA"}.get(minute, str(400 + 3 * (minute % 5)))
+        rows.append(f"2018-01-01T00:{minute:02d}:00,{value}")
+    rows += ["nan,405", "2018-01-01T00:20:00,999"]
+    path.write_text("\n".join(rows) + "\n")
+
+
+class TestPreprocessAccounting:
+    @pytest.mark.parametrize(
+        "flags, expected",
+        [
+            (
+                [],
+                [
+                    "rows read              42",
+                    "invalid rows dropped   1",
+                    "nan values zeroed      3",
+                    "duplicates removed     1",
+                    "cleaned rows           40",
+                    "normal band            [176.1638, 581.5029] (k=2.0)",
+                    "train rows kept        28",
+                    "train rows dropped     2",
+                    "test rows              10",
+                ],
+            ),
+            (
+                ["--strict-nan"],
+                [
+                    "rows read              42",
+                    "invalid rows dropped   1",
+                    "nan values dropped     3",
+                    "duplicates removed     1",
+                    "cleaned rows           37",
+                    "normal band            [397.1292, 414.2042] (k=2.0)",
+                    "train rows kept        27",
+                    "train rows dropped     0",
+                    "test rows              10",
+                ],
+            ),
+        ],
+        ids=["zeroed", "strict"],
+    )
+    def test_every_line_of_a_messy_csv(self, tmp_path, capsys, flags, expected):
+        write_messy_csv(tmp_path / "messy.csv")
+        out = str(tmp_path / "o")
+        code, stdout, _ = run(
+            capsys, "preprocess", "--out", out, "--input", str(tmp_path / "messy.csv"), *flags
+        )
+        assert code == 0
+        assert stdout.splitlines() == expected
+        assert len(read_series_csv(os.path.join(out, "train.csv"))) == int(expected[6].split()[-1])
