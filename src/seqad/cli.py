@@ -252,16 +252,14 @@ def cmd_preprocess(cfg: RunConfig) -> None:
     pipeline.write_json(scaler_path, {"mean": scaler.mean, "std": scaler.std})
 
     lo, hi = split.band
-    print(f"rows read              {report.rows_in}")
+    print(f"rows read              {len(raw)}")
     print(f"invalid rows dropped   {report.invalid_dropped}")
-    if cfg.strict_nan:
-        print(f"nan values dropped     {report.nan_values_dropped}")
-    else:
-        print(f"nan values zeroed      {report.nan_values_zeroed}")
+    nan_action = "dropped" if cfg.strict_nan else "zeroed"
+    print(f"nan values {nan_action:<12}{report.nan_values}")
     print(f"duplicates removed     {report.duplicates_removed}")
     print(f"cleaned rows           {len(series)}")
     print(f"normal band            [{lo:.4f}, {hi:.4f}] (k={cfg.sigma_k})")
-    print(f"train rows kept        {split.train_kept}")
+    print(f"train rows kept        {len(split.train)}")
     print(f"train rows dropped     {split.train_dropped}")
     print(f"test rows              {len(split.test)}")
 

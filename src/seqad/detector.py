@@ -34,7 +34,7 @@ from .seq_autoencoder import (
     reconstruct_windows,
     train,
 )
-from .windowing import WindowSet, make_windows, per_point_loss
+from .windowing import make_windows, per_point_loss
 
 __all__ = [
     "DetectionReport",
@@ -61,36 +61,34 @@ class DetectionReport:
         return confusion(self.labels, self.verdicts)
 
 
-def point_losses(model: SeqAutoencoderModel, windows: WindowSet) -> np.ndarray:
-    """Per-point reconstruction loss over a window set, dropout disabled."""
-    recon = reconstruct_windows(model, windows.windows)
-    return per_point_loss(windows, recon)
+def point_losses(model: SeqAutoencoderModel, windows: np.ndarray) -> np.ndarray:
+    """Per-point reconstruction loss over a (count, T, 1) window stack,
+    dropout disabled."""
+    return per_point_loss(windows, reconstruct_windows(model, windows))
 
 
-def fit_threshold(model: SeqAutoencoderModel, train_windows: WindowSet) -> ThresholdRecord:
+def fit_threshold(model: SeqAutoencoderModel, train_windows: np.ndarray) -> ThresholdRecord:
     """Maximum per-point training loss, in normalized units; training data
     never exceeds it. The record is what `train` stores with the model."""
     if len(train_windows) == 0:
         raise DataError("cannot fit a threshold on an empty window set")
     losses = point_losses(model, train_windows)
     return ThresholdRecord(
-        value=float(losses.max()),
-        train_points=train_windows.source_len,
-        window_len=train_windows.window_len,
+        value=float(losses.max()), train_points=len(losses), window_len=train_windows.shape[1]
     )
 
 
 def fit(
-    windows: WindowSet, arch: str, train_cfg: TrainConfig
+    windows: np.ndarray, arch: str, train_cfg: TrainConfig
 ) -> tuple[SeqAutoencoderModel, TrainTrace]:
-    """Build a model of architecture `arch` for the window set, train it
-    and set its threshold from the same windows.
+    """Build a model of architecture `arch` for a (count, T, 1) window
+    stack, train it and set its threshold from the same windows.
 
     Returns the model, carrying its `threshold`, and the training trace.
     """
     model = build_model(
         arch,
-        timesteps=windows.window_len,
+        timesteps=windows.shape[1],
         dropout_rate=train_cfg.dropout,
         seed=train_cfg.seed,
     )

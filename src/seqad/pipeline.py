@@ -214,11 +214,9 @@ def write_series_csv(path: str, series: TimeSeries) -> None:
 @dataclass
 class CleanReport:
     series: TimeSeries
-    rows_in: int
     duplicates_removed: int
     invalid_dropped: int  # rows without a usable timestamp
-    nan_values_zeroed: int
-    nan_values_dropped: int  # strict mode only
+    nan_values: int  # zeroed, or dropped in strict mode
 
 
 def clean_report(raw: TimeSeries, strict_nan: bool = False) -> CleanReport:
@@ -230,7 +228,6 @@ def clean_report(raw: TimeSeries, strict_nan: bool = False) -> CleanReport:
     them. Duplicate timestamps keep the first occurrence in input
     order. Output is sorted with strictly increasing timestamps.
     """
-    rows_in = len(raw)
     ts, vals = raw.timestamps, raw.values
 
     valid_ts = ~np.isnan(ts)
@@ -239,12 +236,8 @@ def clean_report(raw: TimeSeries, strict_nan: bool = False) -> CleanReport:
 
     nan_vals = np.isnan(vals)
     if strict_nan:
-        nan_values_dropped = int(nan_vals.sum())
-        nan_values_zeroed = 0
         ts, vals = ts[~nan_vals], vals[~nan_vals]
     else:
-        nan_values_dropped = 0
-        nan_values_zeroed = int(nan_vals.sum())
         vals = np.where(nan_vals, 0.0, vals)
 
     # the index of each timestamp's first occurrence, in ascending timestamp order
@@ -256,11 +249,9 @@ def clean_report(raw: TimeSeries, strict_nan: bool = False) -> CleanReport:
         raise DataError("cleaning removed every record")
     return CleanReport(
         series=TimeSeries(ts, vals),
-        rows_in=rows_in,
         duplicates_removed=int(duplicates_removed),
         invalid_dropped=invalid_dropped,
-        nan_values_zeroed=nan_values_zeroed,
-        nan_values_dropped=nan_values_dropped,
+        nan_values=int(nan_vals.sum()),
     )
 
 
@@ -299,7 +290,6 @@ class SplitResult:
     train: TimeSeries  # pre-split, filtered to the normal band, unlabeled
     test: TimeSeries  # post-split, everything kept, labeled against the band
     band: tuple[float, float]  # (lo, hi), boundary inclusive
-    train_kept: int
     train_dropped: int
 
 
@@ -326,13 +316,7 @@ def build_train_test(series: TimeSeries, split_instant: float, k: float) -> Spli
         raise DataError("sigma filter removed every training point")
     normal = (test_side.values >= lo) & (test_side.values <= hi)
     test = TimeSeries(test_side.timestamps, test_side.values, np.where(normal, 0, 1))
-    return SplitResult(
-        train=train,
-        test=test,
-        band=(lo, hi),
-        train_kept=int(keep.sum()),
-        train_dropped=int((~keep).sum()),
-    )
+    return SplitResult(train=train, test=test, band=(lo, hi), train_dropped=int((~keep).sum()))
 
 
 @dataclass

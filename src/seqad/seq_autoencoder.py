@@ -26,7 +26,6 @@ from .core_math import AdamState, adam_step, glorot_init, substream
 from .errors import ConfigError, DataError, ModelFileError, ModelVersionError, ShapeError
 from .lstm import LstmLayerParams, lstm_backward, lstm_forward, lstm_infer
 from .pipeline import json_number
-from .windowing import WindowSet
 
 __all__ = [
     "SeqAutoencoderModel",
@@ -353,14 +352,14 @@ def mae(recon: np.ndarray, target: np.ndarray) -> float:
 
 
 def train(
-    model: SeqAutoencoderModel, windows: WindowSet, cfg: TrainConfig
+    model: SeqAutoencoderModel, windows: np.ndarray, cfg: TrainConfig
 ) -> tuple[SeqAutoencoderModel, TrainTrace]:
     """Fit the model in place by mini-batch Adam on per-window MAE.
 
-    The validation split is the chronological tail of the window set
-    (never shuffled); training batches are re-shuffled every epoch from
-    a seed-derived stream, so the whole run is deterministic given
-    cfg.seed. Dropout applies at the model's own `dropout_rate`;
+    `windows` is a (count, T, 1) stack. The validation split is its
+    chronological tail (never shuffled); training batches are
+    re-shuffled every epoch from a seed-derived stream, so the whole run
+    is deterministic given cfg.seed. Dropout applies at the model's own `dropout_rate`;
     cfg.dropout is the rate `detector.fit` builds the model with.
     Returns the model together with the per-epoch trace.
 
@@ -374,13 +373,12 @@ def train(
     """
     if len(windows) == 0:
         raise DataError("training requires at least one window")
-    data = windows.windows
     n_val = int(len(windows) * cfg.validation_fraction)
     n_train = len(windows) - n_val
     if n_train == 0:
         raise DataError("validation split leaves no training windows")
-    train_data = data[:n_train]
-    val_data = data[n_train:]
+    train_data = windows[:n_train]
+    val_data = windows[n_train:]
 
     trace = TrainTrace()
     if cfg.epochs == 0:

@@ -152,12 +152,12 @@ def test_criterion_4_aggregation_oracle():
         n = int(rng.uniform(1, 51))
         t = int(rng.uniform(1, min(n, 10) + 1))
         ws = make_windows(rng.normal(0, 1, n), t)
-        recons = rng.normal(0, 1, ws.windows.shape)
+        recons = rng.normal(0, 1, ws.shape)
         totals = np.zeros(n)
         counts = np.zeros(n)
         for k in range(len(ws)):  # window k starts at point k
             for offset in range(t):
-                totals[k + offset] += abs(recons[k, offset, 0] - ws.windows[k, offset, 0])
+                totals[k + offset] += abs(recons[k, offset, 0] - ws[k, offset, 0])
                 counts[k + offset] += 1
         oracle = totals / counts
         assert np.array_equal(counts, coverage_counts(n, t))

@@ -31,6 +31,12 @@ class TestFitThreshold:
         assert th.train_points == 10
         assert th.window_len == 3
 
+    @pytest.mark.parametrize("n,t", [(1, 1), (7, 3), (40, 10), (10, 10)])
+    def test_train_points_is_the_series_length(self, n, t):
+        series = np.random.default_rng(n).normal(0, 1, n)
+        th = detector.fit_threshold(zero_model(t), make_windows(series, t))
+        assert (th.train_points, th.window_len) == (n, t)
+
     def test_singleton_max(self):
         model = zero_model(1)
         th = detector.fit_threshold(model, make_windows(np.array([0.3]), 1))
@@ -38,8 +44,7 @@ class TestFitThreshold:
 
     def test_empty_windows_rejected(self):
         model = zero_model(3)
-        windows = make_windows(np.zeros(10), 3)
-        windows.windows = windows.windows[:0]
+        windows = make_windows(np.zeros(10), 3)[:0]
         with pytest.raises(DataError, match="cannot fit a threshold on an empty window set"):
             detector.fit_threshold(model, windows)
 

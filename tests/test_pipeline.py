@@ -190,8 +190,7 @@ class TestBuildTrainTest:
     def test_partition_accounting(self):
         series = self.make_series()
         split = pl.build_train_test(series, split_instant=600 * 60.0, k=2.0)
-        assert split.train_kept + split.train_dropped + len(split.test) == len(series)
-        assert split.train_kept == len(split.train)
+        assert len(split.train) + split.train_dropped + len(split.test) == len(series)
 
     def test_empty_side_rejected(self):
         series = self.make_series(n=10)
@@ -213,7 +212,7 @@ class TestBuildTrainTest:
         split = pl.build_train_test(series, split_instant=180.0, k=0.0)
         assert split.band == (0.0, 0.0)
         assert list(split.train.values) == [0.0]
-        assert (split.train_kept, split.train_dropped) == (1, 2)
+        assert (len(split.train), split.train_dropped) == (1, 2)
         assert list(split.test.labels) == [0, 1]
 
     def test_negative_k_rejected(self):

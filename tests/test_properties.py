@@ -32,7 +32,7 @@ def windows_and_reconstructions(draw):
 @given(windows_and_reconstructions())
 def test_per_point_loss_averages_the_covering_windows(case):
     windows, values, recon = case
-    n, t = windows.source_len, windows.window_len
+    n, t = len(values), windows.shape[1]
     expected = []
     for p in range(n):
         covering = [k for k in range(len(windows)) if k <= p < k + t]

@@ -311,7 +311,7 @@ class TestTrain:
     def test_validation_loss_uses_inference_mode(self):
         windows = sinusoid_windows(n=200)
         n_val = int(len(windows) * 0.10)
-        val_data = windows.windows[len(windows) - n_val :]
+        val_data = windows[len(windows) - n_val :]
         model = sa.build_model("1x16", timesteps=10, dropout_rate=0.9, seed=6)
         model, trace = sa.train(model, windows, sa.TrainConfig(epochs=1, dropout=0.9, seed=6))
         expected = sa.mae(sa.reconstruct_windows(model, val_data), val_data)
@@ -330,8 +330,7 @@ class TestTrain:
         assert trace_a.train_loss == trace_b.train_loss
 
     def test_empty_window_set_rejected(self):
-        windows = sinusoid_windows(n=50)
-        windows.windows = windows.windows[:0]
+        windows = sinusoid_windows(n=50)[:0]
         with pytest.raises(DataError, match="training requires at least one window"):
             sa.train(sa.build_model("1x16", timesteps=10, seed=0), windows, sa.TrainConfig())
 
