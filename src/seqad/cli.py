@@ -129,7 +129,7 @@ def load_config_file(path: str) -> dict:
 class RunConfig:
     """Effective settings: defaults, overlaid by config file, then flags."""
 
-    def __init__(self, command: str, args: argparse.Namespace):
+    def __init__(self, args: argparse.Namespace):
         file_values = load_config_file(args.config) if args.config else {}
         for key, (typ, default, _help) in KEYS.items():
             value = getattr(args, key, None)
@@ -140,7 +140,6 @@ class RunConfig:
             setattr(self, key, value)
         if self.seed < 0:
             raise ConfigError(f"config key 'seed' must be a non-negative integer, got {self.seed}")
-        self.command = command
 
     def model_path(self) -> str:
         return self.model if self.model else os.path.join(self.out, "model.json")
@@ -456,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig(args.command, args)
+        cfg = RunConfig(args)
         _COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

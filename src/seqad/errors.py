@@ -24,13 +24,12 @@ class DataError(ToolkitError):
 
 
 class CsvParseError(DataError):
-    """Malformed CSV input; carries the 1-based line number."""
+    """Malformed CSV input; the message names the 1-based line number."""
 
     def __init__(self, message, line=None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-        self.line = line
 
 
 class ModelFileError(DataError):

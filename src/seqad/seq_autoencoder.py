@@ -375,8 +375,6 @@ def train(
         raise DataError("training requires at least one window")
     n_val = int(len(windows) * cfg.validation_fraction)
     n_train = len(windows) - n_val
-    if n_train == 0:
-        raise DataError("validation split leaves no training windows")
     train_data = windows[:n_train]
     val_data = windows[n_train:]
 
