@@ -10,7 +10,8 @@ fits and scores each configuration through the same `detector.fit`
 and `detector.detect`, and `evaluate` reads only `report.csv`.
 Every stage (`synth`, `preprocess`, `train`, `detect`, `evaluate` and
 `sweep`) first deletes the files it writes, so one that fails leaves no
-earlier output for the next stage.
+earlier output for the next stage. Before that, it refuses an output
+path that resolves to a file it reads or to another file it writes.
 
 Configuration is a flat `key = value` text file; every key is also a
 same-named command-line flag (dashes for underscores) and flags win.
@@ -211,10 +212,26 @@ def _train_config(cfg: RunConfig) -> seq_autoencoder.TrainConfig:
     return seq_autoencoder.TrainConfig(**{key: getattr(cfg, key) for key in keys})
 
 
-def _remove_outputs(*paths: str) -> None:
+def _out_paths(cfg: RunConfig, *names: str) -> list:
+    """The path of each named file in the output directory."""
+    return [os.path.join(cfg.out, name) for name in names]
+
+
+def _remove_outputs(stage: str, outputs: list, inputs: list = ()) -> None:
     """Delete a stage's earlier outputs before it runs, so a stage that
-    fails leaves none of them behind for a later stage to read."""
-    for path in paths:
+    fails leaves none of them behind for a later stage to read. An output
+    that resolves to one of the stage's inputs or to another of its
+    outputs is a ConfigError naming it, raised before anything is removed."""
+    reads = {os.path.realpath(path): path for path in inputs}
+    writes = {}
+    for path in outputs:
+        real = os.path.realpath(path)
+        if real in reads:
+            raise ConfigError(f"input {reads[real]} is one of {stage}'s own outputs")
+        if real in writes:
+            raise ConfigError(f"{stage} would write two of its outputs to {writes[real]}")
+        writes[real] = path
+    for path in outputs:
         try:
             os.remove(path)
         except FileNotFoundError:
@@ -224,11 +241,9 @@ def _remove_outputs(*paths: str) -> None:
 
 
 def cmd_preprocess(cfg: RunConfig) -> None:
-    outputs = [os.path.join(cfg.out, name) for name in ("train.csv", "test.csv", "scaler.json")]
+    outputs = _out_paths(cfg, "train.csv", "test.csv", "scaler.json")
     source = cfg.require_input()
-    if os.path.realpath(source) in map(os.path.realpath, outputs):
-        raise ConfigError(f"input {source} is one of preprocess's own outputs")
-    _remove_outputs(*outputs)
+    _remove_outputs("preprocess", outputs, [source])
     raw = pipeline.read_series_csv(source)
     report = pipeline.clean_report(raw, strict_nan=cfg.strict_nan)
     series = report.series
@@ -264,7 +279,11 @@ def cmd_preprocess(cfg: RunConfig) -> None:
 
 
 def cmd_train(cfg: RunConfig) -> None:
-    _remove_outputs(cfg.model_path(), os.path.join(cfg.out, "training_trace.csv"))
+    _remove_outputs(
+        "train",
+        [cfg.model_path(), *_out_paths(cfg, "training_trace.csv")],
+        _out_paths(cfg, "train.csv", "scaler.json"),
+    )
     if cfg.window < 1:
         raise ConfigError(f"window length must be >= 1, got {cfg.window}")
     train_series = _read_workspace_series(cfg, "train.csv")
@@ -293,7 +312,9 @@ def cmd_train(cfg: RunConfig) -> None:
 
 def cmd_detect(cfg: RunConfig) -> None:
     _remove_outputs(
-        os.path.join(cfg.out, "report.csv"), os.path.join(cfg.out, "detection_summary.json")
+        "detect",
+        _out_paths(cfg, "report.csv", "detection_summary.json"),
+        [cfg.model_path(), *_out_paths(cfg, "test.csv", "scaler.json")],
     )
     model = seq_autoencoder.load_model(cfg.model_path())
     test_series = _read_workspace_series(cfg, "test.csv")
@@ -321,7 +342,9 @@ def cmd_detect(cfg: RunConfig) -> None:
 
 
 def cmd_evaluate(cfg: RunConfig) -> None:
-    _remove_outputs(os.path.join(cfg.out, "roc.csv"), os.path.join(cfg.out, "evaluation.json"))
+    _remove_outputs(
+        "evaluate", _out_paths(cfg, "roc.csv", "evaluation.json"), _out_paths(cfg, "report.csv")
+    )
     report = detector.read_report_csv(os.path.join(cfg.out, "report.csv"))
     if report.labels is None:
         raise DataError("report has no ground-truth labels; cannot evaluate")
@@ -349,7 +372,9 @@ def cmd_evaluate(cfg: RunConfig) -> None:
 
 
 def cmd_sweep(cfg: RunConfig) -> None:
-    _remove_outputs(os.path.join(cfg.out, "sweep.csv"))
+    _remove_outputs(
+        "sweep", _out_paths(cfg, "sweep.csv"), _out_paths(cfg, "train.csv", "test.csv", "scaler.json")
+    )
     train_series = _read_workspace_series(cfg, "train.csv")
     test_series = _read_workspace_series(cfg, "test.csv")
     scaler = _read_scaler(cfg)
@@ -395,7 +420,7 @@ def cmd_sweep(cfg: RunConfig) -> None:
 def cmd_synth(cfg: RunConfig) -> None:
     csv_path = os.path.join(cfg.out, "synthetic.csv")
     anomalies_path = os.path.join(cfg.out, "anomalies.csv")
-    _remove_outputs(csv_path, anomalies_path)
+    _remove_outputs("synth", [csv_path, anomalies_path])
     settings = {key: getattr(cfg, key) for key in _SYNTH_KEYS}
     profile = pipeline.SynthProfile(**{**settings, "breaks": _parse_breaks(cfg.breaks)})
     series, anomaly_indices = pipeline.generate_synthetic(profile, cfg.seed)

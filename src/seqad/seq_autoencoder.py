@@ -359,9 +359,9 @@ def train(
     `windows` is a (count, T, 1) stack. The validation split is its
     chronological tail (never shuffled); training batches are
     re-shuffled every epoch from a seed-derived stream, so the whole run
-    is deterministic given cfg.seed. Dropout applies at the model's own `dropout_rate`;
-    cfg.dropout is the rate `detector.fit` builds the model with.
-    Returns the model together with the per-epoch trace.
+    is deterministic given cfg.seed. Dropout applies at the model's own
+    `dropout_rate`; cfg.dropout is the rate `detector.fit` builds the
+    model with. Returns the model together with the per-epoch trace.
 
     Training drops any threshold record the model carried, which the
     caller fits again for the new parameters.

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,11 @@ def copy_workspace(workspace, tmp_path):
     out = str(tmp_path / "ws")
     shutil.copytree(workspace, out)
     return out
+
+
+def file_bytes(directory):
+    """The bytes of every file in `directory`, by name."""
+    return {path.name: path.read_bytes() for path in Path(directory).iterdir()}
 
 
 @pytest.fixture(scope="module")
@@ -597,6 +603,30 @@ class TestErrorCodes:
         assert source in err
         with open(os.path.join(out, name), "rb") as fh:
             assert fh.read() == before
+
+    @pytest.mark.parametrize(
+        "stage, name",
+        [
+            ("train", "training_trace.csv"),
+            ("train", "train.csv"),
+            ("train", "scaler.json"),
+            ("detect", "report.csv"),
+            ("detect", "detection_summary.json"),
+        ],
+    )
+    def test_model_path_that_is_one_of_the_stages_own_files_is_config_error(
+        self, workspace, tmp_path, capsys, monkeypatch, stage, name
+    ):
+        # once the trace overwrote the model, or the stage deleted the file
+        # before it read it; now the check comes before any file is removed
+        monkeypatch.setattr(detector, "fit", lambda *a: pytest.fail("trained before the check"))
+        out = copy_workspace(workspace, tmp_path)
+        before = file_bytes(out)
+        path = os.path.join(out, name)
+        code, _, err = run(capsys, stage, "--out", out, "--model", path)
+        assert code == cli.EXIT_CONFIG
+        assert path in err
+        assert file_bytes(out) == before
 
     def test_failed_synth_leaves_no_output(self, workspace, tmp_path, capsys):
         out = copy_workspace(workspace, tmp_path)
