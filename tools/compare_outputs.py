@@ -16,11 +16,17 @@ checkout path with a placeholder. The commands are:
 - preprocess, train, detect and evaluate on the seed-1 `train_paper`
   and `train_deep` series of the checkout's `bench/gen.py`, with the
   benchmark's own flags;
+- preprocess of a messy CSV (NaN and empty value tokens, a NaN
+  timestamp, a duplicate timestamp), with and without `--strict-nan`;
 - eight inputs that must fail: `--sigma-k -1`, a constant training
   period, `synth --length 1`, `synth --seed -1`, a synth whose
   timestamps run past the year 9999 or whose noise overflows float64,
   a preprocess of a synth whose noise overflows the scaler's float64
-  std, and a raw reading dated past the year 9999.
+  std, and a raw reading dated past the year 9999;
+- in a small workspace of their own, four `--model` paths that name
+  one of the stage's own files and must fail: `train` onto
+  `training_trace.csv`, `scaler.json` and `train.csv`, and `detect`
+  onto `report.csv`.
 
 Prints every difference and exits 1 if there is one, else exits 0.
 Uses the standard library only; the whole run takes about 70 s on a
@@ -64,6 +70,7 @@ def _bench_workload(name: str, length: int, arch: str, epochs: int) -> list:
 
 
 S42 = ["--out", "s42", "--seed", "42"]
+CLASH_TRAIN = ["--out", "clash", "--window", "5", "--epochs", "1"]
 STEPS = [
     ("--help", ["--help"]),
     *((f"{command} --help", [command, "--help"]) for command in COMMANDS),
@@ -102,6 +109,19 @@ STEPS = [
         ["preprocess", "--out", "big", "--input", "big/synthetic.csv"],
     ),
     ("reading past the year 9999", ["preprocess", "--out", "late", "--input", "late.csv"]),
+    ("messy preprocess", ["preprocess", "--out", "messy", "--input", "messy.csv"]),
+    (
+        "messy preprocess --strict-nan",
+        ["preprocess", "--out", "messy_strict", "--input", "messy.csv", "--strict-nan"],
+    ),
+    ("clash synth", ["synth", "--out", "clash", "--length", "300"]),
+    ("clash preprocess", ["preprocess", "--out", "clash", "--input", "clash/synthetic.csv"]),
+    ("clash train", ["train", *CLASH_TRAIN]),
+    ("clash detect", ["detect", "--out", "clash"]),
+    ("train --model trace", ["train", *CLASH_TRAIN, "--model", "clash/training_trace.csv"]),
+    ("train --model scaler", ["train", *CLASH_TRAIN, "--model", "clash/scaler.json"]),
+    ("train --model train.csv", ["train", *CLASH_TRAIN, "--model", "clash/train.csv"]),
+    ("detect --model report", ["detect", "--out", "clash", "--model", "clash/report.csv"]),
 ]
 
 
@@ -124,6 +144,18 @@ def _late_csv(path: str) -> None:
         fh.write("9999-12-31T23:59:59-01:00,1\n")
 
 
+def _messy_csv(path: str) -> None:
+    """40 readings a minute apart with NaN and empty value tokens at
+    minutes 7, 13 and 33, then a row with a NaN timestamp and a second
+    reading at minute 20."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("timestamp,value\n")
+        for i in range(40):
+            value = {7: "nan", 13: "", 33: "NA"}.get(i, str(400 + 3 * (i % 5)))
+            fh.write(f"2018-01-01T00:{i:02d}:00,{value}\n")
+        fh.write("nan,405\n2018-01-01T00:20:00,999\n")
+
+
 def run_side(checkout: str, workdir: str) -> tuple[dict, dict]:
     """Run every step in `workdir`. Returns ({label: (exit code, stdout,
     stderr)}, {relative path: bytes}), with `workdir` and `checkout`
@@ -131,6 +163,7 @@ def run_side(checkout: str, workdir: str) -> tuple[dict, dict]:
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"), COLUMNS="100")
     _constant_csv(os.path.join(workdir, "constant.csv"))
     _late_csv(os.path.join(workdir, "late.csv"))
+    _messy_csv(os.path.join(workdir, "messy.csv"))
 
     def neutral(data: bytes) -> bytes:
         for path, mark in ((workdir, b"<WORKDIR>"), (checkout, b"<CHECKOUT>")):
