@@ -373,9 +373,7 @@ def train(
     """
     if len(windows) == 0:
         raise DataError("training requires at least one window")
-    # a plain ndarray: make_windows's subclass would otherwise carry into
-    # every array the backward pass derives from a batch, at a cost per op
-    windows = np.asarray(windows, dtype=np.float64)
+    windows = np.asarray(windows, dtype=np.float64)  # no ndarray subclass in the backward pass
     n_val = int(len(windows) * cfg.validation_fraction)
     n_train = len(windows) - n_val
     train_data = windows[:n_train]

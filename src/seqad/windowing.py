@@ -18,8 +18,7 @@ __all__ = ["make_windows", "coverage_counts", "per_point_loss"]
 
 
 class _Stack(np.ndarray):
-    """A window stack. Its `.windows` is the stack itself, the name under
-    which the benchmark's checks read it."""
+    """A window stack whose `.windows` is itself, as the benchmark's checks read it."""
 
     @property
     def windows(self) -> np.ndarray:
@@ -42,8 +41,7 @@ def make_windows(values: np.ndarray, window_len: int) -> np.ndarray:
 
 
 def coverage_counts(n: int, t: int) -> np.ndarray:
-    """Number of length-t windows containing each of n points:
-    min(p+1, T, N-p, N-T+1)."""
+    """Number of windows containing each of n points: min(p+1, t, n-p, n-t+1)."""
     p = np.arange(n)
     return np.minimum.reduce([p + 1, np.full(n, t), n - p, np.full(n, n - t + 1)])
 
