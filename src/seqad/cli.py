@@ -131,6 +131,7 @@ class RunConfig:
     """Effective settings: defaults, overlaid by config file, then flags."""
 
     def __init__(self, args: argparse.Namespace):
+        self.config = args.config
         file_values = load_config_file(args.config) if args.config else {}
         for key, (typ, default, _help) in KEYS.items():
             value = getattr(args, key, None)
@@ -217,12 +218,13 @@ def _out_paths(cfg: RunConfig, *names: str) -> list:
     return [os.path.join(cfg.out, name) for name in names]
 
 
-def _remove_outputs(stage: str, outputs: list, inputs: list = ()) -> None:
+def _remove_outputs(cfg: RunConfig, stage: str, outputs: list, inputs: list = ()) -> None:
     """Delete a stage's earlier outputs before it runs, so a stage that
     fails leaves none of them behind for a later stage to read. An output
-    that resolves to one of the stage's inputs or to another of its
-    outputs is a ConfigError naming it, raised before anything is removed."""
-    reads = {os.path.realpath(path): path for path in inputs}
+    that resolves to one of the stage's inputs, the config file among
+    them, or to another of its outputs is a ConfigError naming it, raised
+    before anything is removed."""
+    reads = {os.path.realpath(path): path for path in (*inputs, cfg.config) if path}
     writes = {}
     for path in outputs:
         real = os.path.realpath(path)
@@ -243,7 +245,7 @@ def _remove_outputs(stage: str, outputs: list, inputs: list = ()) -> None:
 def cmd_preprocess(cfg: RunConfig) -> None:
     outputs = _out_paths(cfg, "train.csv", "test.csv", "scaler.json")
     source = cfg.require_input()
-    _remove_outputs("preprocess", outputs, [source])
+    _remove_outputs(cfg, "preprocess", outputs, [source])
     raw = pipeline.read_series_csv(source)
     report = pipeline.clean_report(raw, strict_nan=cfg.strict_nan)
     series = report.series
@@ -280,6 +282,7 @@ def cmd_preprocess(cfg: RunConfig) -> None:
 
 def cmd_train(cfg: RunConfig) -> None:
     _remove_outputs(
+        cfg,
         "train",
         [cfg.model_path(), *_out_paths(cfg, "training_trace.csv")],
         _out_paths(cfg, "train.csv", "scaler.json"),
@@ -312,6 +315,7 @@ def cmd_train(cfg: RunConfig) -> None:
 
 def cmd_detect(cfg: RunConfig) -> None:
     _remove_outputs(
+        cfg,
         "detect",
         _out_paths(cfg, "report.csv", "detection_summary.json"),
         [cfg.model_path(), *_out_paths(cfg, "test.csv", "scaler.json")],
@@ -342,9 +346,8 @@ def cmd_detect(cfg: RunConfig) -> None:
 
 
 def cmd_evaluate(cfg: RunConfig) -> None:
-    _remove_outputs(
-        "evaluate", _out_paths(cfg, "roc.csv", "evaluation.json"), _out_paths(cfg, "report.csv")
-    )
+    outputs = _out_paths(cfg, "roc.csv", "evaluation.json")
+    _remove_outputs(cfg, "evaluate", outputs, _out_paths(cfg, "report.csv"))
     report = detector.read_report_csv(os.path.join(cfg.out, "report.csv"))
     if report.labels is None:
         raise DataError("report has no ground-truth labels; cannot evaluate")
@@ -372,9 +375,8 @@ def cmd_evaluate(cfg: RunConfig) -> None:
 
 
 def cmd_sweep(cfg: RunConfig) -> None:
-    _remove_outputs(
-        "sweep", _out_paths(cfg, "sweep.csv"), _out_paths(cfg, "train.csv", "test.csv", "scaler.json")
-    )
+    inputs = _out_paths(cfg, "train.csv", "test.csv", "scaler.json")
+    _remove_outputs(cfg, "sweep", _out_paths(cfg, "sweep.csv"), inputs)
     train_series = _read_workspace_series(cfg, "train.csv")
     test_series = _read_workspace_series(cfg, "test.csv")
     scaler = _read_scaler(cfg)
@@ -420,7 +422,7 @@ def cmd_sweep(cfg: RunConfig) -> None:
 def cmd_synth(cfg: RunConfig) -> None:
     csv_path = os.path.join(cfg.out, "synthetic.csv")
     anomalies_path = os.path.join(cfg.out, "anomalies.csv")
-    _remove_outputs("synth", [csv_path, anomalies_path])
+    _remove_outputs(cfg, "synth", [csv_path, anomalies_path])
     settings = {key: getattr(cfg, key) for key in _SYNTH_KEYS}
     profile = pipeline.SynthProfile(**{**settings, "breaks": _parse_breaks(cfg.breaks)})
     series, anomaly_indices = pipeline.generate_synthetic(profile, cfg.seed)

@@ -628,6 +628,21 @@ class TestErrorCodes:
         assert path in err
         assert file_bytes(out) == before
 
+    def test_model_path_that_is_the_config_file_is_config_error(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        # train once read the config, then wrote the model over it
+        monkeypatch.setattr(detector, "fit", lambda *a: pytest.fail("trained before the check"))
+        out = copy_workspace(workspace, tmp_path)
+        path = os.path.join(out, "run.cfg")
+        with open(path, "w") as fh:
+            fh.write("seed = 9\n")
+        before = file_bytes(out)
+        code, _, err = run(capsys, "train", "--out", out, "--config", path, "--model", path)
+        assert code == cli.EXIT_CONFIG
+        assert path in err
+        assert file_bytes(out) == before
+
     def test_failed_synth_leaves_no_output(self, workspace, tmp_path, capsys):
         out = copy_workspace(workspace, tmp_path)
         code, _, _ = run(capsys, "synth", "--out", out, "--length", "1")
