@@ -9,6 +9,7 @@ import pytest
 
 from model_files import rewrite_model_file, with_entry, write_v3_model_file
 from seqad import cli, detector, pipeline, seq_autoencoder
+from seqad.errors import ShapeError
 from seqad.pipeline import format_timestamp, parse_timestamp, read_series_csv
 from seqad.windowing import make_windows
 
@@ -795,3 +796,223 @@ class TestPreprocessAccounting:
         assert code == 0
         assert stdout.splitlines() == expected
         assert len(read_series_csv(os.path.join(out, "train.csv"))) == int(expected[6].split()[-1])
+
+
+def rewrite_lines(path, edit):
+    """Replace the lines of the text file at `path` with `edit(lines)`."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    with open(path, "w") as fh:
+        fh.write("\n".join(edit(lines)) + "\n")
+
+
+def nan_test_row(out):
+    def edit(lines):
+        lines[5] = lines[5].split(",")[0] + ",nan," + lines[5].rsplit(",", 1)[1]
+        return lines
+
+    rewrite_lines(os.path.join(out, "test.csv"), edit)
+
+
+def unlabel(out, name):
+    rewrite_lines(os.path.join(out, name), lambda lines: [line.rsplit(",", 1)[0] for line in lines])
+
+
+class TestStageOutputs:
+    # every stage's outputs; each case fails right after the stage clears its own
+    OUTPUTS = {
+        "preprocess": ("train.csv", "test.csv", "scaler.json"),
+        "train": ("model.json", "training_trace.csv"),
+        "detect": ("report.csv", "detection_summary.json"),
+        "evaluate": ("roc.csv", "evaluation.json"),
+        "sweep": ("sweep.csv",),
+        "synth": ("synthetic.csv", "anomalies.csv"),
+    }
+
+    @pytest.mark.parametrize(
+        "stage, flags, edit, code",
+        [
+            ("preprocess", ["--input", "{out}/synthetic.csv", "--split-fraction", "2"], None, 2),
+            ("train", ["--window", "0"], None, 2),
+            ("detect", [], nan_test_row, 3),
+            ("evaluate", [], lambda out: unlabel(out, "report.csv"), 3),
+            ("sweep", ["--sweep-archs", ","], None, 2),
+            ("synth", ["--length", "1"], None, 2),
+        ],
+        ids=list(OUTPUTS),
+    )
+    def test_failed_stage_clears_exactly_its_outputs(
+        self, workspace, tmp_path, capsys, stage, flags, edit, code
+    ):
+        out = copy_workspace(workspace, tmp_path)
+        for name in (name for names in self.OUTPUTS.values() for name in names):
+            if not os.path.exists(os.path.join(out, name)):
+                with open(os.path.join(out, name), "wb") as fh:
+                    fh.write(b"placeholder\n")
+        if edit is not None:
+            edit(out)
+        before = file_bytes(out)
+        argv = [flag.format(out=out) for flag in flags]
+        assert run(capsys, stage, "--out", out, *argv)[0] == code
+        after = file_bytes(out)
+        for name in self.OUTPUTS[stage]:
+            assert name not in after, name
+        kept = {name: data for name, data in before.items() if name not in self.OUTPUTS[stage]}
+        assert after == kept
+
+
+class TestValidationBranches:
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--learning-rate", "0", "learning rate must be positive"),
+            ("--dropout", "1", "dropout must be in [0, 1)"),
+            ("--batch-size", "0", "batch size must be >= 1"),
+            ("--epochs", "-1", "epochs must be >= 0"),
+            ("--validation-fraction", "1", "validation fraction must be in [0, 1)"),
+        ],
+        ids=["learning-rate", "dropout", "batch-size", "epochs", "validation-fraction"],
+    )
+    def test_bad_training_setting_is_config_error_naming_it(
+        self, workspace, tmp_path, capsys, flag, value, message
+    ):
+        out = copy_workspace(workspace, tmp_path)
+        code, _, err = run(capsys, "train", "--out", out, "--window", "6", flag, value)
+        assert code == cli.EXIT_CONFIG
+        assert message in err
+        assert not os.path.exists(os.path.join(out, "model.json"))
+
+    def test_breaks_flatten_the_cycle_in_their_range(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code, _, _ = run(
+            capsys, "synth", "--out", str(out), "--length", "300", "--breaks", "100:200",
+            "--noise-sigma", "0", "--spike-rate", "0",
+        )  # fmt: skip
+        assert code == 0
+        values = read_series_csv(str(out / "synthetic.csv")).values
+        assert (values[100:200] == 450.0).all()
+        outside = np.r_[0:100, 200:300]
+        cycle = 450.0 + 80.0 * np.sin(2.0 * np.pi * outside / 1440.0)
+        np.testing.assert_allclose(values[outside], cycle, rtol=1e-12)
+        assert (values[outside[1:]] != 450.0).all()
+
+    @pytest.mark.parametrize("breaks, named", [("5", "'5'"), ("3:1", "(3, 1)")])
+    def test_bad_break_range_is_config_error_naming_it(self, tmp_path, capsys, breaks, named):
+        out = tmp_path / "o"
+        code, _, err = run(capsys, "synth", "--out", str(out), "--length", "50", "--breaks", breaks)
+        assert code == cli.EXIT_CONFIG
+        assert f"bad break range {named}" in err
+        assert not (out / "synthetic.csv").exists()
+
+    def test_bool_config_key_sets_strict_nan(self, tmp_path, capsys):
+        write_messy_csv(tmp_path / "messy.csv")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("strict_nan = yes\n")
+        code, out, _ = run(
+            capsys, "preprocess", "--config", str(cfg), "--out", str(tmp_path / "o"),
+            "--input", str(tmp_path / "messy.csv"),
+        )  # fmt: skip
+        assert code == 0
+        assert "nan values dropped     3" in out.splitlines()
+
+    def test_bad_bool_config_value_is_config_error_naming_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("strict_nan = maybe\n")
+        code, _, err = run(capsys, "preprocess", "--config", str(cfg), "--out", str(tmp_path))
+        assert code == cli.EXIT_CONFIG
+        assert "'strict_nan'" in err and "'maybe'" in err
+
+    def test_config_line_without_equals_is_config_error_naming_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 1\nlength 50\n")
+        code, _, err = run(capsys, "synth", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert code == cli.EXIT_CONFIG
+        assert f"{cfg}:2: expected 'key = value'" in err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--sweep-windows", "0", "sweep_windows entries must be >= 1"),
+            ("--sweep-windows", ",", "sweep_windows list is empty"),
+            ("--sweep-archs", ",", "sweep_archs list is empty"),
+        ],
+        ids=["zero-window", "no-windows", "no-archs"],
+    )
+    def test_bad_sweep_setting_is_config_error(
+        self, workspace, tmp_path, capsys, flag, value, message
+    ):
+        out = copy_workspace(workspace, tmp_path)
+        code, _, err = run(capsys, "sweep", "--out", out, flag, value)
+        assert code == cli.EXIT_CONFIG
+        assert message in err
+
+    def test_sweep_of_unlabeled_test_series_is_data_error(self, workspace, tmp_path, capsys):
+        out = copy_workspace(workspace, tmp_path)
+        unlabel(out, "test.csv")
+        code, _, err = run(capsys, "sweep", "--out", out)
+        assert code == cli.EXIT_DATA
+        assert "test.csv has no labels" in err
+
+    @pytest.mark.parametrize("doc", [{"mean": 450.0}, [450.0, 30.0]], ids=["no-std", "list"])
+    def test_malformed_scaler_is_data_error(self, workspace, tmp_path, capsys, doc):
+        out = copy_workspace(workspace, tmp_path)
+        with open(os.path.join(out, "scaler.json"), "w") as fh:
+            json.dump(doc, fh)
+        code, _, err = run(capsys, "detect", "--out", out)
+        assert code == cli.EXIT_DATA
+        assert f"malformed scaler file {os.path.join(out, 'scaler.json')}" in err
+
+    def test_model_header_that_is_not_an_object_is_data_error(self, workspace, tmp_path, capsys):
+        out = copy_workspace(workspace, tmp_path)
+        with open(os.path.join(out, "model.json"), "wb") as fh:
+            fh.write(b"[1]\n")
+        code, _, err = run(capsys, "detect", "--out", out)
+        assert code == cli.EXIT_DATA
+        assert "the header line is not a JSON object" in err
+
+    def test_detect_on_unlabeled_test_series_writes_no_metrics(self, workspace, tmp_path, capsys):
+        out = copy_workspace(workspace, tmp_path)
+        unlabel(out, "test.csv")
+        code, _, _ = run(capsys, "detect", "--out", out)
+        assert code == 0
+        with open(os.path.join(out, "detection_summary.json")) as fh:
+            summary = json.load(fh)
+        assert "confusion" not in summary and "metrics" not in summary
+        assert summary["test_points"] == len(read_series_csv(os.path.join(out, "test.csv")))
+
+    def test_csv_row_of_wrong_width_is_data_error_naming_line(self, tmp_path, capsys):
+        path = tmp_path / "wide.csv"
+        rows = [f"2018-01-01T00:{minute:02d}:00,{400 + minute}" for minute in range(40)]
+        rows[9] += ",1,2"
+        path.write_text("\n".join(["timestamp,value", *rows]) + "\n")
+        code, _, err = run(capsys, "preprocess", "--out", str(tmp_path / "o"), "--input", str(path))
+        assert code == cli.EXIT_DATA
+        assert "line 11: expected 2 fields, got 4" in err
+
+    def test_zero_sigma_k_is_data_error(self, workspace, tmp_path, capsys):
+        code, _, err = run(
+            capsys, "preprocess", "--out", str(tmp_path / "o"),
+            "--input", os.path.join(workspace, "synthetic.csv"), "--sigma-k", "0",
+        )  # fmt: skip
+        assert code == cli.EXIT_DATA
+        assert "sigma filter removed every training point" in err
+
+    @pytest.mark.parametrize(
+        "flag",
+        ["--step-minutes=0", "--period-minutes=0", "--daily-amplitude=-1", "--spike-magnitude=-1"],
+    )
+    def test_bad_synth_profile_is_config_error(self, tmp_path, capsys, flag):
+        out = tmp_path / "o"
+        code, _, _ = run(capsys, "synth", "--out", str(out), "--length", "50", flag)
+        assert code == cli.EXIT_CONFIG
+        assert not out.exists()
+
+    def test_shape_error_is_internal_error(self, workspace, tmp_path, capsys, monkeypatch):
+        def detect(*args):
+            raise ShapeError("broken invariant")
+
+        monkeypatch.setattr(detector, "detect", detect)
+        out = copy_workspace(workspace, tmp_path)
+        code, _, err = run(capsys, "detect", "--out", out)
+        assert code == cli.EXIT_INTERNAL
+        assert err.startswith("internal error: broken invariant")

@@ -158,6 +158,10 @@ class TestScaler:
         assert abs(z.mean()) < 1e-9
         assert abs(z.std() - 1.0) < 1e-9
 
+    def test_single_value_rejected(self):
+        with pytest.raises(DataError, match="scaler needs at least 2 values, got 1"):
+            pl.fit_scaler(ts(5.0))
+
     def test_constant_series_rejected(self):
         with pytest.raises(DataError, match="constant series: standard deviation is zero"):
             pl.fit_scaler(ts(5.0, 5.0, 5.0))
