@@ -27,6 +27,7 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -80,19 +81,6 @@ KEYS = {
     "breaks": (str, "", "flat gaps as start:end index pairs, comma separated"),
 }
 
-_COMMAND_KEYS = {
-    "preprocess": ["input", "sigma_k", "split", "split_fraction", "strict_nan"],
-    "train": ["model", "window", "arch", *_TRAIN_KEYS],
-    "detect": ["model"],
-    "evaluate": [],
-    "sweep": ["sweep_windows", "sweep_archs", *_TRAIN_KEYS],
-    "synth": list(_SYNTH_KEYS),  # a copy: the loop below extends each list in place
-}
-# out and seed apply everywhere: one knob drives determinism end to end
-for _keys in _COMMAND_KEYS.values():
-    _keys[:0] = ["out", "seed"]
-
-
 def _convert(key: str, raw: str):
     typ = KEYS[key][0]
     try:
@@ -143,13 +131,16 @@ class RunConfig:
         if self.seed < 0:
             raise ConfigError(f"config key 'seed' must be a non-negative integer, got {self.seed}")
 
-    def model_path(self) -> str:
-        return self.model if self.model else os.path.join(self.out, "model.json")
-
-    def require_input(self) -> str:
-        if not self.input:
-            raise ConfigError("no input CSV given; set --input or the 'input' config key")
-        return self.input
+    def path(self, name: str) -> str:
+        """The file a stage reads or writes as `name`: `input` is --input,
+        `model` is --model or <out>/model.json, any other is <out>/<name>."""
+        if name == "input":
+            if not self.input:
+                raise ConfigError("no input CSV given; set --input or the 'input' config key")
+            return self.input
+        if name == "model":
+            return self.model or os.path.join(self.out, "model.json")
+        return os.path.join(self.out, name)
 
 
 def _parse_breaks(text: str):
@@ -177,10 +168,9 @@ def _parse_int_list(text: str, key: str):
     return items
 
 
-def _read_workspace_series(cfg: RunConfig, name: str) -> pipeline.TimeSeries:
+def _read_workspace_series(path: str) -> pipeline.TimeSeries:
     """A series `preprocess` wrote. It writes no NaN, which `read_series_csv`
     accepts for raw input, so a NaN timestamp or value is a data error."""
-    path = os.path.join(cfg.out, name)
     if not os.path.exists(path):
         raise DataError(f"{path} not found; run the earlier pipeline stages first")
     series = pipeline.read_series_csv(path)
@@ -191,8 +181,7 @@ def _read_workspace_series(cfg: RunConfig, name: str) -> pipeline.TimeSeries:
     return series
 
 
-def _read_scaler(cfg: RunConfig) -> pipeline.ScalerParams:
-    path = os.path.join(cfg.out, "scaler.json")
+def _read_scaler(path: str) -> pipeline.ScalerParams:
     try:
         with pipeline.open_text(path, DataError, "; run preprocess first") as fh:
             doc = json.load(fh)
@@ -213,40 +202,8 @@ def _train_config(cfg: RunConfig) -> seq_autoencoder.TrainConfig:
     return seq_autoencoder.TrainConfig(**{key: getattr(cfg, key) for key in keys})
 
 
-def _out_paths(cfg: RunConfig, *names: str) -> list:
-    """The path of each named file in the output directory."""
-    return [os.path.join(cfg.out, name) for name in names]
-
-
-def _remove_outputs(cfg: RunConfig, stage: str, outputs: list, inputs: list = ()) -> None:
-    """Delete a stage's earlier outputs before it runs, so a stage that
-    fails leaves none of them behind for a later stage to read. An output
-    that resolves to one of the stage's inputs, the config file among
-    them, or to another of its outputs is a ConfigError naming it, raised
-    before anything is removed."""
-    reads = {os.path.realpath(path): path for path in (*inputs, cfg.config) if path}
-    writes = {}
-    for path in outputs:
-        real = os.path.realpath(path)
-        if real in reads:
-            raise ConfigError(f"input {reads[real]} is one of {stage}'s own outputs")
-        if real in writes:
-            raise ConfigError(f"{stage} would write two of its outputs to {writes[real]}")
-        writes[real] = path
-    for path in outputs:
-        try:
-            os.remove(path)
-        except FileNotFoundError:
-            pass
-        except OSError as exc:
-            raise DataError(f"cannot remove earlier output {path}: {exc}") from exc
-
-
-def cmd_preprocess(cfg: RunConfig) -> None:
-    outputs = _out_paths(cfg, "train.csv", "test.csv", "scaler.json")
-    source = cfg.require_input()
-    _remove_outputs(cfg, "preprocess", outputs, [source])
-    raw = pipeline.read_series_csv(source)
+def cmd_preprocess(cfg: RunConfig, paths: dict) -> None:
+    raw = pipeline.read_series_csv(paths["input"])
     report = pipeline.clean_report(raw, strict_nan=cfg.strict_nan)
     series = report.series
     if cfg.split:
@@ -262,10 +219,9 @@ def cmd_preprocess(cfg: RunConfig) -> None:
     scaler = pipeline.fit_scaler(split.train.values)
 
     os.makedirs(cfg.out, exist_ok=True)
-    train_path, test_path, scaler_path = outputs
-    pipeline.write_series_csv(train_path, split.train)
-    pipeline.write_series_csv(test_path, split.test)
-    pipeline.write_json(scaler_path, {"mean": scaler.mean, "std": scaler.std})
+    pipeline.write_series_csv(paths["train.csv"], split.train)
+    pipeline.write_series_csv(paths["test.csv"], split.test)
+    pipeline.write_json(paths["scaler.json"], {"mean": scaler.mean, "std": scaler.std})
 
     lo, hi = split.band
     print(f"rows read              {len(raw)}")
@@ -280,29 +236,23 @@ def cmd_preprocess(cfg: RunConfig) -> None:
     print(f"test rows              {len(split.test)}")
 
 
-def cmd_train(cfg: RunConfig) -> None:
-    _remove_outputs(
-        cfg,
-        "train",
-        [cfg.model_path(), *_out_paths(cfg, "training_trace.csv")],
-        _out_paths(cfg, "train.csv", "scaler.json"),
-    )
+def cmd_train(cfg: RunConfig, paths: dict) -> None:
     if cfg.window < 1:
         raise ConfigError(f"window length must be >= 1, got {cfg.window}")
-    train_series = _read_workspace_series(cfg, "train.csv")
-    scaler = _read_scaler(cfg)
+    train_series = _read_workspace_series(paths["train.csv"])
+    scaler = _read_scaler(paths["scaler.json"])
     scaled = pipeline.apply_scaler(train_series.values, scaler)
     windows = windowing.make_windows(scaled, cfg.window)
-    # a model path that is a directory already failed in _remove_outputs
-    model_dir = os.path.dirname(cfg.model_path()) or "."
+    # a model path that is a directory already failed in the claim
+    model_dir = os.path.dirname(paths["model"]) or "."
     if not os.path.isdir(model_dir):
-        raise DataError(f"cannot write model file {cfg.model_path()}: no directory {model_dir}")
+        raise DataError(f"cannot write model file {paths['model']}: no directory {model_dir}")
     model, trace = detector.fit(windows, cfg.arch, _train_config(cfg))
 
-    seq_autoencoder.save_model(model, cfg.model_path())
+    seq_autoencoder.save_model(model, paths["model"])
     epochs = map(str, range(1, len(trace) + 1))
     pipeline.write_csv(
-        os.path.join(cfg.out, "training_trace.csv"),
+        paths["training_trace.csv"],
         ["epoch", "train_loss", "val_loss"],
         zip(epochs, map(repr, trace.train_loss), map(repr, trace.val_loss)),
     )
@@ -310,23 +260,17 @@ def cmd_train(cfg: RunConfig) -> None:
     if len(trace):
         print(f"final train MAE        {trace.train_loss[-1]!r}")
         print(f"final validation MAE   {trace.val_loss[-1]!r}")
-    print(f"model written          {cfg.model_path()}")
+    print(f"model written          {paths['model']}")
 
 
-def cmd_detect(cfg: RunConfig) -> None:
-    _remove_outputs(
-        cfg,
-        "detect",
-        _out_paths(cfg, "report.csv", "detection_summary.json"),
-        [cfg.model_path(), *_out_paths(cfg, "test.csv", "scaler.json")],
-    )
-    model = seq_autoencoder.load_model(cfg.model_path())
-    test_series = _read_workspace_series(cfg, "test.csv")
-    scaler = _read_scaler(cfg)
+def cmd_detect(cfg: RunConfig, paths: dict) -> None:
+    model = seq_autoencoder.load_model(paths["model"])
+    test_series = _read_workspace_series(paths["test.csv"])
+    scaler = _read_scaler(paths["scaler.json"])
 
     report = detector.detect(model, test_series, scaler)
 
-    detector.write_report_csv(os.path.join(cfg.out, "report.csv"), report)
+    detector.write_report_csv(paths["report.csv"], report)
     threshold = model.threshold
     summary = {
         "threshold": threshold.value,
@@ -340,15 +284,13 @@ def cmd_detect(cfg: RunConfig) -> None:
     if counts is not None:
         summary["confusion"] = asdict(counts)
         summary["metrics"] = asdict(metrics.prf1_accuracy(counts))
-    pipeline.write_json(os.path.join(cfg.out, "detection_summary.json"), summary)
+    pipeline.write_json(paths["detection_summary.json"], summary)
     print(f"threshold              {threshold.value!r}")
     print(f"flagged                {summary['flagged']} of {summary['test_points']} points")
 
 
-def cmd_evaluate(cfg: RunConfig) -> None:
-    outputs = _out_paths(cfg, "roc.csv", "evaluation.json")
-    _remove_outputs(cfg, "evaluate", outputs, _out_paths(cfg, "report.csv"))
-    report = detector.read_report_csv(os.path.join(cfg.out, "report.csv"))
+def cmd_evaluate(cfg: RunConfig, paths: dict) -> None:
+    report = detector.read_report_csv(paths["report.csv"])
     if report.labels is None:
         raise DataError("report has no ground-truth labels; cannot evaluate")
 
@@ -357,12 +299,12 @@ def cmd_evaluate(cfg: RunConfig) -> None:
     roc = metrics.roc_auc(report.labels, report.losses)
 
     pipeline.write_csv(
-        os.path.join(cfg.out, "roc.csv"),
+        paths["roc.csv"],
         ["threshold", "fpr", "tpr"],
         zip(*(map(repr, column.tolist()) for column in (roc.thresholds, roc.fpr, roc.tpr))),
     )
     pipeline.write_json(
-        os.path.join(cfg.out, "evaluation.json"),
+        paths["evaluation.json"],
         {"confusion": asdict(counts), **asdict(mets), "auc": roc.auc},
     )
     print(f"confusion              TP={counts.tp} TN={counts.tn} FP={counts.fp} FN={counts.fn}")
@@ -374,12 +316,10 @@ def cmd_evaluate(cfg: RunConfig) -> None:
     print(f"auc                    {metrics.format_percent(roc.auc)}")
 
 
-def cmd_sweep(cfg: RunConfig) -> None:
-    inputs = _out_paths(cfg, "train.csv", "test.csv", "scaler.json")
-    _remove_outputs(cfg, "sweep", _out_paths(cfg, "sweep.csv"), inputs)
-    train_series = _read_workspace_series(cfg, "train.csv")
-    test_series = _read_workspace_series(cfg, "test.csv")
-    scaler = _read_scaler(cfg)
+def cmd_sweep(cfg: RunConfig, paths: dict) -> None:
+    train_series = _read_workspace_series(paths["train.csv"])
+    test_series = _read_workspace_series(paths["test.csv"])
+    scaler = _read_scaler(paths["scaler.json"])
     if test_series.labels is None:
         raise DataError("test.csv has no labels; cannot score sweep configurations")
     window_lengths = _parse_int_list(cfg.sweep_windows, "sweep_windows")
@@ -411,50 +351,84 @@ def cmd_sweep(cfg: RunConfig) -> None:
                 f"auc {metrics.format_percent(roc.auc)}"
             )
 
-    pipeline.write_csv(
-        os.path.join(cfg.out, "sweep.csv"),
-        ["window", "arch", "threshold", "accuracy", "precision", "recall", "f1", "auc"],
-        rows,
-    )
-    print(f"sweep table written    {os.path.join(cfg.out, 'sweep.csv')}")
+    header = ["window", "arch", "threshold", "accuracy", "precision", "recall", "f1", "auc"]
+    pipeline.write_csv(paths["sweep.csv"], header, rows)
+    print(f"sweep table written    {paths['sweep.csv']}")
 
 
-def cmd_synth(cfg: RunConfig) -> None:
-    csv_path = os.path.join(cfg.out, "synthetic.csv")
-    anomalies_path = os.path.join(cfg.out, "anomalies.csv")
-    _remove_outputs(cfg, "synth", [csv_path, anomalies_path])
+def cmd_synth(cfg: RunConfig, paths: dict) -> None:
     settings = {key: getattr(cfg, key) for key in _SYNTH_KEYS}
     profile = pipeline.SynthProfile(**{**settings, "breaks": _parse_breaks(cfg.breaks)})
     series, anomaly_indices = pipeline.generate_synthetic(profile, cfg.seed)
     os.makedirs(cfg.out, exist_ok=True)
-    pipeline.write_series_csv(csv_path, series)
+    pipeline.write_series_csv(paths["synthetic.csv"], series)
     stamps = series.timestamps[anomaly_indices].tolist()
     pipeline.write_csv(
-        anomalies_path,
+        paths["anomalies.csv"],
         ["index", "timestamp"],
         zip(map(str, anomaly_indices.tolist()), map(pipeline.format_timestamp, stamps)),
     )
     print(f"synthetic series       {len(series)} points, {anomaly_indices.size} injected anomalies")
-    print(f"written                {csv_path}")
+    print(f"written                {paths['synthetic.csv']}")
 
 
-_COMMANDS = {
-    "preprocess": cmd_preprocess,
-    "train": cmd_train,
-    "detect": cmd_detect,
-    "evaluate": cmd_evaluate,
-    "sweep": cmd_sweep,
-    "synth": cmd_synth,
-}
+# one row per stage: its function, its help line, its keys besides out and seed,
+# and the names (for RunConfig.path) of the files it reads and of those it writes
+Stage = namedtuple("Stage", "run help keys reads writes")
+_STAGES = {
+    "preprocess": Stage(
+        cmd_preprocess, "clean, split, sigma-filter/label, and scale a raw series",
+        ["input", "sigma_k", "split", "split_fraction", "strict_nan"],
+        ["input"], ["train.csv", "test.csv", "scaler.json"]),
+    "train": Stage(
+        cmd_train, "fit the autoencoder and its max-loss threshold on the training series",
+        ["model", "window", "arch", *_TRAIN_KEYS],
+        ["train.csv", "scaler.json"], ["model", "training_trace.csv"]),
+    "detect": Stage(
+        cmd_detect, "score the test series against the threshold stored with the model",
+        ["model"],
+        ["model", "test.csv", "scaler.json"], ["report.csv", "detection_summary.json"]),
+    "evaluate": Stage(
+        cmd_evaluate, "confusion matrix, percent metrics, and ROC from a report",
+        [],
+        ["report.csv"], ["roc.csv", "evaluation.json"]),
+    "sweep": Stage(
+        cmd_sweep, "train/score a grid of window lengths and architectures",
+        ["sweep_windows", "sweep_archs", *_TRAIN_KEYS],
+        ["train.csv", "test.csv", "scaler.json"], ["sweep.csv"]),
+    "synth": Stage(
+        cmd_synth, "generate a synthetic series with injected anomalies",
+        _SYNTH_KEYS,
+        [], ["synthetic.csv", "anomalies.csv"]),
+}  # fmt: skip
 
-_HELP = {
-    "preprocess": "clean, split, sigma-filter/label, and scale a raw series",
-    "train": "fit the autoencoder and its max-loss threshold on the training series",
-    "detect": "score the test series against the threshold stored with the model",
-    "evaluate": "confusion matrix, percent metrics, and ROC from a report",
-    "sweep": "train/score a grid of window lengths and architectures",
-    "synth": "generate a synthetic series with injected anomalies",
-}
+
+def claim(cfg: RunConfig, command: str) -> dict:
+    """{name: path} for every file the stage reads and writes, after its earlier
+    outputs are deleted, so a failed stage leaves none for a later one to read.
+    An output that resolves to an input, the config file among them, or to
+    another output is a ConfigError naming it, raised before anything is removed."""
+    stage = _STAGES[command]
+    paths = {name: cfg.path(name) for name in (*stage.reads, *stage.writes)}
+    outputs = [paths[name] for name in stage.writes]
+    inputs = (*(paths[name] for name in stage.reads), cfg.config)
+    reads = {os.path.realpath(path): path for path in inputs if path}
+    writes = {}
+    for path in outputs:
+        real = os.path.realpath(path)
+        if real in reads:
+            raise ConfigError(f"input {reads[real]} is one of {command}'s own outputs")
+        if real in writes:
+            raise ConfigError(f"{command} would write two of its outputs to {writes[real]}")
+        writes[real] = path
+    for path in outputs:
+        try:
+            os.remove(path)
+        except FileNotFoundError:
+            pass
+        except OSError as exc:
+            raise DataError(f"cannot remove earlier output {path}: {exc}") from exc
+    return paths
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -463,10 +437,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sliding-window LSTM-autoencoder anomaly detection for univariate series.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, keys in _COMMAND_KEYS.items():
-        p = sub.add_parser(command, help=_HELP[command])
+    for command, stage in _STAGES.items():
+        p = sub.add_parser(command, help=stage.help)
         p.add_argument("--config", metavar="PATH", help="flat key = value config file")
-        for key in keys:
+        # out and seed apply everywhere: one knob drives determinism end to end
+        for key in ("out", "seed", *stage.keys):
             typ, default, help_text = KEYS[key]
             flag = "--" + key.replace("_", "-")
             if typ is bool:
@@ -483,7 +458,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = RunConfig(args)
-        _COMMANDS[args.command](cfg)
+        _STAGES[args.command].run(cfg, claim(cfg, args.command))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
