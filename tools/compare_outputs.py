@@ -26,7 +26,12 @@ checkout path with a placeholder. The commands are:
 - in a small workspace of their own, four `--model` paths that name
   one of the stage's own files and must fail: `train` onto
   `training_trace.csv`, `scaler.json` and `train.csv`, and `detect`
-  onto `report.csv`.
+  onto `report.csv`; then `train` and `detect` with a `--model` in a
+  directory outside `--out`, and an `evaluate` whose `--config` file
+  is its own `roc.csv` (holding `seed = 1`), which must fail;
+- one `--config` file that `preprocess` and `train` share (`strict_nan`,
+  `split_fraction`, `window` and `epochs`), a `preprocess` with no
+  `--input`, which must fail, and a `synth --breaks 100:200`.
 
 Prints every difference and exits 1 if there is one, else exits 0.
 Uses the standard library only; the whole run takes about 70 s on a
@@ -122,7 +127,24 @@ STEPS = [
     ("train --model scaler", ["train", *CLASH_TRAIN, "--model", "clash/scaler.json"]),
     ("train --model train.csv", ["train", *CLASH_TRAIN, "--model", "clash/train.csv"]),
     ("detect --model report", ["detect", "--out", "clash", "--model", "clash/report.csv"]),
+    ("train --model outside", ["train", *CLASH_TRAIN, "--model", "models/m.json"]),
+    ("detect --model outside", ["detect", "--out", "clash", "--model", "models/m.json"]),
+    ("evaluate --config roc", ["evaluate", "--out", "clash", "--config", "clash/roc.csv"]),
+    (
+        "shared config preprocess",
+        ["preprocess", "--out", "shared", "--config", "shared.cfg", "--input", "messy.csv"],
+    ),
+    ("shared config train", ["train", "--out", "shared", "--config", "shared.cfg"]),
+    ("preprocess without --input", ["preprocess", "--out", "no_input"]),
+    ("synth --breaks", ["synth", "--out", "breaks", "--length", "300", "--breaks", "100:200"]),
 ]
+
+# files written before any step runs: the config `preprocess` and `train`
+# share, and the `roc.csv` that `evaluate --config` must refuse to delete
+CONFIGS = {
+    "shared.cfg": "strict_nan = yes\nsplit_fraction = 0.7\nwindow = 5\nepochs = 1\n",
+    os.path.join("clash", "roc.csv"): "seed = 1\n",
+}
 
 
 def _constant_csv(path: str) -> None:
@@ -164,6 +186,11 @@ def run_side(checkout: str, workdir: str) -> tuple[dict, dict]:
     _constant_csv(os.path.join(workdir, "constant.csv"))
     _late_csv(os.path.join(workdir, "late.csv"))
     _messy_csv(os.path.join(workdir, "messy.csv"))
+    os.makedirs(os.path.join(workdir, "clash"))
+    os.makedirs(os.path.join(workdir, "models"))
+    for name, text in CONFIGS.items():
+        with open(os.path.join(workdir, name), "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
 
     def neutral(data: bytes) -> bytes:
         for path, mark in ((workdir, b"<WORKDIR>"), (checkout, b"<CHECKOUT>")):
