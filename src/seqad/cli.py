@@ -8,10 +8,14 @@ that stored threshold and never reads the training series, so a
 `--model` from another workspace brings its own threshold. `sweep`
 fits and scores each configuration through the same `detector.fit`
 and `detector.detect`, and `evaluate` reads only `report.csv`.
-Every stage (`synth`, `preprocess`, `train`, `detect`, `evaluate` and
-`sweep`) first deletes the files it writes, so one that fails leaves no
-earlier output for the next stage. Before that, it refuses an output
-path that resolves to a file it reads or to another file it writes.
+Each stage is one row of `_STAGES`: its function, its help line, its
+keys besides `out` and `seed`, and the names of the files it reads and
+writes, which `RunConfig.path` resolves. Before the stage runs, `main`
+claims those files: it refuses an output path that resolves to a file
+the stage reads, the config file among them, or to another file it
+writes, then deletes the outputs, so a stage that fails leaves no
+earlier output for the next one, and hands the stage the paths. So a
+stage writes only the files its row declares.
 
 Configuration is a flat `key = value` text file; every key is also a
 same-named command-line flag (dashes for underscores) and flags win.
@@ -374,36 +378,36 @@ def cmd_synth(cfg: RunConfig, paths: dict) -> None:
 
 # one row per stage: its function, its help line, its keys besides out and seed,
 # and the names (for RunConfig.path) of the files it reads and of those it writes
-Stage = namedtuple("Stage", "run help keys reads writes")
+_Stage = namedtuple("_Stage", "run help keys reads writes")
 _STAGES = {
-    "preprocess": Stage(
+    "preprocess": _Stage(
         cmd_preprocess, "clean, split, sigma-filter/label, and scale a raw series",
         ["input", "sigma_k", "split", "split_fraction", "strict_nan"],
         ["input"], ["train.csv", "test.csv", "scaler.json"]),
-    "train": Stage(
+    "train": _Stage(
         cmd_train, "fit the autoencoder and its max-loss threshold on the training series",
         ["model", "window", "arch", *_TRAIN_KEYS],
         ["train.csv", "scaler.json"], ["model", "training_trace.csv"]),
-    "detect": Stage(
+    "detect": _Stage(
         cmd_detect, "score the test series against the threshold stored with the model",
         ["model"],
         ["model", "test.csv", "scaler.json"], ["report.csv", "detection_summary.json"]),
-    "evaluate": Stage(
+    "evaluate": _Stage(
         cmd_evaluate, "confusion matrix, percent metrics, and ROC from a report",
         [],
         ["report.csv"], ["roc.csv", "evaluation.json"]),
-    "sweep": Stage(
+    "sweep": _Stage(
         cmd_sweep, "train/score a grid of window lengths and architectures",
         ["sweep_windows", "sweep_archs", *_TRAIN_KEYS],
         ["train.csv", "test.csv", "scaler.json"], ["sweep.csv"]),
-    "synth": Stage(
+    "synth": _Stage(
         cmd_synth, "generate a synthetic series with injected anomalies",
         _SYNTH_KEYS,
         [], ["synthetic.csv", "anomalies.csv"]),
 }  # fmt: skip
 
 
-def claim(cfg: RunConfig, command: str) -> dict:
+def _claim(cfg: RunConfig, command: str) -> dict:
     """{name: path} for every file the stage reads and writes, after its earlier
     outputs are deleted, so a failed stage leaves none for a later one to read.
     An output that resolves to an input, the config file among them, or to
@@ -458,7 +462,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = RunConfig(args)
-        _STAGES[args.command].run(cfg, claim(cfg, args.command))
+        _STAGES[args.command].run(cfg, _claim(cfg, args.command))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
