@@ -332,9 +332,10 @@ def cmd_sweep(cfg: RunConfig, paths: dict) -> None:
         raise ConfigError("sweep_archs list is empty")
     for arch in archs:
         seq_autoencoder.parse_arch(arch)
+    train_cfg = _train_config(cfg)
+    metrics.class_counts(test_series.labels)  # the ROC's check, made before any training
 
     scaled_train = pipeline.apply_scaler(train_series.values, scaler)
-    train_cfg = _train_config(cfg)
     rows = []
     for window in window_lengths:
         train_windows = windowing.make_windows(scaled_train, window)
@@ -449,7 +450,13 @@ def build_parser() -> argparse.ArgumentParser:
             typ, default, help_text = KEYS[key]
             flag = "--" + key.replace("_", "-")
             if typ is bool:
-                p.add_argument(flag, dest=key, action="store_true", default=None, help=help_text)
+                p.add_argument(
+                    flag,
+                    dest=key,
+                    action=argparse.BooleanOptionalAction,
+                    default=None,
+                    help=help_text,
+                )
             else:
                 shown = help_text if default is None else f"{help_text} (default {default})"
                 p.add_argument(

@@ -19,22 +19,22 @@ Layout. At the interface, sequences are time-major, (T, batch, inputs),
 and states are (batch, hidden). Inside, every array is feature-major,
 one row per unit and one column per sequence of the batch: a step works
 on (4H, B) gates and (H, B) states, so the sigmoid block a[:3H], each
-gate a[kH:(k+1)H] and every cell operand is one contiguous run. The
-pre-activations of all steps are a (T, 4H, B) buffer, [h, x] is kept as
-(H+D, T+1, B) and the cell state as (T+1, H, B). Every pass returns the
-outputs of all T steps, a transposed view of its (H, T, B) hidden rows,
-so the next layer reads them back feature-major and layers chain
-without copying a transpose.
+gate a[kH:(k+1)H] and every cell operand is one contiguous run. Every
+pass returns the outputs of all T steps, a transposed view of its
+(H, T, B) hidden rows, so the next layer reads them back feature-major
+and layers chain without copying a transpose.
 
-The input projection W_x x + b does not depend on the recurrence, so it
-runs for all T steps before the loop, straight into the gate buffer;
-each step then adds one W_h h and activates its (4H, B) block in place,
-all 4H rows with one tanh call, since sigmoid(x) = (1 + tanh(x / 2)) / 2.
-`lstm_forward`, the training pass, and `lstm_infer`, the forward-only
-pass, drive that step body the same way and differ only in where c and
-h land: the training pass writes every step's c and h into the buffers
-backpropagation reads, the forward-only pass carries c as (H, B) state
-and writes each h to its outputs.
+Each step adds W_h h to its input projection W_x x + b and activates
+the (4H, B) block in place, all 4H rows with one tanh call, since
+sigmoid(x) = (1 + tanh(x / 2)) / 2. `lstm_forward`, the training pass,
+and `lstm_infer`, the forward-only pass, drive that step body the same
+way. The training pass keeps every step for backpropagation: [h, x] as
+(H+D, T+1, B), the cell state as (T+1, H, B) and the gates as
+(T, 4H, B), into which it projects the inputs of all T steps before the
+loop, since the projection does not depend on the recurrence. The
+forward-only pass keeps only its outputs: it projects each step's input
+with one (4H, D) @ (D, B) GEMM into a (4H, B) block, carries c as
+(H, B) state and writes each h to its outputs, with the same bits.
 
 The backward pass recomputes tanh(c) for all steps with one call,
 computes every gate's local derivative for all steps at once, fills a
@@ -138,14 +138,6 @@ def _check_inputs(params: LstmLayerParams, inputs) -> np.ndarray:
     return inputs
 
 
-def _project_inputs(params: LstmLayerParams, x: np.ndarray) -> np.ndarray:
-    """W_x x + b for every step of a feature-major (D, T, B) input, as a
-    (T, 4H, B) gate buffer."""
-    gates = np.matmul(params.w[:, params.hidden_size :], x.transpose(1, 0, 2))
-    gates += params.b[:, None]
-    return gates
-
-
 def _step(w_h, a, h_prev, c_prev, c, h, work) -> None:
     """One cell update on feature-major arrays, in place.
 
@@ -184,7 +176,8 @@ def lstm_forward(params: LstmLayerParams, inputs: np.ndarray) -> tuple[np.ndarra
     zbuf[:h, 0] = 0.0
     cbuf = np.empty((t_len + 1, h, b))
     cbuf[0] = 0.0
-    gates = _project_inputs(params, zbuf[h:, :t_len])
+    gates = np.matmul(params.w[:, h:], zbuf[h:, :t_len].transpose(1, 0, 2))
+    gates += params.b[:, None]
 
     w_h = params.w[:, :h]
     work = np.empty((4 * h, b))
@@ -277,23 +270,45 @@ def lstm_backward(
     return (params.w[:, h:].T @ d_flat).reshape(d, t_len, b).transpose(1, 2, 0)
 
 
-def lstm_infer(params: LstmLayerParams, inputs: np.ndarray) -> np.ndarray:
+def lstm_infer(
+    params: LstmLayerParams,
+    inputs: np.ndarray,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
     """Forward-only pass over a time-major (T, batch, input) array.
 
     Starts from zero state and keeps no cache. Returns the hidden
     outputs (T, batch, hidden), equal to `lstm_forward`'s to rounding.
+
+    Each step projects its own input, so nothing grows with T but the
+    outputs. A caller that runs many passes can lend the memory: the
+    outputs then land in the first H*T*batch entries of `out`, and the
+    step's gates and state use the first 10*H*batch entries of
+    `scratch`, both 1-D float64 buffers, and the result is a view of
+    `out`. Either one left out is allocated.
     """
     inputs = _check_inputs(params, inputs)
     t_len, b, _ = inputs.shape
     h = params.hidden_size
-    gates = _project_inputs(params, inputs.transpose(2, 0, 1))
-    outputs = np.empty((h, t_len, b))
+    block = h * b
+    if out is None:
+        out = np.empty(h * t_len * b)
+    if scratch is None:
+        scratch = np.empty(10 * block)
+    outputs = out[: h * t_len * b].reshape(h, t_len, b)
+    a = scratch[: 4 * block].reshape(4 * h, b)
+    work = scratch[4 * block : 8 * block].reshape(4 * h, b)
+    c = scratch[8 * block : 9 * block].reshape(h, b)
+    h_prev = scratch[9 * block : 10 * block].reshape(h, b)
+    c[...] = 0.0
+    h_prev[...] = 0.0
 
-    w_h = params.w[:, :h]
-    work = np.empty((4 * h, b))
-    c = np.zeros((h, b))
-    h_prev = np.zeros((h, b))
+    x = inputs.transpose(0, 2, 1)
+    w_h, w_x = params.w[:, :h], params.w[:, h:]
     for t in range(t_len):
-        _step(w_h, gates[t], h_prev, c, c, outputs[:, t], work)
+        np.matmul(w_x, x[t], out=a)
+        a += params.b[:, None]
+        _step(w_h, a, h_prev, c, c, outputs[:, t], work)
         h_prev = outputs[:, t]
     return outputs.transpose(1, 2, 0)

@@ -17,6 +17,7 @@ __all__ = [
     "RocCurve",
     "confusion",
     "prf1_accuracy",
+    "class_counts",
     "roc_auc",
     "format_percent",
 ]
@@ -105,6 +106,17 @@ class RocCurve:
     auc: float
 
 
+def class_counts(labels) -> tuple[int, int]:
+    """(positives, negatives) of a 0/1 label array. Raises DataError
+    unless both classes are present, which a ROC curve needs."""
+    labels = _as_binary(labels, "labels")
+    n_pos = int((labels == 1).sum())
+    n_neg = labels.shape[0] - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise DataError("ROC needs at least one positive and one negative label")
+    return n_pos, n_neg
+
+
 def roc_auc(labels, scores) -> RocCurve:
     """Threshold sweep over unique scores with tie grouping, trapezoid AUC.
 
@@ -116,10 +128,7 @@ def roc_auc(labels, scores) -> RocCurve:
     scores = np.asarray(scores, dtype=np.float64)
     if labels.shape != scores.shape:
         raise DataError(f"length mismatch: {labels.shape[0]} labels vs {scores.shape[0]} scores")
-    n_pos = int((labels == 1).sum())
-    n_neg = labels.shape[0] - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise DataError("ROC needs at least one positive and one negative label")
+    n_pos, n_neg = class_counts(labels)
 
     order = np.argsort(-scores, kind="stable")
     sorted_scores = scores[order]

@@ -18,6 +18,7 @@ import json
 import math
 import os
 import re
+import threading
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -321,9 +322,15 @@ def reconstruct_windows(
 ) -> np.ndarray:
     """Inference-mode reconstruction of a (count, T, 1) stack, chunked.
 
-    A forward-only pass: each layer keeps only its outputs, so one
-    chunk holds at most one layer's (T, 4H, chunk) gate buffer and the
-    hidden outputs either side of it.
+    A forward-only pass in chunks of `chunk` windows, the first starting
+    at window 0; the chunk width is fixed because it changes the last
+    bits of the result. The calling thread and, with more than one chunk
+    and a second CPU this process may run on, one worker thread take
+    chunks in turn, so the result equals that of scoring the chunks one
+    by one. The calling thread allocates every buffer, once per call:
+    each thread reuses its own across chunks and layers, two layers'
+    (hidden, T, chunk) outputs and one step's gates and state. An
+    exception in the worker is raised here, after it has been joined.
     """
     windows = np.asarray(windows, dtype=np.float64)
     if windows.ndim != 3 or windows.shape[1:] != (model.timesteps, 1):
@@ -331,14 +338,47 @@ def reconstruct_windows(
             f"windows shape {windows.shape} does not match (count, {model.timesteps}, 1)"
         )
     out = np.empty_like(windows)
-    for lo in range(0, windows.shape[0], chunk):
-        seq = windows[lo : lo + chunk].transpose(1, 0, 2)
-        for layer in model.encoder:
-            seq = lstm_infer(layer, seq)
-        seq = np.broadcast_to(seq[-1], seq.shape)  # the latent, once per timestep
-        for layer in model.decoder:
-            seq = lstm_infer(layer, seq)
-        out[lo : lo + chunk] = _head(model, seq.transpose(2, 0, 1))
+    starts = range(0, len(windows), chunk)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    n_threads = max(1, min(2, cpus or 1, len(starts)))
+    b = min(chunk, len(windows))
+    layers = model.encoder + model.decoder
+    widest = max(layer.hidden_size for layer in layers)
+    buffers = [
+        (np.empty((2, widest * model.timesteps * b)), np.empty(10 * widest * b))
+        for _ in range(n_threads)
+    ]
+
+    todo = iter(starts)
+    lock = threading.Lock()
+    errors = []
+
+    def run(seq_bufs, scratch):
+        try:
+            while not errors:
+                with lock:
+                    lo = next(todo, None)
+                if lo is None:
+                    return
+                seq = windows[lo : lo + chunk].transpose(1, 0, 2)
+                for k, layer in enumerate(layers):
+                    if k == len(model.encoder):
+                        seq = np.broadcast_to(seq[-1], seq.shape)  # the latent, once per timestep
+                    seq = lstm_infer(layer, seq, seq_bufs[k % 2], scratch)
+                out[lo : lo + chunk] = _head(model, seq.transpose(2, 0, 1))
+        except BaseException as exc:  # stops the other thread; raised once both are done
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=bufs) for bufs in buffers[1:]]
+    for thread in threads:
+        thread.start()
+    try:
+        run(*buffers[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
     return out
 
 

@@ -915,6 +915,17 @@ class TestValidationBranches:
         assert code == 0
         assert "nan values dropped     3" in out.splitlines()
 
+    def test_flag_turns_off_a_config_files_strict_nan(self, tmp_path, capsys):
+        write_messy_csv(tmp_path / "messy.csv")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("strict_nan = yes\n")
+        code, out, _ = run(
+            capsys, "preprocess", "--config", str(cfg), "--out", str(tmp_path / "o"),
+            "--input", str(tmp_path / "messy.csv"), "--no-strict-nan",
+        )  # fmt: skip
+        assert code == 0
+        assert "nan values zeroed      3" in out.splitlines()
+
     def test_bad_bool_config_value_is_config_error_naming_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("strict_nan = maybe\n")
@@ -952,6 +963,24 @@ class TestValidationBranches:
         code, _, err = run(capsys, "sweep", "--out", out)
         assert code == cli.EXIT_DATA
         assert "test.csv has no labels" in err
+
+    def test_sweep_of_one_class_test_series_fails_before_training(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        out = copy_workspace(workspace, tmp_path)
+        rewrite_lines(
+            os.path.join(out, "test.csv"),
+            lambda lines: lines[:1] + [line.rsplit(",", 1)[0] + ",0" for line in lines[1:]],
+        )
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("sweep trained a model")
+
+        monkeypatch.setattr(detector, "fit", no_fit)
+        code, _, err = run(capsys, "sweep", "--out", out)
+        assert code == cli.EXIT_DATA
+        assert "ROC needs at least one positive and one negative label" in err
+        assert not os.path.exists(os.path.join(out, "sweep.csv"))
 
     @pytest.mark.parametrize("doc", [{"mean": 450.0}, [450.0, 30.0]], ids=["no-std", "list"])
     def test_malformed_scaler_is_data_error(self, workspace, tmp_path, capsys, doc):

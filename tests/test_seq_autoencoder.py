@@ -1,6 +1,9 @@
 import copy
 import json
 import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 
 from gradcheck import REL_TOL, worst_relative_error
 from model_files import rewrite_model_file, with_entry, write_v3_model_file
+from serial_pass import serial_reconstruct
 from seqad.errors import ConfigError, DataError, ModelFileError, ModelVersionError, ShapeError
 from seqad import seq_autoencoder as sa
 from seqad.lstm import lstm_infer
@@ -190,6 +194,91 @@ class TestInferencePass:
         model = sa.build_model("1x3", timesteps=4, seed=44)
         with pytest.raises(ShapeError):
             sa.reconstruct_windows(model, np.zeros((3, 5, 1)))
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """The process may run on two CPUs, whatever this machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def meet_in_first_layer(monkeypatch):
+    """Hold each thread at its first layer until a second thread gets
+    there, so that two chunks are in flight at once; returns the set of
+    threads that ran a layer."""
+    barrier = threading.Barrier(2, timeout=30)
+    seen = set()
+
+    def infer(*args):
+        if threading.get_ident() not in seen:
+            seen.add(threading.get_ident())
+            barrier.wait()
+        return lstm_infer(*args)
+
+    monkeypatch.setattr(sa, "lstm_infer", infer)
+    return seen
+
+
+class TestThreadedPass:
+    @pytest.mark.parametrize("count", [4, 8, 12, 10, 3], ids=["1", "2", "3", "4-4-2", "3-of-4"])
+    def test_bytes_equal_the_serial_pass(self, two_cpus, monkeypatch, count):
+        model = perturbed(sa.build_model("3x8-6-4", timesteps=7, seed=45), 46)
+        windows = np.random.default_rng(47).normal(0, 1, (count, 7, 1))
+        expected = serial_reconstruct(model, windows, chunk=4)
+        threads = meet_in_first_layer(monkeypatch) if count > 4 else set()
+        before = threading.active_count()
+        got = sa.reconstruct_windows(model, windows, chunk=4)
+        assert got.tobytes() == expected.tobytes()
+        assert len(threads) == (2 if count > 4 else 0)
+        assert threading.active_count() == before
+
+    def test_default_chunks_equal_the_serial_pass(self, two_cpus):
+        model = perturbed(sa.build_model("2x16-4", timesteps=5, seed=48), 49)
+        windows = np.random.default_rng(50).normal(0, 1, (700, 5, 1))
+        expected = serial_reconstruct(model, windows, chunk=256)
+        assert sa.reconstruct_windows(model, windows).tobytes() == expected.tobytes()
+
+    def test_worker_exception_reaches_the_caller(self, two_cpus, monkeypatch):
+        model = perturbed(sa.build_model("2x8-4", timesteps=7, seed=51), 52)
+        windows = np.random.default_rng(53).normal(0, 1, (12, 7, 1))
+        caller = threading.get_ident()
+        worker_ran = threading.Event()
+
+        def infer(*args):
+            if threading.get_ident() == caller:
+                assert worker_ran.wait(timeout=30)
+                return lstm_infer(*args)
+            worker_ran.set()
+            raise RuntimeError("worker chunk failed")
+
+        monkeypatch.setattr(sa, "lstm_infer", infer)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="worker chunk failed"):
+            sa.reconstruct_windows(model, windows, chunk=4)
+        assert threading.active_count() == before
+
+    def test_bytes_equal_the_serial_pass_on_a_threaded_blas(self):
+        # two Python threads calling into a BLAS that runs two threads of its own
+        script = """
+import os
+os.sched_getaffinity = lambda pid: {0, 1}
+import numpy as np
+from seqad import seq_autoencoder as sa
+from serial_pass import serial_reconstruct
+model = sa.build_model("2x64-16", timesteps=10, seed=54)
+model.vector[:] = np.random.default_rng(55).normal(0, 0.3, model.vector.shape)
+windows = np.random.default_rng(56).normal(0, 1, (700, 10, 1))
+expected = serial_reconstruct(model, windows, chunk=256)
+print(all(sa.reconstruct_windows(model, windows).tobytes() == expected.tobytes() for _ in range(3)))
+"""
+        here = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.join(os.path.dirname(here), "src")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": os.pathsep.join([src, here])}
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["True"]
 
 
 class TestParameterVector:

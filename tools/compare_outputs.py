@@ -16,6 +16,10 @@ checkout path with a placeholder. The commands are:
 - preprocess, train, detect and evaluate on the seed-1 `train_paper`
   and `train_deep` series of the checkout's `bench/gen.py`, with the
   benchmark's own flags;
+- the `train_deep` detect once more, with OpenBLAS on two threads, in a
+  workspace of its own preprocessed from the same series and with the
+  first run's model (every other command runs BLAS on one thread, as
+  the benchmark does);
 - preprocess of a messy CSV (NaN and empty value tokens, a NaN
   timestamp, a duplicate timestamp), with and without `--strict-nan`;
 - eight inputs that must fail: `--sigma-k -1`, a constant training
@@ -91,6 +95,15 @@ STEPS = [
     *_bench_workload("train_paper", 10_000, "1x16", 5),
     *_bench_workload("train_deep", 4_000, "3x128-64-16", 2),
     (
+        "train_deep_blas2 preprocess",
+        ["preprocess", "--out", "train_deep_blas2", "--seed", "1", "--input", "train_deep.csv",
+         "--split-fraction", "0.75"],
+    ),  # fmt: skip
+    (
+        "train_deep_blas2 detect",
+        ["detect", "--out", "train_deep_blas2", "--seed", "1", "--model", "train_deep/model.json"],
+    ),
+    (
         "negative sigma k",
         ["preprocess", "--out", "neg_k", "--input", "s42/synthetic.csv", "--sigma-k", "-1"],
     ),
@@ -138,6 +151,9 @@ STEPS = [
     ("preprocess without --input", ["preprocess", "--out", "no_input"]),
     ("synth --breaks", ["synth", "--out", "breaks", "--length", "300", "--breaks", "100:200"]),
 ]
+
+# the steps that run OpenBLAS on two threads; the rest run it on one
+BLAS2 = {"train_deep_blas2 detect"}
 
 # files written before any step runs: the config `preprocess` and `train`
 # share, and the `roc.csv` that `evaluate --config` must refuse to delete
@@ -204,6 +220,7 @@ def run_side(checkout: str, workdir: str) -> tuple[dict, dict]:
         else:
             cmd = [sys.executable, "-m", "seqad.cli", *argv]
         print(f"  {label}", file=sys.stderr, flush=True)
+        env["OPENBLAS_NUM_THREADS"] = "2" if label in BLAS2 else "1"
         proc = subprocess.run(cmd, cwd=workdir, env=env, capture_output=True)
         results[label] = (proc.returncode, neutral(proc.stdout), neutral(proc.stderr))
 
