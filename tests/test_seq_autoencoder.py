@@ -238,6 +238,20 @@ class TestThreadedPass:
         expected = serial_reconstruct(model, windows, chunk=256)
         assert sa.reconstruct_windows(model, windows).tobytes() == expected.tobytes()
 
+    def test_many_chunks_under_a_short_switch_interval(self, two_cpus):
+        # frequent switches between the threads: a buffer they shared, or a
+        # chunk neither took, would change the bytes
+        model = perturbed(sa.build_model("2x8-4", timesteps=7, seed=57), 58)
+        windows = np.random.default_rng(59).normal(0, 1, (300, 7, 1))
+        expected = serial_reconstruct(model, windows, chunk=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = sa.reconstruct_windows(model, windows, chunk=1)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got.tobytes() == expected.tobytes()
+
     def test_worker_exception_reaches_the_caller(self, two_cpus, monkeypatch):
         model = perturbed(sa.build_model("2x8-4", timesteps=7, seed=51), 52)
         windows = np.random.default_rng(53).normal(0, 1, (12, 7, 1))
