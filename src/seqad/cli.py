@@ -334,6 +334,9 @@ def cmd_sweep(cfg: RunConfig, paths: dict) -> None:
         seq_autoencoder.parse_arch(arch)
     train_cfg = _train_config(cfg)
     metrics.class_counts(test_series.labels)  # the ROC's check, made before any training
+    shortest, longest = min(len(train_series), len(test_series)), max(window_lengths)
+    if longest > shortest:  # make_windows's check, made here for the same reason
+        raise DataError(f"series of length {shortest} is shorter than window length {longest}")
 
     scaled_train = pipeline.apply_scaler(train_series.values, scaler)
     rows = []
@@ -410,12 +413,15 @@ _STAGES = {
 
 def _claim(cfg: RunConfig, command: str) -> dict:
     """{name: path} for every file the stage reads and writes, after its earlier
-    outputs are deleted, so a failed stage leaves none for a later one to read.
-    An output that resolves to an input, the config file among them, or to
-    another output is a ConfigError naming it, raised before anything is removed."""
+    outputs, the model's temp file among them, are deleted, so a failed stage
+    leaves none for a later one to read. An output that resolves to an input,
+    the config file among them, or to another output is a ConfigError naming
+    it, raised before anything is removed."""
     stage = _STAGES[command]
     paths = {name: cfg.path(name) for name in (*stage.reads, *stage.writes)}
     outputs = [paths[name] for name in stage.writes]
+    if "model" in stage.writes:  # save_model writes the model through this file
+        outputs.append(paths["model"] + seq_autoencoder.TEMP_SUFFIX)
     inputs = (*(paths[name] for name in stage.reads), cfg.config)
     reads = {os.path.realpath(path): path for path in inputs if path}
     writes = {}

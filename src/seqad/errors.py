@@ -26,10 +26,8 @@ class DataError(ToolkitError):
 class CsvParseError(DataError):
     """Malformed CSV input; the message names the 1-based line number."""
 
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+    def __init__(self, message, line):
+        super().__init__(f"line {line}: {message}")
 
 
 class ModelFileError(DataError):

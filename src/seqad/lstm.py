@@ -24,17 +24,16 @@ pass returns the outputs of all T steps, a transposed view of its
 (H, T, B) hidden rows, so the next layer reads them back feature-major
 and layers chain without copying a transpose.
 
-Each step adds W_h h to its input projection W_x x + b and activates
-the (4H, B) block in place, all 4H rows with one tanh call, since
-sigmoid(x) = (1 + tanh(x / 2)) / 2. `lstm_forward`, the training pass,
-and `lstm_infer`, the forward-only pass, drive that step body the same
-way. The training pass keeps every step for backpropagation: [h, x] as
-(H+D, T+1, B), the cell state as (T+1, H, B) and the gates as
-(T, 4H, B), into which it projects the inputs of all T steps before the
-loop, since the projection does not depend on the recurrence. The
-forward-only pass keeps only its outputs: it projects each step's input
-with one (4H, D) @ (D, B) GEMM into a (4H, B) block, carries c as
-(H, B) state and writes each h to its outputs, with the same bits.
+One step, `_step`, serves both passes: it projects its input with one
+(4H, D) @ (D, B) GEMM into a (4H, B) block, adds the bias and W_h h,
+and activates the block in place, all 4H rows with one tanh call, since
+sigmoid(x) = (1 + tanh(x / 2)) / 2, before updating c and h.
+`lstm_forward`, the training pass, and `lstm_infer`, the forward-only
+pass, differ only in what they keep. The training pass keeps every step
+for backpropagation: [h, x] as (H+D, T+1, B), the cell state as
+(T+1, H, B) and the gates as (T, 4H, B). The forward-only pass keeps
+only its outputs: it carries c as (H, B) state and writes each h to its
+outputs, with the same bits.
 
 The backward pass recomputes tanh(c) for all steps with one call,
 computes every gate's local derivative for all steps at once, fills a
@@ -138,17 +137,20 @@ def _check_inputs(params: LstmLayerParams, inputs) -> np.ndarray:
     return inputs
 
 
-def _step(w_h, a, h_prev, c_prev, c, h, work) -> None:
-    """One cell update on feature-major arrays, in place.
+def _step(params, x, a, h_prev, c_prev, c, h, work) -> None:
+    """One cell update of `params`'s layer on feature-major arrays, in place.
 
-    `a` holds the step's (4H, B) input projection and leaves holding the
-    activated gates; the new cell and hidden states are written to `c`
-    and `h`, each (H, B), and `c` may be `c_prev`. `work` is a (4H, B)
-    scratch buffer; tanh(c) passes through `work[:H]` and is not kept.
+    `x` is the step's (D, B) input. `a` is a (4H, B) buffer that takes
+    its projection W_x x + b and leaves holding the activated gates; the
+    new cell and hidden states are written to `c` and `h`, each (H, B),
+    and `c` may be `c_prev`. `work` is a (4H, B) scratch buffer; tanh(c)
+    passes through `work[:H]` and is not kept.
     """
     n = c.shape[0]
     s = 3 * n
-    a += np.matmul(w_h, h_prev, out=work)
+    np.matmul(params.w[:, n:], x, out=a)
+    a += params.b[:, None]
+    a += np.matmul(params.w[:, :n], h_prev, out=work)
     # sigmoid(x) = (1 + tanh(x / 2)) / 2 on the f, i, o rows, which cannot overflow
     a[:s] *= 0.5
     np.tanh(a, out=a)
@@ -176,13 +178,12 @@ def lstm_forward(params: LstmLayerParams, inputs: np.ndarray) -> tuple[np.ndarra
     zbuf[:h, 0] = 0.0
     cbuf = np.empty((t_len + 1, h, b))
     cbuf[0] = 0.0
-    gates = np.matmul(params.w[:, h:], zbuf[h:, :t_len].transpose(1, 0, 2))
-    gates += params.b[:, None]
-
-    w_h = params.w[:, :h]
+    gates = np.empty((t_len, 4 * h, b))
     work = np.empty((4 * h, b))
     for t in range(t_len):
-        _step(w_h, gates[t], zbuf[:h, t], cbuf[t], cbuf[t + 1], zbuf[:h, t + 1], work)
+        _step(
+            params, zbuf[h:, t], gates[t], zbuf[:h, t], cbuf[t], cbuf[t + 1], zbuf[:h, t + 1], work
+        )
     return zbuf[:h, 1:].transpose(1, 2, 0), LstmCache(z=zbuf, gates=gates, c=cbuf)
 
 
@@ -279,14 +280,13 @@ def lstm_infer(
     """Forward-only pass over a time-major (T, batch, input) array.
 
     Starts from zero state and keeps no cache. Returns the hidden
-    outputs (T, batch, hidden), equal to `lstm_forward`'s to rounding.
+    outputs (T, batch, hidden), byte-equal to `lstm_forward`'s.
 
-    Each step projects its own input, so nothing grows with T but the
-    outputs. A caller that runs many passes can lend the memory: the
-    outputs then land in the first H*T*batch entries of `out`, and the
-    step's gates and state use the first 10*H*batch entries of
-    `scratch`, both 1-D float64 buffers, and the result is a view of
-    `out`. Either one left out is allocated.
+    Nothing grows with T but the outputs. A caller that runs many passes
+    can lend the memory: the outputs then land in the first H*T*batch
+    entries of `out`, and the step's gates and state use the first
+    10*H*batch entries of `scratch`, both 1-D float64 buffers, and the
+    result is a view of `out`. Either one left out is allocated.
     """
     inputs = _check_inputs(params, inputs)
     t_len, b, _ = inputs.shape
@@ -305,10 +305,7 @@ def lstm_infer(
     h_prev[...] = 0.0
 
     x = inputs.transpose(0, 2, 1)
-    w_h, w_x = params.w[:, :h], params.w[:, h:]
     for t in range(t_len):
-        np.matmul(w_x, x[t], out=a)
-        a += params.b[:, None]
-        _step(w_h, a, h_prev, c, c, outputs[:, t], work)
+        _step(params, x[t], a, h_prev, c, c, outputs[:, t], work)
         h_prev = outputs[:, t]
     return outputs.transpose(1, 2, 0)

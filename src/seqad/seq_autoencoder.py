@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 MODEL_FORMAT_VERSION = 4
+TEMP_SUFFIX = ".tmp"  # save_model writes <path>.tmp, then renames it to <path>
 # the digest names the model, not the file layout, so version 4's file
 # layout left it as it was under version 3
 _DIGEST_VERSION = 3
@@ -324,11 +325,12 @@ def reconstruct_windows(
 
     A forward-only pass in chunks of `chunk` windows, the first starting
     at window 0; the chunk width is fixed because it changes the last
-    bits of the result. The calling thread and, with more than one chunk
-    and a second CPU this process may run on, one worker thread take
-    chunks in turn, so the result equals that of scoring the chunks one
-    by one. The calling thread allocates every buffer, once per call:
-    each thread reuses its own across chunks and layers, two layers'
+    bits of the result. With more than one chunk and a second CPU this
+    process may run on, the calling thread scores chunks 0, 2, 4, ...
+    and one worker thread chunks 1, 3, 5, ..., each into its own rows of
+    the result, so the result equals that of scoring the chunks one by
+    one. The calling thread allocates every buffer, once per call: each
+    thread reuses its own across chunks and layers, two layers'
     (hidden, T, chunk) outputs and one step's gates and state. An
     exception in the worker is raised here, after it has been joined.
     """
@@ -349,31 +351,26 @@ def reconstruct_windows(
         for _ in range(n_threads)
     ]
 
-    todo = iter(starts)
-    lock = threading.Lock()
     errors = []
 
-    def run(seq_bufs, scratch):
+    def run(i):
+        seq_bufs, scratch = buffers[i]
         try:
-            while not errors:
-                with lock:
-                    lo = next(todo, None)
-                if lo is None:
-                    return
+            for lo in starts[i::n_threads]:
                 seq = windows[lo : lo + chunk].transpose(1, 0, 2)
                 for k, layer in enumerate(layers):
                     if k == len(model.encoder):
                         seq = np.broadcast_to(seq[-1], seq.shape)  # the latent, once per timestep
                     seq = lstm_infer(layer, seq, seq_bufs[k % 2], scratch)
                 out[lo : lo + chunk] = _head(model, seq.transpose(2, 0, 1))
-        except BaseException as exc:  # stops the other thread; raised once both are done
+        except BaseException as exc:  # raised once both threads are done
             errors.append(exc)
 
-    threads = [threading.Thread(target=run, args=bufs) for bufs in buffers[1:]]
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, n_threads)]
     for thread in threads:
         thread.start()
     try:
-        run(*buffers[0])
+        run(0)
     finally:
         for thread in threads:
             thread.join()
@@ -507,7 +504,7 @@ def save_model(model: SeqAutoencoderModel, path: str) -> None:
     """
     if model.threshold is None:
         raise ModelFileError("cannot save a model without its threshold record")
-    tmp = f"{path}.tmp"
+    tmp = path + TEMP_SUFFIX
     try:
         with open(tmp, "wb") as fh:
             fh.write(json.dumps(_model_header(model, MODEL_FORMAT_VERSION)).encode() + b"\n")

@@ -644,6 +644,22 @@ class TestErrorCodes:
         assert path in err
         assert file_bytes(out) == before
 
+    def test_model_whose_temp_file_is_the_config_file_is_config_error(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        # save_model once wrote <model>.tmp over the config, then renamed it into the model
+        monkeypatch.setattr(detector, "fit", lambda *a: pytest.fail("trained before the check"))
+        out = copy_workspace(workspace, tmp_path)
+        config = os.path.join(out, "run.cfg.tmp")
+        with open(config, "w") as fh:
+            fh.write("seed = 9\n")
+        before = file_bytes(out)
+        model = os.path.join(out, "run.cfg")
+        code, _, err = run(capsys, "train", "--out", out, "--config", config, "--model", model)
+        assert code == cli.EXIT_CONFIG
+        assert config in err
+        assert file_bytes(out) == before
+
     def test_failed_synth_leaves_no_output(self, workspace, tmp_path, capsys):
         out = copy_workspace(workspace, tmp_path)
         code, _, _ = run(capsys, "synth", "--out", out, "--length", "1")
@@ -819,10 +835,11 @@ def unlabel(out, name):
 
 
 class TestStageOutputs:
-    # every stage's outputs; each case fails right after the stage clears its own
+    # every stage's outputs, with the temp file the model is written through;
+    # each case fails right after the stage clears its own
     OUTPUTS = {
         "preprocess": ("train.csv", "test.csv", "scaler.json"),
-        "train": ("model.json", "training_trace.csv"),
+        "train": ("model.json", "model.json.tmp", "training_trace.csv"),
         "detect": ("report.csv", "detection_summary.json"),
         "evaluate": ("roc.csv", "evaluation.json"),
         "sweep": ("sweep.csv",),
@@ -980,6 +997,28 @@ class TestValidationBranches:
         code, _, err = run(capsys, "sweep", "--out", out)
         assert code == cli.EXIT_DATA
         assert "ROC needs at least one positive and one negative label" in err
+        assert not os.path.exists(os.path.join(out, "sweep.csv"))
+
+    @pytest.mark.parametrize("side", ["test", "train"])
+    def test_sweep_window_longer_than_a_series_fails_before_training(
+        self, workspace, tmp_path, capsys, monkeypatch, side
+    ):
+        # once trained and printed the windows that fit, then failed on the longer one
+        out = copy_workspace(workspace, tmp_path)
+        path = os.path.join(out, f"{side}.csv")
+        if side == "train":
+            rewrite_lines(path, lambda lines: lines[:21])
+        with open(path) as fh:
+            rows = len(fh.readlines()) - 1
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("sweep trained a model")
+
+        monkeypatch.setattr(detector, "fit", no_fit)
+        code, stdout, err = run(capsys, "sweep", "--out", out, "--sweep-windows", f"5,{rows + 1}")
+        assert code == cli.EXIT_DATA
+        assert f"series of length {rows} is shorter than window length {rows + 1}" in err
+        assert stdout == ""
         assert not os.path.exists(os.path.join(out, "sweep.csv"))
 
     @pytest.mark.parametrize("doc", [{"mean": 450.0}, [450.0, 30.0]], ids=["no-std", "list"])

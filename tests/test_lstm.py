@@ -32,9 +32,8 @@ def step_from(params, h_prev, c_prev, x):
     Returns the activated (f, i, o, g) blocks and the new cell and hidden
     states, batch-first."""
     h, b = params.hidden_size, x.shape[0]
-    a = params.w[:, h:] @ x.T + params.b[:, None]
-    c, h_new, work = (np.empty((n, b)) for n in (h, h, 4 * h))
-    _step(params.w[:, :h], a, h_prev.T.copy(), c_prev.T.copy(), c, h_new, work)
+    a, c, h_new, work = (np.empty((n, b)) for n in (4 * h, h, h, 4 * h))
+    _step(params, x.T.copy(), a, h_prev.T.copy(), c_prev.T.copy(), c, h_new, work)
     return np.split(a.T, 4, axis=1), c.T, h_new.T
 
 
@@ -171,16 +170,22 @@ class TestTracerContract:
 
 
 class TestInfer:
-    """The forward-only pass against the training forward, to 1e-12."""
+    """The forward-only pass against the training forward: both run `_step`,
+    so their outputs are byte-equal."""
 
-    @pytest.mark.parametrize("t_len", [1, 7])
-    def test_sequences_match_training_forward(self, t_len):
-        params = random_params(4, 3, seed=8)
-        x = np.random.default_rng(9).normal(0, 1, (t_len, 5, 3))
+    # (inputs, units) of every layer of the benchmark's 1x16 and 3x128-64-16
+    # models, and 128 -> 128; a batch of 64 trains, 256 scores, 38 is a short last batch
+    LAYERS = [(1, 16), (16, 16), (1, 128), (128, 64), (64, 16), (16, 64), (64, 128), (128, 128)]
+
+    @pytest.mark.parametrize("d, hidden", LAYERS, ids=[f"{d}-{h}" for d, h in LAYERS])
+    @pytest.mark.parametrize("batch", [38, 64, 256])
+    def test_sequences_match_training_forward(self, d, hidden, batch):
+        params = random_params(hidden, d, seed=8)
+        x = np.random.default_rng(9).normal(0, 1, (10, batch, d))
         expected, _ = lstm_forward(params, x)
         got = lstm_infer(params, x)
-        assert got.shape == (t_len, 5, 4)
-        assert np.max(np.abs(got - expected)) <= 1e-12
+        assert got.shape == (10, batch, hidden)
+        assert got.tobytes() == expected.tobytes()
 
     def test_bad_shapes_rejected(self):
         params = zero_params(2, 1)

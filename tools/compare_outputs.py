@@ -31,8 +31,12 @@ checkout path with a placeholder. The commands are:
   one of the stage's own files and must fail: `train` onto
   `training_trace.csv`, `scaler.json` and `train.csv`, and `detect`
   onto `report.csv`; then `train` and `detect` with a `--model` in a
-  directory outside `--out`, and an `evaluate` whose `--config` file
-  is its own `roc.csv` (holding `seed = 1`), which must fail;
+  directory outside `--out`, and three commands that must fail: an
+  `evaluate` whose `--config` file is its own `roc.csv` (holding
+  `seed = 1`), a `sweep` over windows 5,100, the second longer than
+  the workspace's 75-row `test.csv`, and a `train --config
+  clash/run.cfg.tmp --model clash/run.cfg`, whose model would be
+  written through its own config file;
 - one `--config` file that `preprocess` and `train` share (`strict_nan`,
   `split_fraction`, `window` and `epochs`), a `preprocess` with no
   `--input`, which must fail, and a `synth --breaks 100:200`.
@@ -132,7 +136,7 @@ STEPS = [
         "messy preprocess --strict-nan",
         ["preprocess", "--out", "messy_strict", "--input", "messy.csv", "--strict-nan"],
     ),
-    ("clash synth", ["synth", "--out", "clash", "--length", "300"]),
+    ("clash synth", ["synth", "--out", "clash", "--length", "300", "--spike-rate", "0.05"]),
     ("clash preprocess", ["preprocess", "--out", "clash", "--input", "clash/synthetic.csv"]),
     ("clash train", ["train", *CLASH_TRAIN]),
     ("clash detect", ["detect", "--out", "clash"]),
@@ -143,6 +147,14 @@ STEPS = [
     ("train --model outside", ["train", *CLASH_TRAIN, "--model", "models/m.json"]),
     ("detect --model outside", ["detect", "--out", "clash", "--model", "models/m.json"]),
     ("evaluate --config roc", ["evaluate", "--out", "clash", "--config", "clash/roc.csv"]),
+    (
+        "sweep window past test.csv",
+        ["sweep", "--out", "clash", "--sweep-windows", "5,100", "--epochs", "1"],
+    ),
+    (
+        "train --config model temp",
+        ["train", *CLASH_TRAIN, "--config", "clash/run.cfg.tmp", "--model", "clash/run.cfg"],
+    ),
     (
         "shared config preprocess",
         ["preprocess", "--out", "shared", "--config", "shared.cfg", "--input", "messy.csv"],
@@ -156,10 +168,12 @@ STEPS = [
 BLAS2 = {"train_deep_blas2 detect"}
 
 # files written before any step runs: the config `preprocess` and `train`
-# share, and the `roc.csv` that `evaluate --config` must refuse to delete
+# share, the `roc.csv` that `evaluate --config` must refuse to delete, and
+# the config that `train` must refuse to write its model's temp file over
 CONFIGS = {
     "shared.cfg": "strict_nan = yes\nsplit_fraction = 0.7\nwindow = 5\nepochs = 1\n",
     os.path.join("clash", "roc.csv"): "seed = 1\n",
+    os.path.join("clash", "run.cfg.tmp"): "window = 5\n",
 }
 
 
