@@ -932,6 +932,18 @@ class TestValidationBranches:
         assert code == 0
         assert "nan values dropped     3" in out.splitlines()
 
+    @pytest.mark.parametrize("spelling", ["no", "off", "0", "false"])
+    def test_false_bool_spellings_in_a_config_file(self, tmp_path, capsys, spelling):
+        write_messy_csv(tmp_path / "messy.csv")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"strict_nan = {spelling}\n")
+        code, out, _ = run(
+            capsys, "preprocess", "--config", str(cfg), "--out", str(tmp_path / "o"),
+            "--input", str(tmp_path / "messy.csv"),
+        )  # fmt: skip
+        assert code == 0
+        assert "nan values zeroed      3" in out.splitlines()
+
     def test_flag_turns_off_a_config_files_strict_nan(self, tmp_path, capsys):
         write_messy_csv(tmp_path / "messy.csv")
         cfg = tmp_path / "run.cfg"

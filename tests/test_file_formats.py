@@ -43,6 +43,19 @@ def fitted_model(window):
     return model
 
 
+def write_labelled_report(out):
+    """A report.csv with one point of each confusion cell but FP, and a
+    tie in the losses."""
+    with open(os.path.join(out, "report.csv"), "w") as fh:
+        fh.write(
+            "timestamp,value,loss,verdict,label\n"
+            "2018-01-01T00:00:00,1.0,0.5,1,1\n"
+            "2018-01-01T00:01:00,2.0,0.25,0,0\n"
+            "2018-01-01T00:02:00,3.0,0.25,0,1\n"
+            "2018-01-01T00:03:00,4.0,0.125,0,0\n"
+        )
+
+
 class TestWriterBytes:
     @pytest.mark.parametrize("with_labels", [False, True])
     def test_series_csv(self, tmp_path, with_labels):
@@ -101,14 +114,7 @@ class TestWriterBytes:
         )
 
     def test_roc_csv_and_evaluation_json(self, workspace):
-        with open(os.path.join(workspace, "report.csv"), "w") as fh:
-            fh.write(
-                "timestamp,value,loss,verdict,label\n"
-                "2018-01-01T00:00:00,1.0,0.5,1,1\n"
-                "2018-01-01T00:01:00,2.0,0.25,0,0\n"
-                "2018-01-01T00:02:00,3.0,0.25,0,1\n"
-                "2018-01-01T00:03:00,4.0,0.125,0,0\n"
-            )
+        write_labelled_report(workspace)
         assert cli.main(["evaluate", "--out", workspace]) == 0
         assert read_bytes(os.path.join(workspace, "roc.csv")) == (
             b"threshold,fpr,tpr\n"
@@ -121,6 +127,19 @@ class TestWriterBytes:
             b'{\n  "confusion": {\n    "tp": 1,\n    "tn": 2,\n    "fp": 0,\n    "fn": 1\n  },\n'
             b'  "accuracy": 0.75,\n  "precision": 1.0,\n  "recall": 0.5,\n'
             b'  "f1": 0.6666666666666666,\n  "fpr": 0.0,\n  "auc": 0.875\n}\n'
+        )
+
+    def test_evaluate_stdout(self, workspace, capsys):
+        write_labelled_report(workspace)
+        assert cli.main(["evaluate", "--out", workspace]) == 0
+        assert capsys.readouterr().out == (
+            "confusion              TP=1 TN=2 FP=0 FN=1\n"
+            "accuracy               75.00\n"
+            "precision              100.00\n"
+            "recall                 50.00\n"
+            "f1                     66.67\n"
+            "fpr                    0.00\n"
+            "auc                    87.50\n"
         )
 
     def test_sweep_csv_with_undefined_metric(self, workspace, monkeypatch):
