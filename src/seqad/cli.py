@@ -284,8 +284,8 @@ def cmd_detect(cfg: RunConfig, paths: dict) -> None:
         "test_points": int(report.values.shape[0]),
         "flagged": int(report.verdicts.sum()),
     }
-    counts = report.confusion()
-    if counts is not None:
+    if report.labels is not None:
+        counts = metrics.confusion(report.labels, report.verdicts)
         summary["confusion"] = asdict(counts)
         summary["metrics"] = asdict(metrics.prf1_accuracy(counts))
     pipeline.write_json(paths["detection_summary.json"], summary)
@@ -298,7 +298,7 @@ def cmd_evaluate(cfg: RunConfig, paths: dict) -> None:
     if report.labels is None:
         raise DataError("report has no ground-truth labels; cannot evaluate")
 
-    counts = report.confusion()
+    counts = metrics.confusion(report.labels, report.verdicts)
     mets = metrics.prf1_accuracy(counts)
     roc = metrics.roc_auc(report.labels, report.losses)
 
@@ -312,12 +312,8 @@ def cmd_evaluate(cfg: RunConfig, paths: dict) -> None:
         {"confusion": asdict(counts), **asdict(mets), "auc": roc.auc},
     )
     print(f"confusion              TP={counts.tp} TN={counts.tn} FP={counts.fp} FN={counts.fn}")
-    print(f"accuracy               {metrics.format_percent(mets.accuracy)}")
-    print(f"precision              {metrics.format_percent(mets.precision)}")
-    print(f"recall                 {metrics.format_percent(mets.recall)}")
-    print(f"f1                     {metrics.format_percent(mets.f1)}")
-    print(f"fpr                    {metrics.format_percent(mets.fpr)}")
-    print(f"auc                    {metrics.format_percent(roc.auc)}")
+    for name, value in (*asdict(mets).items(), ("auc", roc.auc)):
+        print(f"{name:<23}{metrics.format_percent(value)}")
 
 
 def cmd_sweep(cfg: RunConfig, paths: dict) -> None:
@@ -345,7 +341,7 @@ def cmd_sweep(cfg: RunConfig, paths: dict) -> None:
         for arch in archs:
             model, _ = detector.fit(train_windows, arch, train_cfg)
             report = detector.detect(model, test_series, scaler)
-            mets = metrics.prf1_accuracy(report.confusion())
+            mets = metrics.prf1_accuracy(metrics.confusion(report.labels, report.verdicts))
             roc = metrics.roc_auc(report.labels, report.losses)
             scores = (mets.accuracy, mets.precision, mets.recall, mets.f1)
             cells = ("" if x is None else repr(x) for x in scores)  # None: zero denominator

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CsvParseError, DataError, ModelFileError
-from .metrics import ConfusionCounts, confusion
 from .pipeline import (
     ScalerParams,
     TimeSeries,
@@ -40,7 +39,6 @@ __all__ = [
     "DetectionReport",
     "fit_threshold",
     "fit",
-    "point_losses",
     "detect",
     "write_report_csv",
     "read_report_csv",
@@ -55,24 +53,13 @@ class DetectionReport:
     verdicts: np.ndarray  # 1 where loss > threshold
     labels: np.ndarray | None = None
 
-    def confusion(self) -> ConfusionCounts | None:
-        if self.labels is None:
-            return None
-        return confusion(self.labels, self.verdicts)
-
-
-def point_losses(model: SeqAutoencoderModel, windows: np.ndarray) -> np.ndarray:
-    """Per-point reconstruction loss over a (count, T, 1) window stack,
-    dropout disabled."""
-    return per_point_loss(windows, reconstruct_windows(model, windows))
-
 
 def fit_threshold(model: SeqAutoencoderModel, train_windows: np.ndarray) -> ThresholdRecord:
     """Maximum per-point training loss, in normalized units; training data
     never exceeds it. The record is what `train` stores with the model."""
     if len(train_windows) == 0:
         raise DataError("cannot fit a threshold on an empty window set")
-    losses = point_losses(model, train_windows)
+    losses = per_point_loss(train_windows, reconstruct_windows(model, train_windows))
     return ThresholdRecord(
         value=float(losses.max()), train_points=len(losses), window_len=train_windows.shape[1]
     )
@@ -116,7 +103,7 @@ def detect(
         raise ModelFileError("cannot score with a model without its threshold record")
     scaled = apply_scaler(test_series.values, scaler)
     windows = make_windows(scaled, model.timesteps)
-    losses = point_losses(model, windows)
+    losses = per_point_loss(windows, reconstruct_windows(model, windows))
     verdicts = (losses > model.threshold.value).astype(np.int64)
     return DetectionReport(
         timestamps=test_series.timestamps,

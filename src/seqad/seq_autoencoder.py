@@ -36,7 +36,6 @@ __all__ = [
     "parse_arch",
     "build_model",
     "reconstruct_windows",
-    "mae",
     "train",
     "save_model",
     "load_model",
@@ -49,6 +48,10 @@ TEMP_SUFFIX = ".tmp"  # save_model writes <path>.tmp, then renames it to <path>
 # the digest names the model, not the file layout, so version 4's file
 # layout left it as it was under version 3
 _DIGEST_VERSION = 3
+
+# reconstruct_windows scores this many windows at a time; a different width
+# changes the last bits of the reconstructions
+CHUNK_WINDOWS = 256
 
 # training fails when its final train MAE exceeds this multiple of the
 # MAE of reconstructing every training window as zeros
@@ -318,14 +321,11 @@ def _backward_batch(
         grad_out = lstm_backward(layer, cache["enc_caches"].pop(), grad_out, out)
 
 
-def reconstruct_windows(
-    model: SeqAutoencoderModel, windows: np.ndarray, chunk: int = 256
-) -> np.ndarray:
+def reconstruct_windows(model: SeqAutoencoderModel, windows: np.ndarray) -> np.ndarray:
     """Inference-mode reconstruction of a (count, T, 1) stack, chunked.
 
-    A forward-only pass in chunks of `chunk` windows, the first starting
-    at window 0; the chunk width is fixed because it changes the last
-    bits of the result. With more than one chunk and a second CPU this
+    A forward-only pass in chunks of CHUNK_WINDOWS windows, the first
+    starting at window 0. With more than one chunk and a second CPU this
     process may run on, the calling thread scores chunks 0, 2, 4, ...
     and one worker thread chunks 1, 3, 5, ..., each into its own rows of
     the result, so the result equals that of scoring the chunks one by
@@ -340,10 +340,10 @@ def reconstruct_windows(
             f"windows shape {windows.shape} does not match (count, {model.timesteps}, 1)"
         )
     out = np.empty_like(windows)
-    starts = range(0, len(windows), chunk)
+    starts = range(0, len(windows), CHUNK_WINDOWS)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     n_threads = max(1, min(2, cpus or 1, len(starts)))
-    b = min(chunk, len(windows))
+    b = min(CHUNK_WINDOWS, len(windows))
     layers = model.encoder + model.decoder
     widest = max(layer.hidden_size for layer in layers)
     buffers = [
@@ -357,12 +357,12 @@ def reconstruct_windows(
         seq_bufs, scratch = buffers[i]
         try:
             for lo in starts[i::n_threads]:
-                seq = windows[lo : lo + chunk].transpose(1, 0, 2)
+                seq = windows[lo : lo + CHUNK_WINDOWS].transpose(1, 0, 2)
                 for k, layer in enumerate(layers):
                     if k == len(model.encoder):
                         seq = np.broadcast_to(seq[-1], seq.shape)  # the latent, once per timestep
                     seq = lstm_infer(layer, seq, seq_bufs[k % 2], scratch)
-                out[lo : lo + chunk] = _head(model, seq.transpose(2, 0, 1))
+                out[lo : lo + CHUNK_WINDOWS] = _head(model, seq.transpose(2, 0, 1))
         except BaseException as exc:  # raised once both threads are done
             errors.append(exc)
 
@@ -377,15 +377,6 @@ def reconstruct_windows(
     if errors:
         raise errors[0]
     return out
-
-
-def mae(recon: np.ndarray, target: np.ndarray) -> float:
-    """Mean absolute error over every entry (= batch mean of per-window MAE)."""
-    recon = np.asarray(recon, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if recon.shape != target.shape:
-        raise ShapeError(f"shape mismatch: {recon.shape} vs {target.shape}")
-    return float(np.mean(np.abs(recon - target)))
 
 
 def train(
@@ -447,7 +438,7 @@ def train(
         trace.train_loss.append(train_mae)
         if n_val:
             val_recon = reconstruct_windows(model, val_data)
-            trace.val_loss.append(mae(val_recon, val_data))
+            trace.val_loss.append(float(np.mean(np.abs(val_recon - val_data))))
         else:
             trace.val_loss.append(float("nan"))
 

@@ -119,7 +119,7 @@ def _autoencoder_gradcheck(seed):
 
     def loss():
         recon, _ = sa._forward_batch(model, batch)
-        return sa.mae(recon, batch)
+        return float(np.mean(np.abs(recon - batch)))
 
     recon, cache = sa._forward_batch(model, batch)
     d_recon = np.sign(recon - batch) / recon.size

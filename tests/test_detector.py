@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from seqad import detector, pipeline, seq_autoencoder as sa
+from seqad import detector, metrics, pipeline, seq_autoencoder as sa
 from seqad.errors import CsvParseError, DataError, ModelFileError
 from seqad.windowing import make_windows
 
@@ -114,7 +114,7 @@ class TestDetect:
         model = zero_model(1)
         model.threshold = detector.fit_threshold(model, make_windows(np.array([0.3]), 1))
         report = detector.detect(model, series([0.2, 0.8, 0.3], labels=[0, 1, 0]), IDENTITY_SCALER)
-        counts = report.confusion()
+        counts = metrics.confusion(report.labels, report.verdicts)
         assert (counts.tp, counts.tn, counts.fp, counts.fn) == (1, 2, 0, 0)
 
 

@@ -52,7 +52,8 @@ def model():
 def test_verdict_is_strictly_above_the_threshold(model, values, data, ulps):
     # the threshold is one point's loss moved by `ulps` ulps: that point
     # is flagged exactly when the threshold sits below its loss
-    losses = detector.point_losses(model, make_windows(values, MODEL_T))
+    windows = make_windows(values, MODEL_T)
+    losses = per_point_loss(windows, seq_autoencoder.reconstruct_windows(model, windows))
     pick = data.draw(st.integers(0, len(values) - 1))
     threshold = losses[pick]
     for _ in range(abs(ulps)):

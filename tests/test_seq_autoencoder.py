@@ -143,18 +143,20 @@ class TestInferencePass:
         got = sa.reconstruct_windows(model, windows)
         assert np.max(np.abs(got - expected)) <= 1e-12
 
-    def test_chunk_boundary(self):
+    def test_chunk_boundary(self, monkeypatch):
         model = perturbed(sa.build_model("2x8-4", timesteps=7, seed=33), 34)
         windows = np.random.default_rng(35).normal(0, 1, (4, 7, 1))
         expected, _ = sa._forward_batch(model, windows)
-        got = sa.reconstruct_windows(model, windows, chunk=3)
+        monkeypatch.setattr(sa, "CHUNK_WINDOWS", 3)
+        got = sa.reconstruct_windows(model, windows)
         assert np.max(np.abs(got - expected)) <= 1e-12
 
-    def test_repeated_calls_bit_identical(self):
+    def test_repeated_calls_bit_identical(self, monkeypatch):
         model = perturbed(sa.build_model("3x8-6-4", timesteps=7, seed=36), 37)
         windows = np.random.default_rng(38).normal(0, 1, (9, 7, 1))
-        first = sa.reconstruct_windows(model, windows, chunk=4)
-        assert np.array_equal(first, sa.reconstruct_windows(model, windows, chunk=4))
+        monkeypatch.setattr(sa, "CHUNK_WINDOWS", 4)
+        first = sa.reconstruct_windows(model, windows)
+        assert np.array_equal(first, sa.reconstruct_windows(model, windows))
 
     def test_forward_uses_the_inference_pass(self):
         # one window scored alone matches the same window scored inside a
@@ -227,7 +229,8 @@ class TestThreadedPass:
         expected = serial_reconstruct(model, windows, chunk=4)
         threads = meet_in_first_layer(monkeypatch) if count > 4 else set()
         before = threading.active_count()
-        got = sa.reconstruct_windows(model, windows, chunk=4)
+        monkeypatch.setattr(sa, "CHUNK_WINDOWS", 4)
+        got = sa.reconstruct_windows(model, windows)
         assert got.tobytes() == expected.tobytes()
         assert len(threads) == (2 if count > 4 else 0)
         assert threading.active_count() == before
@@ -238,16 +241,17 @@ class TestThreadedPass:
         expected = serial_reconstruct(model, windows, chunk=256)
         assert sa.reconstruct_windows(model, windows).tobytes() == expected.tobytes()
 
-    def test_many_chunks_under_a_short_switch_interval(self, two_cpus):
+    def test_many_chunks_under_a_short_switch_interval(self, two_cpus, monkeypatch):
         # frequent switches between the threads: a buffer they shared, or a
         # chunk neither took, would change the bytes
         model = perturbed(sa.build_model("2x8-4", timesteps=7, seed=57), 58)
         windows = np.random.default_rng(59).normal(0, 1, (300, 7, 1))
         expected = serial_reconstruct(model, windows, chunk=1)
         interval = sys.getswitchinterval()
+        monkeypatch.setattr(sa, "CHUNK_WINDOWS", 1)
         sys.setswitchinterval(1e-6)
         try:
-            got = sa.reconstruct_windows(model, windows, chunk=1)
+            got = sa.reconstruct_windows(model, windows)
         finally:
             sys.setswitchinterval(interval)
         assert got.tobytes() == expected.tobytes()
@@ -267,8 +271,9 @@ class TestThreadedPass:
 
         monkeypatch.setattr(sa, "lstm_infer", infer)
         before = threading.active_count()
+        monkeypatch.setattr(sa, "CHUNK_WINDOWS", 4)
         with pytest.raises(RuntimeError, match="worker chunk failed"):
-            sa.reconstruct_windows(model, windows, chunk=4)
+            sa.reconstruct_windows(model, windows)
         assert threading.active_count() == before
 
     def test_bytes_equal_the_serial_pass_on_a_threaded_blas(self):
@@ -318,7 +323,7 @@ class TestGradients:
 
         def loss():
             recon, _ = sa._forward_batch(model, batch)
-            return sa.mae(recon, batch)
+            return float(np.mean(np.abs(recon - batch)))
 
         recon, cache = sa._forward_batch(model, batch)
         d_recon = np.sign(recon - batch) / recon.size
@@ -332,7 +337,7 @@ class TestGradients:
 
         def loss():
             recon, _ = sa._forward_batch(model, batch)
-            return sa.mae(recon, batch)
+            return float(np.mean(np.abs(recon - batch)))
 
         recon, cache = sa._forward_batch(model, batch)
         d_recon = np.sign(recon - batch) / recon.size
@@ -417,7 +422,7 @@ class TestTrain:
         val_data = windows[len(windows) - n_val :]
         model = sa.build_model("1x16", timesteps=10, dropout_rate=0.9, seed=6)
         model, trace = sa.train(model, windows, sa.TrainConfig(epochs=1, dropout=0.9, seed=6))
-        expected = sa.mae(sa.reconstruct_windows(model, val_data), val_data)
+        expected = float(np.mean(np.abs(sa.reconstruct_windows(model, val_data) - val_data)))
         assert trace.val_loss[-1] == expected
 
     def test_training_applies_the_models_dropout_rate(self):
