@@ -34,10 +34,15 @@ import sys
 from collections import namedtuple
 from dataclasses import asdict, fields
 
-import numpy as np
+# BLAS runs on one thread unless the environment names a count: a wide
+# model's bytes depend on it. Set before numpy loads, or it has no effect.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from . import detector, metrics, pipeline, seq_autoencoder, windowing
-from .errors import ConfigError, DataError, ToolkitError
+import numpy as np  # noqa: E402
+
+from . import detector, metrics, pipeline, seq_autoencoder, windowing  # noqa: E402
+from .errors import ConfigError, DataError, ToolkitError  # noqa: E402
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

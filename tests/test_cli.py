@@ -2,6 +2,8 @@ import json
 import math
 import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -163,6 +165,29 @@ class TestDeterminism:
                 os.path.join(out_b, name), "rb"
             ) as fb:
                 assert fa.read() == fb.read()
+
+    def test_default_blas_threads_write_the_bytes_of_one_thread(self, tmp_path, capsys):
+        # the short final batch of a wide model's epoch gave other bytes on
+        # two BLAS threads than on one; importing cli pins this process's
+        # variables too, so each child's environment is built here
+        out = str(tmp_path / "ws")
+        assert cli.main(["synth", "--out", out, "--seed", "3", "--length", "4000"]) == 0
+        argv = ["preprocess", "--out", out, "--input", os.path.join(out, "synthetic.csv")]
+        assert cli.main(argv) == 0
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        unset = {k: v for k, v in os.environ.items() if k not in blas}
+        models = []
+        for name, env in (("unset", unset), ("one", {**unset, **dict.fromkeys(blas, "1")})):
+            models.append(os.path.join(out, f"{name}.json"))
+            done = subprocess.run(
+                [sys.executable, "-m", "seqad.cli", "train", "--out", out, "--model", models[-1],
+                 "--arch", "2x64-16", "--epochs", "1"],
+                env={**env, "PYTHONPATH": src}, capture_output=True, timeout=300,
+            )  # fmt: skip
+            assert done.returncode == 0, done.stderr
+        with open(models[0], "rb") as fa, open(models[1], "rb") as fb:
+            assert fa.read() == fb.read()
 
 
 class TestConfigFile:
