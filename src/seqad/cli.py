@@ -41,7 +41,9 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-from . import detector, metrics, pipeline, seq_autoencoder, windowing  # noqa: E402
+# each stage imports the model modules it uses, so that preprocess and synth,
+# which use none, do not pay to load them
+from . import pipeline  # noqa: E402
 from .errors import ConfigError, DataError, ToolkitError  # noqa: E402
 
 EXIT_OK = 0
@@ -49,7 +51,7 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_INTERNAL = 4
 
-_TRAIN = seq_autoencoder.TrainConfig
+_TRAIN = pipeline.TrainConfig
 _SYNTH = pipeline.SynthProfile
 _TRAIN_KEYS = [f.name for f in fields(_TRAIN) if f.name != "seed"]
 _SYNTH_KEYS = [f.name for f in fields(_SYNTH)]
@@ -205,10 +207,10 @@ def _read_scaler(path: str) -> pipeline.ScalerParams:
     return scaler
 
 
-def _train_config(cfg: RunConfig) -> seq_autoencoder.TrainConfig:
+def _train_config(cfg: RunConfig) -> pipeline.TrainConfig:
     """The training settings `train` and `sweep` share: the training keys and the seed."""
     keys = (*_TRAIN_KEYS, "seed")
-    return seq_autoencoder.TrainConfig(**{key: getattr(cfg, key) for key in keys})
+    return pipeline.TrainConfig(**{key: getattr(cfg, key) for key in keys})
 
 
 def cmd_preprocess(cfg: RunConfig, paths: dict) -> None:
@@ -246,6 +248,8 @@ def cmd_preprocess(cfg: RunConfig, paths: dict) -> None:
 
 
 def cmd_train(cfg: RunConfig, paths: dict) -> None:
+    from . import detector, seq_autoencoder, windowing
+
     if cfg.window < 1:
         raise ConfigError(f"window length must be >= 1, got {cfg.window}")
     train_series = _read_workspace_series(paths["train.csv"])
@@ -273,6 +277,8 @@ def cmd_train(cfg: RunConfig, paths: dict) -> None:
 
 
 def cmd_detect(cfg: RunConfig, paths: dict) -> None:
+    from . import detector, metrics, seq_autoencoder
+
     model = seq_autoencoder.load_model(paths["model"])
     test_series = _read_workspace_series(paths["test.csv"])
     scaler = _read_scaler(paths["scaler.json"])
@@ -299,6 +305,8 @@ def cmd_detect(cfg: RunConfig, paths: dict) -> None:
 
 
 def cmd_evaluate(cfg: RunConfig, paths: dict) -> None:
+    from . import detector, metrics
+
     report = detector.read_report_csv(paths["report.csv"])
     if report.labels is None:
         raise DataError("report has no ground-truth labels; cannot evaluate")
@@ -322,6 +330,8 @@ def cmd_evaluate(cfg: RunConfig, paths: dict) -> None:
 
 
 def cmd_sweep(cfg: RunConfig, paths: dict) -> None:
+    from . import detector, metrics, seq_autoencoder, windowing
+
     train_series = _read_workspace_series(paths["train.csv"])
     test_series = _read_workspace_series(paths["test.csv"])
     scaler = _read_scaler(paths["scaler.json"])
@@ -371,11 +381,11 @@ def cmd_synth(cfg: RunConfig, paths: dict) -> None:
     series, anomaly_indices = pipeline.generate_synthetic(profile, cfg.seed)
     os.makedirs(cfg.out, exist_ok=True)
     pipeline.write_series_csv(paths["synthetic.csv"], series)
-    stamps = series.timestamps[anomaly_indices].tolist()
+    stamps = pipeline.format_timestamps(series.timestamps[anomaly_indices])
     pipeline.write_csv(
         paths["anomalies.csv"],
         ["index", "timestamp"],
-        zip(map(str, anomaly_indices.tolist()), map(pipeline.format_timestamp, stamps)),
+        zip(map(str, anomaly_indices.tolist()), stamps),
     )
     print(f"synthetic series       {len(series)} points, {anomaly_indices.size} injected anomalies")
     print(f"written                {paths['synthetic.csv']}")
@@ -422,7 +432,9 @@ def _claim(cfg: RunConfig, command: str) -> dict:
     paths = {name: cfg.path(name) for name in (*stage.reads, *stage.writes)}
     outputs = [paths[name] for name in stage.writes]
     if "model" in stage.writes:  # save_model writes the model through this file
-        outputs.append(paths["model"] + seq_autoencoder.TEMP_SUFFIX)
+        from .seq_autoencoder import TEMP_SUFFIX
+
+        outputs.append(paths["model"] + TEMP_SUFFIX)
     inputs = (*(paths[name] for name in stage.reads), cfg.config)
     reads = {os.path.realpath(path): path for path in inputs if path}
     writes = {}

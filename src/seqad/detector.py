@@ -9,25 +9,30 @@ and `sweep` all go through these two.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CsvParseError, DataError, ModelFileError
+from .errors import DataError, ModelFileError
 from .pipeline import (
+    CsvChunk,
     ScalerParams,
     TimeSeries,
+    TrainConfig,
     apply_scaler,
-    format_timestamp,
+    first_true,
+    format_timestamps,
+    in_chunks,
+    parse_bits,
+    parse_floats,
     parse_timestamp,
+    parse_timestamps,
     read_csv,
     write_csv,
 )
 from .seq_autoencoder import (
     SeqAutoencoderModel,
     ThresholdRecord,
-    TrainConfig,
     TrainTrace,
     build_model,
     reconstruct_windows,
@@ -118,7 +123,7 @@ def write_report_csv(path: str, report: DetectionReport) -> None:
     """One row per point: timestamp,value,loss,verdict[,label]."""
     header = ["timestamp", "value", "loss", "verdict"]
     cells = [
-        map(format_timestamp, report.timestamps.tolist()),
+        in_chunks(format_timestamps, report.timestamps),
         map(repr, report.values.tolist()),
         map(repr, report.losses.tolist()),
         map(str, report.verdicts.tolist()),
@@ -133,28 +138,48 @@ def read_report_csv(path: str) -> DetectionReport:
     """Load a persisted report; verdicts come back exactly as written.
     A non-finite loss, or a verdict or label other than 0 or 1, would
     change the metrics, so it raises CsvParseError naming its line."""
-    timestamps, values, losses, verdicts, labels = [], [], [], [], []
     columns = ("timestamp", "value", "loss", "verdict")
-    with read_csv(path, columns, "label", "; run detect first") as (has_labels, rows):
-        for lineno, row in rows:
-            try:
-                timestamps.append(parse_timestamp(row[0]))
-                values.append(float(row[1]))
-                losses.append(float(row[2]))
-            except ValueError as exc:
-                raise CsvParseError(str(exc), line=lineno)
-            if not math.isfinite(losses[-1]):
-                raise CsvParseError(f"non-finite loss {row[2]!r}", line=lineno)
-            for name, text in zip(("verdict", "label"), row[3:]):
-                if text not in ("0", "1"):
-                    raise CsvParseError(f"bad {name} {text!r}, expected 0 or 1", line=lineno)
-            verdicts.append(int(row[3]))
-            if has_labels:
-                labels.append(int(row[4]))
+    with read_csv(path, columns, "label", "; run detect first") as (has_labels, chunks):
+        parts = [_report_columns(chunk) for chunk in chunks]
+    timestamps, values, losses, verdicts, *labels = map(np.concatenate, zip(*parts))
     return DetectionReport(
-        timestamps=np.array(timestamps),
-        values=np.array(values),
-        losses=np.array(losses),
-        verdicts=np.array(verdicts, dtype=np.int64),
-        labels=np.array(labels, dtype=np.int64) if has_labels else None,
+        timestamps=timestamps,
+        values=values,
+        losses=losses,
+        verdicts=verdicts,
+        labels=labels[0] if has_labels else None,
     )
+
+
+def _report_columns(chunk: CsvChunk) -> list:
+    """A chunk's timestamps, values, losses and verdicts, then its labels
+    if it has them."""
+    ts_texts, value_texts, loss_texts, verdict_texts, *label_texts = chunk.columns
+    timestamps = parse_timestamps(ts_texts)
+    values, bad_value = parse_floats(value_texts)
+    losses, bad_loss = parse_floats(loss_texts)
+    verdicts = parse_bits(verdict_texts)
+    columns = [timestamps, values, losses, verdicts]
+    failures = [
+        (first_true(np.isnan(timestamps)), lambda i: _rejection(parse_timestamp, ts_texts[i])),
+        (bad_value, lambda i: _rejection(float, value_texts[i])),
+        (bad_loss, lambda i: _rejection(float, loss_texts[i])),
+        (first_true(~np.isfinite(losses)), lambda i: f"non-finite loss {loss_texts[i]!r}"),
+        (first_true(verdicts < 0), lambda i: f"bad verdict {verdict_texts[i]!r}, expected 0 or 1"),
+    ]
+    if label_texts:
+        labels = parse_bits(label_texts[0])
+        columns.append(labels)
+        failures.append(
+            (first_true(labels < 0), lambda i: f"bad label {label_texts[0][i]!r}, expected 0 or 1")
+        )
+    chunk.check(*failures)
+    return columns
+
+
+def _rejection(parse, text: str) -> str:
+    """The message of the ValueError `parse(text)` raises."""
+    try:
+        parse(text)
+    except ValueError as exc:
+        return str(exc)

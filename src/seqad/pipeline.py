@@ -1,17 +1,22 @@
 """Data handling: the file layer, cleaning, standard scaling, the
-train/test split with its sigma-band filter and labels, and a
-synthetic-series generator. The band's mean and population standard
-deviation come from `fit_scaler`, the function that fits the scaler.
+train/test split with its sigma-band filter and labels, a
+synthetic-series generator, and the training settings. The band's mean
+and population standard deviation come from `fit_scaler`, the function
+that fits the scaler.
 
 Timestamps are UTC epoch seconds held as float64 (NaN marks an invalid
 timestamp in raw, pre-clean data only). Every file but the model is read
 through `open_text` and written through `write_csv` or `write_json`, as
 UTF-8 with LF. Series CSV files have a `timestamp,value[,label]` header.
+A CSV column of timestamps goes through `parse_timestamps` and
+`format_timestamps`, which give what `parse_timestamp` and
+`format_timestamp` give for each element.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from contextlib import contextmanager
@@ -29,6 +34,7 @@ __all__ = [
     "CleanReport",
     "SplitResult",
     "SynthProfile",
+    "TrainConfig",
     "parse_timestamp",
     "format_timestamp",
     "read_series_csv",
@@ -41,6 +47,13 @@ __all__ = [
 ]
 
 _NAN_TOKENS = {"", "nan", "NaN", "NAN", "null", "NULL", "na", "NA"}
+_AS_NAN = dict.fromkeys(_NAN_TOKENS, "nan")  # a NaN token as text float() reads
+_BITS = {"0": 0, "1": 1}
+
+# the rows a CSV reader or writer holds as text at a time: enough that numpy
+# calls on whole columns cost little per row, few enough that the text adds
+# little to a stage's peak memory
+CSV_CHUNK_ROWS = 512
 
 # format_timestamp writes the UTC years 1 to 9999. Inside these instants a
 # parsed time is surely one of them; outside, a UTC offset or the rounding
@@ -68,6 +81,54 @@ def format_timestamp(epoch: float) -> str:
     microseconds only when non-zero. An instant outside the UTC years 1
     to 9999 raises ValueError, or OverflowError far outside them."""
     return datetime.fromtimestamp(epoch, tz=timezone.utc).replace(tzinfo=None).isoformat()
+
+
+# The text numpy parses for parse_timestamps: YYYY-MM-DD[T ]HH:MM:SS in ASCII
+# digits. On it, numpy's datetime64 and fromisoformat accept the same fields
+# and give the same instant, except year 0, which lies outside _SURELY_WRITABLE.
+_DIGIT_AT = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
+_PUNCT_AT, _PUNCT = [4, 7, 13, 16], [ord("-"), ord("-"), ord(":"), ord(":")]
+
+
+def parse_timestamps(texts: list) -> np.ndarray:
+    """`parse_timestamp` of every text, as float64, with NaN where it
+    raises ValueError. Text of the shape above whose instant lies inside
+    _SURELY_WRITABLE is parsed by numpy; every other text, by
+    `parse_timestamp`."""
+    n = len(texts)
+    lengths = np.fromiter(map(len, texts), dtype=np.intp, count=n)
+    fixed = np.array(texts, dtype="U19")  # a longer text is cut, and then fails on its length
+    chars = fixed.view(np.uint32).reshape(n, 19)
+    fast = lengths == 19
+    fast &= (chars[:, _DIGIT_AT] - ord("0") <= 9).all(axis=1)  # unsigned: below "0" wraps
+    fast &= (chars[:, _PUNCT_AT] == _PUNCT).all(axis=1)
+    fast &= (chars[:, 10] == ord("T")) | (chars[:, 10] == ord(" "))
+    epochs = np.full(n, np.nan)
+    try:
+        epochs[fast] = fixed[fast].astype("datetime64[s]").astype(np.int64)
+    except ValueError:  # a field out of range somewhere: parse_timestamp judges each text
+        fast[:] = False
+    fast &= (epochs >= _SURELY_WRITABLE[0]) & (epochs < _SURELY_WRITABLE[1])
+    for i in np.flatnonzero(~fast).tolist():
+        try:
+            epochs[i] = parse_timestamp(texts[i])
+        except ValueError:
+            epochs[i] = np.nan
+    return epochs
+
+
+def format_timestamps(epochs: np.ndarray) -> list:
+    """`format_timestamp` of every epoch, raising what it raises for the
+    first epoch it cannot write. Whole seconds inside _SURELY_WRITABLE are
+    written by numpy; every other epoch, by `format_timestamp`."""
+    epochs = np.asarray(epochs, dtype=np.float64)
+    fast = (epochs >= _SURELY_WRITABLE[0]) & (epochs < _SURELY_WRITABLE[1])
+    fast &= epochs == np.floor(epochs)
+    seconds = np.where(fast, epochs, 0.0).astype(np.int64).astype("datetime64[s]")
+    texts = np.datetime_as_string(seconds).tolist()
+    for i in np.flatnonzero(~fast).tolist():
+        texts[i] = format_timestamp(float(epochs[i]))
+    return texts
 
 
 @dataclass
@@ -111,37 +172,116 @@ def open_text(path: str, error: type[Exception], hint: str = ""):
         raise error(f"cannot read {path}: {exc}{hint}") from exc
 
 
+@dataclass
+class CsvChunk:
+    """Consecutive non-blank rows of a CSV file, column by column. A
+    malformed row, one with the wrong number of fields or one `csv`
+    cannot read, or text that is not UTF-8, ends the last chunk of a
+    file and is its `error`."""
+
+    columns: list  # per column, the stripped text of every row
+    lines: np.ndarray  # the line number of every row
+    error: CsvParseError | UnicodeDecodeError | None
+
+    def check(self, *failures) -> None:
+        """Raise CsvParseError for the chunk's first bad line. Each
+        failure is (index of the first row a check rejects, or None, and
+        a function of that index giving the message), listed in the order
+        the checks apply within a row, so the earliest one wins a tie. A
+        chunk whose rows all pass raises its `error`, if any."""
+        found = [(index, message) for index, message in failures if index is not None]
+        if found:
+            index, message = min(found, key=lambda failure: failure[0])
+            raise CsvParseError(message(index), line=int(self.lines[index]))
+        if self.error is not None:
+            raise self.error
+
+
+def first_true(mask: np.ndarray):
+    """The index of the first True in `mask`, or None."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
+
+
+def parse_floats(texts) -> tuple[np.ndarray, int | None]:
+    """float() of the texts up to the first it rejects, as float64, and
+    that text's index, or None when float() reads them all."""
+    values = []
+    try:
+        values.extend(map(float, texts))  # keeps the values read before a failure
+    except ValueError:
+        return np.array(values, dtype=np.float64), len(values)
+    return np.array(values, dtype=np.float64), None
+
+
+def parse_bits(texts: list) -> np.ndarray:
+    """Each text "0" or "1" as int64 0 or 1, and any other as -1."""
+    bits = map(_BITS.get, texts, itertools.repeat(-1))
+    return np.fromiter(bits, dtype=np.int64, count=len(texts))
+
+
 @contextmanager
 def read_csv(path: str, columns: tuple, optional: str, hint: str = ""):
     """Whether the `optional` column follows `columns` in the stripped
-    header, and an iterator of (line number, stripped fields) over the
-    non-blank rows. Any other header, or a row without one field per
-    column, raises CsvParseError with its line; an unreadable file
-    raises DataError."""
+    header, and an iterator of CsvChunks over the rows. Any other header
+    raises CsvParseError on line 1, and an unreadable file DataError.
+    Lines are counted in rows, blank ones included, except that a row
+    `csv` cannot read is named by the reader's line."""
     with open_text(path, DataError, hint) as fh:
         reader = csv.reader(fh)
-        header = [name.strip() for name in next(reader, [])]
+        try:
+            header = [name.strip() for name in next(reader, [])]
+        except csv.Error as exc:
+            raise CsvParseError(str(exc), line=reader.line_num) from None
         if header not in (list(columns), [*columns, optional]):
             raise CsvParseError(
                 f"expected header '{','.join(columns)}[,{optional}]', got {','.join(header)!r}",
                 line=1,
             )
-        yield len(header) > len(columns), _csv_fields(reader, len(header))
+        yield len(header) > len(columns), _csv_chunks(reader, len(header))
 
 
-def _csv_fields(reader, width: int):
-    for lineno, row in enumerate(reader, start=2):
-        if row:
-            if len(row) != width:
-                raise CsvParseError(f"expected {width} fields, got {len(row)}", line=lineno)
-            yield lineno, [text.strip() for text in row]
+def _csv_chunks(reader, width: int):
+    start = 2  # the line of the chunk's first row
+    while True:
+        rows, error = [], None
+        try:
+            rows.extend(itertools.islice(reader, CSV_CHUNK_ROWS))  # keeps the rows before a failure
+        except csv.Error as exc:
+            error = CsvParseError(str(exc), line=reader.line_num)
+        except UnicodeDecodeError as exc:  # raised in open_text's scope, which names the file
+            error = exc
+        widths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+        wrong = first_true((widths != width) & (widths > 0))
+        if wrong is not None:
+            error = CsvParseError(f"expected {width} fields, got {widths[wrong]}", line=start + wrong)
+            del rows[wrong:]
+        lines = np.flatnonzero(widths[: len(rows)]) + start
+        if len(lines) < len(rows):
+            rows = list(filter(None, rows))  # drops the blank ones
+        fields = list(zip(*rows)) or [()] * width
+        del rows
+        yield CsvChunk([list(map(str.strip, texts)) for texts in fields], lines, error)
+        if error is not None or len(widths) < CSV_CHUNK_ROWS:
+            return
+        start += CSV_CHUNK_ROWS
 
 
 def write_csv(path: str, header: list, rows) -> None:
-    """A header and rows of already formatted cells, comma-joined; UTF-8, LF."""
+    """A header and rows of already formatted cells, comma-joined, the
+    rows written CSV_CHUNK_ROWS at a time; UTF-8, LF."""
+    rows = iter(rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in rows)
+        while chunk := list(itertools.islice(rows, CSV_CHUNK_ROWS)):
+            fh.write("\n".join(map(",".join, chunk)) + "\n")
+
+
+def in_chunks(convert, array: np.ndarray):
+    """The elements of `convert(array)` for a `convert` that maps an
+    array to a list, converting CSV_CHUNK_ROWS elements at a time."""
+    starts = range(0, len(array), CSV_CHUNK_ROWS)
+    return itertools.chain.from_iterable(convert(array[i : i + CSV_CHUNK_ROWS]) for i in starts)
 
 
 def write_json(path: str, doc: dict) -> None:
@@ -170,41 +310,37 @@ def read_series_csv(path: str) -> TimeSeries:
     and any other unparseable field raise CsvParseError with its line
     number. An unreadable or non-UTF-8 file raises DataError.
     """
-    timestamps, values, labels = [], [], []
-    with read_csv(path, ("timestamp", "value"), "label") as (has_labels, rows):
-        for lineno, (ts_text, val_text, *label) in rows:
-            if ts_text in _NAN_TOKENS:
-                ts = float("nan")
-            else:
-                try:
-                    ts = parse_timestamp(ts_text)
-                except ValueError:
-                    raise CsvParseError(f"bad timestamp {ts_text!r}", line=lineno)
-            if val_text in _NAN_TOKENS:
-                val = float("nan")
-            else:
-                try:
-                    val = float(val_text)
-                except ValueError:
-                    raise CsvParseError(f"bad value {val_text!r}", line=lineno)
-                if math.isinf(val):
-                    raise CsvParseError(f"non-finite value {val_text!r}", line=lineno)
-            timestamps.append(ts)
-            values.append(val)
-            if label:
-                if label[0] not in ("0", "1"):
-                    raise CsvParseError(f"bad label {label[0]!r}, expected 0 or 1", line=lineno)
-                labels.append(int(label[0]))
-    return TimeSeries(
-        np.array(timestamps, dtype=np.float64),
-        np.array(values, dtype=np.float64),
-        np.array(labels, dtype=np.int64) if has_labels else None,
-    )
+    with read_csv(path, ("timestamp", "value"), "label") as (has_labels, chunks):
+        parts = [_series_columns(chunk) for chunk in chunks]
+    timestamps, values, *labels = map(np.concatenate, zip(*parts))
+    return TimeSeries(timestamps, values, labels[0] if has_labels else None)
+
+
+def _series_columns(chunk: CsvChunk) -> list:
+    """A chunk's timestamps and values, then its labels if it has them."""
+    ts_texts, val_texts, *label_texts = chunk.columns
+    timestamps = parse_timestamps(ts_texts)
+    tokens = np.fromiter(map(_NAN_TOKENS.__contains__, ts_texts), dtype=bool, count=len(ts_texts))
+    values, unreadable = parse_floats(map(_AS_NAN.get, val_texts, val_texts))
+    columns = [timestamps, values]
+    failures = [
+        (first_true(np.isnan(timestamps) & ~tokens), lambda i: f"bad timestamp {ts_texts[i]!r}"),
+        (unreadable, lambda i: f"bad value {val_texts[i]!r}"),
+        (first_true(np.isinf(values)), lambda i: f"non-finite value {val_texts[i]!r}"),
+    ]
+    if label_texts:
+        labels = parse_bits(label_texts[0])
+        columns.append(labels)
+        failures.append(
+            (first_true(labels < 0), lambda i: f"bad label {label_texts[0][i]!r}, expected 0 or 1")
+        )
+    chunk.check(*failures)
+    return columns
 
 
 def write_series_csv(path: str, series: TimeSeries) -> None:
     header = ["timestamp", "value"]
-    cells = [map(format_timestamp, series.timestamps.tolist()), map(repr, series.values.tolist())]
+    cells = [in_chunks(format_timestamps, series.timestamps), map(repr, series.values.tolist())]
     if series.labels is not None:
         header.append("label")
         cells.append(map(str, series.labels.tolist()))
@@ -402,3 +538,30 @@ def generate_synthetic(profile: SynthProfile, seed: int) -> tuple[TimeSeries, np
             f"and spike_magnitude {profile.spike_magnitude!r} overflow float64"
         )
     return TimeSeries(timestamps, values), anomaly_indices
+
+
+@dataclass
+class TrainConfig:
+    """The CLI's training keys and the seed, with their defaults. An
+    out-of-range field raises ConfigError on construction."""
+
+    learning_rate: float = 0.001
+    dropout: float = 0.2
+    batch_size: int = 64
+    epochs: int = 30
+    validation_fraction: float = 0.10
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.learning_rate <= 0:
+            raise ConfigError(f"learning rate must be positive, got {self.learning_rate}")
+        if not (0.0 <= self.dropout < 1.0):
+            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
+        if self.epochs < 0:
+            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
+        if not (0.0 <= self.validation_fraction < 1.0):
+            raise ConfigError(
+                f"validation fraction must be in [0, 1), got {self.validation_fraction}"
+            )

@@ -26,12 +26,11 @@ import numpy as np
 from .core_math import AdamState, adam_step, glorot_init, substream
 from .errors import ConfigError, DataError, ModelFileError, ModelVersionError, ShapeError
 from .lstm import LstmLayerParams, lstm_backward, lstm_forward, lstm_infer
-from .pipeline import json_number
+from .pipeline import TrainConfig, json_number
 
 __all__ = [
     "SeqAutoencoderModel",
     "ThresholdRecord",
-    "TrainConfig",
     "TrainTrace",
     "parse_arch",
     "build_model",
@@ -177,30 +176,6 @@ def build_model(
         arch=arch,
         init_seed=int(seed),
     )
-
-
-@dataclass
-class TrainConfig:
-    learning_rate: float = 0.001
-    dropout: float = 0.2
-    batch_size: int = 64
-    epochs: int = 30
-    validation_fraction: float = 0.10
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning rate must be positive, got {self.learning_rate}")
-        if not (0.0 <= self.dropout < 1.0):
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if not (0.0 <= self.validation_fraction < 1.0):
-            raise ConfigError(
-                f"validation fraction must be in [0, 1), got {self.validation_fraction}"
-            )
 
 
 @dataclass

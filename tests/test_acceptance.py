@@ -208,7 +208,7 @@ def test_criterion_6_threshold_soundness():
     split = pipeline.build_train_test(data, float(data.timestamps[1100]), k=2.0)
     scaler = pipeline.fit_scaler(split.train.values)
     windows = make_windows(pipeline.apply_scaler(split.train.values, scaler), 10)
-    model, _ = detector.fit(windows, "1x16", sa.TrainConfig(epochs=5, seed=6))
+    model, _ = detector.fit(windows, "1x16", pipeline.TrainConfig(epochs=5, seed=6))
     rerun = detector.detect(model, split.train, scaler)
     flagged = int(rerun.verdicts.sum())
     elapsed = time.monotonic() - start

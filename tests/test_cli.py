@@ -190,6 +190,29 @@ class TestDeterminism:
             assert fa.read() == fb.read()
 
 
+class TestImportScope:
+    def test_preprocess_loads_no_model_module(self, tmp_path):
+        # in a fresh interpreter: this suite has imported every module already
+        raw = tmp_path / "raw.csv"
+        rows = [f"2018-01-01T00:{minute:02d}:00,{400 + minute % 7}" for minute in range(40)]
+        raw.write_text("\n".join(["timestamp,value", *rows]) + "\n")
+        models = ["seqad.seq_autoencoder", "seqad.lstm", "seqad.detector", "seqad.windowing"]
+        models += ["seqad.metrics", "hashlib"]
+        code = (
+            "import sys\n"
+            "from seqad import cli\n"
+            f"assert cli.main(['preprocess', '--out', {str(tmp_path / 'o')!r}, '--input', {str(raw)!r}]) == 0\n"
+            f"print([name for name in {models!r} if name in sys.modules])\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        done = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=120,
+        )  # fmt: skip
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
+
+
 class TestConfigFile:
     def test_flags_beat_config(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -417,6 +440,48 @@ class TestErrorCodes:
         code, _, err = run(capsys, "evaluate", "--out", out)
         assert code == cli.EXIT_DATA
         assert "line 4" in err and "non-finite loss" in err
+
+    @pytest.mark.parametrize("bad_time_line, bad_value_line", [(3, 6), (6, 3)])
+    def test_first_bad_report_line_fails_evaluate_whatever_its_kind(
+        self, workspace, tmp_path, capsys, bad_time_line, bad_value_line
+    ):
+        out = copy_workspace(workspace, tmp_path)
+
+        def edit(lines):
+            for line, column, text in ((bad_time_line, 0, "soon"), (bad_value_line, 1, "lots")):
+                fields = lines[line - 1].split(",")
+                fields[column] = text
+                lines[line - 1] = ",".join(fields)
+            return lines
+
+        rewrite_lines(os.path.join(out, "report.csv"), edit)
+        code, _, err = run(capsys, "evaluate", "--out", out)
+        assert code == cli.EXIT_DATA
+        first = "soon" if bad_time_line < bad_value_line else "lots"
+        assert f"line {min(bad_time_line, bad_value_line)}: " in err and repr(first) in err
+
+    def test_field_over_the_csv_limit_fails_preprocess_naming_line(self, tmp_path, capsys):
+        # once an uncaught csv error, exit 1
+        path = tmp_path / "long.csv"
+        path.write_text(f"timestamp,value\n2018-01-01T00:00:00,{'1' * 200_000}\n")
+        out = tmp_path / "o"
+        code, _, err = run(capsys, "preprocess", "--out", str(out), "--input", str(path))
+        assert code == cli.EXIT_DATA
+        assert "line 2: field larger than field limit" in err
+        assert not out.exists()
+
+    def test_field_over_the_csv_limit_fails_evaluate_naming_line(self, workspace, tmp_path, capsys):
+        out = copy_workspace(workspace, tmp_path)
+
+        def edit(lines):
+            lines[4] = lines[4].replace(",", "," + "1" * 200_000, 1)
+            return lines
+
+        rewrite_lines(os.path.join(out, "report.csv"), edit)
+        code, _, err = run(capsys, "evaluate", "--out", out)
+        assert code == cli.EXIT_DATA
+        assert "line 5: field larger than field limit" in err
+        assert not os.path.exists(os.path.join(out, "roc.csv"))
 
     @pytest.mark.parametrize("key, value", [("step_minutes", "1e9"), ("noise_sigma", "1e308")])
     def test_synth_profile_it_cannot_write_is_config_error_naming_key(

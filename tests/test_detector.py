@@ -52,7 +52,7 @@ class TestFitThreshold:
 class TestFit:
     def test_equals_build_train_then_threshold_fit(self):
         windows = make_windows(np.random.default_rng(5).normal(0, 1, 60), 6)
-        cfg = sa.TrainConfig(epochs=2, dropout=0.1, batch_size=16, seed=5)
+        cfg = pipeline.TrainConfig(epochs=2, dropout=0.1, batch_size=16, seed=5)
         model, trace = detector.fit(windows, "2x8-4", cfg)
         expected = sa.build_model("2x8-4", timesteps=6, dropout_rate=0.1, seed=5)
         expected, expected_trace = sa.train(expected, windows, cfg)
@@ -83,7 +83,7 @@ class TestDetect:
         split = pipeline.build_train_test(data, float(data.timestamps[700]), k=2.0)
         scaler = pipeline.fit_scaler(split.train.values)
         windows = make_windows(pipeline.apply_scaler(split.train.values, scaler), 10)
-        model, _ = detector.fit(windows, "1x16", sa.TrainConfig(epochs=3, seed=3))
+        model, _ = detector.fit(windows, "1x16", pipeline.TrainConfig(epochs=3, seed=3))
         report = detector.detect(model, split.train, scaler)
         assert report.verdicts.sum() == 0
 

@@ -11,6 +11,22 @@ def ts(*vals):
     return np.array(vals, dtype=np.float64)
 
 
+def scalar_parse(text):
+    """parse_timestamp(text), or NaN where it raises ValueError."""
+    try:
+        return pl.parse_timestamp(text)
+    except ValueError:
+        return math.nan
+
+
+def scalar_format(epoch):
+    """format_timestamp(epoch), or the type of the error it raises."""
+    try:
+        return pl.format_timestamp(epoch)
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
 class TestTimestamps:
     def test_round_trip(self):
         text = "2018-03-05T14:30:00"
@@ -49,6 +65,57 @@ class TestTimestamps:
     def test_first_and_last_writable_instants_round_trip(self, text):
         epoch = pl.parse_timestamp(text)
         assert pl.parse_timestamp(pl.format_timestamp(epoch)) == epoch
+
+
+# each text parse_timestamps reads with numpy or with parse_timestamp; one
+# batch of all of them makes numpy's own parse fail
+CODEC_TEXTS = [
+    "2018-01-01T00:00:00", "2018-03-05 14:30:00", "1969-07-20T20:17:40",
+    "2020-02-29T00:00:00", "2019-02-29T00:00:00",  # a valid and an invalid leap day
+    "2018-01-01T24:00:00", "2018-12-31T23:59:60",
+    "0000-01-01T00:00:00", "0001-01-01T00:00:00", "9999-12-31T23:59:59",
+    "+2018-01-01T00:00",  # numpy reads it, fromisoformat does not
+    "2018-01-01T00:00:00Z", "2018-01-01T00:00:00+01:00",
+    "2018-01-01T00:00:00.5", "2018-01-01T00:00:00.999999",
+    "2018-01-01t00:00:00", "2018-01-01x00:00:00", "2018-01-01T00:00:00 ",
+    "", "nan", "NaN", "NAN", "null", "NULL", "na", "NA",
+]  # fmt: skip
+
+# epochs format_timestamps writes with numpy or with format_timestamp
+CODEC_EPOCHS = [
+    pl.parse_timestamp("2018-01-01T00:00:00"),
+    pl.parse_timestamp("1969-07-20T20:17:40"),
+    pl.parse_timestamp("2018-01-01T00:00:00") + 0.25,
+    pl.parse_timestamp("0001-01-01T00:00:00"),
+    pl.parse_timestamp("9999-12-31T23:59:59"),
+    pl.parse_timestamp("9999-12-31T23:59:58.5"),
+    -0.0,
+    1e-7,
+]
+
+
+class TestTimestampCodec:
+    @pytest.mark.parametrize("text", CODEC_TEXTS)
+    def test_parse_matches_parse_timestamp(self, text):
+        assert np.array_equal(pl.parse_timestamps([text]), [scalar_parse(text)], equal_nan=True)
+
+    def test_parse_of_one_batch_matches_parse_timestamp(self):
+        expected = [scalar_parse(text) for text in CODEC_TEXTS]
+        assert np.array_equal(pl.parse_timestamps(CODEC_TEXTS), expected, equal_nan=True)
+
+    def test_parse_of_no_text(self):
+        assert pl.parse_timestamps([]).shape == (0,)
+
+    def test_format_matches_format_timestamp(self):
+        assert pl.format_timestamps(np.array(CODEC_EPOCHS)) == list(map(pl.format_timestamp, CODEC_EPOCHS))
+
+    @pytest.mark.parametrize(
+        "epoch", [math.nan, math.inf, pl.parse_timestamp("9999-12-31T23:59:59") + 1.0, 1e300]
+    )
+    def test_format_raises_what_format_timestamp_raises(self, epoch):
+        expected = scalar_format(epoch)
+        with pytest.raises(expected):
+            pl.format_timestamps(np.array([CODEC_EPOCHS[0], epoch]))
 
 
 class TestCsv:
@@ -92,6 +159,67 @@ class TestCsv:
         path = tmp_path / "bad.csv"
         path.write_text(f"timestamp,value\n2018-01-01T00:00:00,400\n2018-01-01T00:01:00,{token}\n")
         with pytest.raises(CsvParseError, match=r"line 3.*non-finite"):
+            pl.read_series_csv(str(path))
+
+    @pytest.mark.parametrize("chunk_rows", [pl.CSV_CHUNK_ROWS, 2])
+    @pytest.mark.parametrize("bad_time_line, bad_value_line", [(3, 5), (5, 3), (4, 4)])
+    def test_first_bad_line_is_named_whatever_its_kind(
+        self, tmp_path, monkeypatch, chunk_rows, bad_time_line, bad_value_line
+    ):
+        monkeypatch.setattr(pl, "CSV_CHUNK_ROWS", chunk_rows)
+        rows = [[f"2018-01-01T00:{minute:02d}:00", str(400 + minute)] for minute in range(6)]
+        rows[bad_time_line - 2][0] = "not-a-time"
+        rows[bad_value_line - 2][1] = "abc"
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(["timestamp,value", *map(",".join, rows)]) + "\n")
+        # on one line, the timestamp is checked first
+        first = "bad timestamp" if bad_time_line <= bad_value_line else "bad value"
+        line = min(bad_time_line, bad_value_line)
+        with pytest.raises(CsvParseError, match=rf"^line {line}: {first} "):
+            pl.read_series_csv(str(path))
+
+    @pytest.mark.parametrize("chunk_rows", [pl.CSV_CHUNK_ROWS, 2])
+    def test_rows_across_chunks_and_blank_lines_keep_their_lines(
+        self, tmp_path, monkeypatch, chunk_rows
+    ):
+        monkeypatch.setattr(pl, "CSV_CHUNK_ROWS", chunk_rows)
+        path = tmp_path / "gaps.csv"
+        text = (
+            "timestamp,value,label\r\n2018-01-01T00:00:00,1,0\r\n\r\n\r\n"
+            '"2018-01-01T00:01:00","2",1\r\n2018-01-01T00:02:00,3,1\r\n2018-01-01T00:03:00,4,2\r\n'
+        )
+        path.write_bytes(text.encode())
+        with pytest.raises(CsvParseError, match=r"^line 7: bad label '2'"):
+            pl.read_series_csv(str(path))
+        path.write_bytes(text.replace(",4,2", ",4,0").encode())
+        series = pl.read_series_csv(str(path))
+        assert series.values.tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert series.labels.tolist() == [0, 1, 1, 0]
+
+    def test_field_over_the_csv_limit_reports_line(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text(f"timestamp,value\n2018-01-01T00:00:00,400\n2018-01-01T00:01:00,{'1' * 200_000}\n")
+        with pytest.raises(CsvParseError, match=r"^line 3: field larger than field limit"):
+            pl.read_series_csv(str(path))
+
+    def test_bad_line_before_an_unreadable_row_is_named_first(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text(f"timestamp,value\nsoon,400\n2018-01-01T00:01:00,{'1' * 200_000}\n")
+        with pytest.raises(CsvParseError, match=r"^line 2: bad timestamp 'soon'"):
+            pl.read_series_csv(str(path))
+
+    def test_bad_line_before_text_that_is_not_utf8_is_named_first(self, tmp_path):
+        # the reader decodes 8 KiB at a time: the rows before the block
+        # that fails to decode are checked first, within one chunk or not
+        rows = [f"2018-01-01T00:00:{second % 60:02d},1" for second in range(2000)]
+        data = "\n".join(["timestamp,value", "soon,1", *rows]).encode()
+        path = tmp_path / "bytes.csv"
+        path.write_bytes(data[:9000] + b"\xff" + data[9000:])
+        with pytest.raises(CsvParseError, match=r"^line 2: bad timestamp 'soon'"):
+            pl.read_series_csv(str(path))
+        data = data.replace(b"soon", b"2018-01-01T01:00:00")
+        path.write_bytes(data[:9000] + b"\xff" + data[9000:])
+        with pytest.raises(DataError, match=r"cannot read .*can't decode byte 0xff"):
             pl.read_series_csv(str(path))
 
     def test_nan_tokens_become_nan(self, tmp_path):

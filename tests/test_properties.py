@@ -1,6 +1,7 @@
 """Property tests: the loss aggregation, the strict threshold verdict,
-the series CSV round trip and duplicate removal in cleaning, each over
-inputs drawn by hypothesis. The
+the series CSV round trip, the bulk timestamp codec against the scalar
+one, and duplicate removal in cleaning, each over inputs drawn by
+hypothesis. The
 settings profile in conftest.py fixes the draws, so every run of the
 suite checks the same examples."""
 
@@ -101,6 +102,22 @@ def test_series_csv_round_trip(csv_path, original):
         assert loaded.labels is None
     else:
         assert np.array_equal(loaded.labels, original.labels)
+
+
+# the first and the last second of the UTC years 1 to 9999
+FIRST_SECOND = (datetime(1, 1, 1, tzinfo=timezone.utc) - EPOCH).total_seconds()
+LAST_SECOND = (datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc) - EPOCH).total_seconds()
+any_instant = st.integers(int(FIRST_SECOND), int(LAST_SECOND)).map(float) | st.floats(
+    FIRST_SECOND, LAST_SECOND
+)
+
+
+@given(st.lists(any_instant, max_size=12))
+def test_timestamp_codec_gives_the_scalar_codecs_text_and_instants(epochs):
+    texts = pipeline.format_timestamps(np.array(epochs))
+    assert texts == [pipeline.format_timestamp(epoch) for epoch in epochs]
+    parsed = pipeline.parse_timestamps(texts)
+    assert np.array_equal(parsed, [pipeline.parse_timestamp(text) for text in texts])
 
 
 # few distinct instants, so most draws repeat some; -0.0 and 0.0 are one instant

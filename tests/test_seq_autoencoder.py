@@ -15,6 +15,7 @@ from serial_pass import serial_reconstruct
 from seqad.errors import ConfigError, DataError, ModelFileError, ModelVersionError, ShapeError
 from seqad import seq_autoencoder as sa
 from seqad.lstm import lstm_infer
+from seqad.pipeline import TrainConfig
 from seqad.windowing import make_windows
 
 
@@ -372,7 +373,7 @@ class TestTrainingStepMemory:
         model = sa.build_model("2x64-16", timesteps=10, seed=42)
         tracemalloc.start()
         try:
-            sa.train(model, windows, sa.TrainConfig(epochs=2, seed=42))
+            sa.train(model, windows, TrainConfig(epochs=2, seed=42))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -397,20 +398,20 @@ class TestTrain:
         # regression floor frozen from the first successful run
         windows = sinusoid_windows()
         model = sa.build_model("1x16", timesteps=10, seed=0)
-        model, trace = sa.train(model, windows, sa.TrainConfig(seed=0))
+        model, trace = sa.train(model, windows, TrainConfig(seed=0))
         assert trace.train_loss[-1] < 0.25 * trace.train_loss[0]
 
     def test_zero_epochs_is_noop(self):
         windows = sinusoid_windows(n=100)
         model = sa.build_model("1x16", timesteps=10, seed=1)
         before = copy.deepcopy(model)
-        model, trace = sa.train(model, windows, sa.TrainConfig(epochs=0, seed=1))
+        model, trace = sa.train(model, windows, TrainConfig(epochs=0, seed=1))
         assert len(trace) == 0
         assert models_equal(model, before)
 
     def test_same_seed_same_trace(self):
         windows = sinusoid_windows(n=300)
-        cfg = sa.TrainConfig(epochs=3, seed=5)
+        cfg = TrainConfig(epochs=3, seed=5)
         _, trace_a = sa.train(sa.build_model("1x16", timesteps=10, seed=5), windows, cfg)
         _, trace_b = sa.train(sa.build_model("1x16", timesteps=10, seed=5), windows, cfg)
         assert trace_a.train_loss == trace_b.train_loss
@@ -421,7 +422,7 @@ class TestTrain:
         n_val = int(len(windows) * 0.10)
         val_data = windows[len(windows) - n_val :]
         model = sa.build_model("1x16", timesteps=10, dropout_rate=0.9, seed=6)
-        model, trace = sa.train(model, windows, sa.TrainConfig(epochs=1, dropout=0.9, seed=6))
+        model, trace = sa.train(model, windows, TrainConfig(epochs=1, dropout=0.9, seed=6))
         expected = float(np.mean(np.abs(sa.reconstruct_windows(model, val_data) - val_data)))
         assert trace.val_loss[-1] == expected
 
@@ -432,7 +433,7 @@ class TestTrain:
         runs = []
         for rate in (0.5, 0.0):
             model = sa.build_model("1x16", timesteps=10, dropout_rate=0.0, seed=14)
-            runs.append(sa.train(model, windows, sa.TrainConfig(epochs=2, dropout=rate, seed=14)))
+            runs.append(sa.train(model, windows, TrainConfig(epochs=2, dropout=rate, seed=14)))
         (model_a, trace_a), (model_b, trace_b) = runs
         assert models_equal(model_a, model_b)
         assert trace_a.train_loss == trace_b.train_loss
@@ -440,25 +441,25 @@ class TestTrain:
     def test_empty_window_set_rejected(self):
         windows = sinusoid_windows(n=50)[:0]
         with pytest.raises(DataError, match="training requires at least one window"):
-            sa.train(sa.build_model("1x16", timesteps=10, seed=0), windows, sa.TrainConfig())
+            sa.train(sa.build_model("1x16", timesteps=10, seed=0), windows, TrainConfig())
 
     def test_epoch_count_matches_trace(self):
         windows = sinusoid_windows(n=120)
         _, trace = sa.train(
-            sa.build_model("1x16", timesteps=10, seed=2), windows, sa.TrainConfig(epochs=4, seed=2)
+            sa.build_model("1x16", timesteps=10, seed=2), windows, TrainConfig(epochs=4, seed=2)
         )
         assert len(trace.train_loss) == 4
         assert len(trace.val_loss) == 4
 
     def test_table_defaults(self):
-        cfg = sa.TrainConfig()
+        cfg = TrainConfig()
         assert (cfg.learning_rate, cfg.dropout, cfg.batch_size, cfg.epochs) == (0.001, 0.2, 64, 30)
         assert cfg.validation_fraction == 0.10
 
     def test_stacked_architecture_trains(self):
         windows = sinusoid_windows(n=150, t=6)
         model = sa.build_model("2x8-4", timesteps=6, seed=4)
-        model, trace = sa.train(model, windows, sa.TrainConfig(epochs=2, seed=4))
+        model, trace = sa.train(model, windows, TrainConfig(epochs=2, seed=4))
         assert len(trace) == 2
         assert all(np.isfinite(v) for v in trace.train_loss)
         for p in model.params():
@@ -468,18 +469,18 @@ class TestTrain:
         windows = sinusoid_windows(n=300)
         model = sa.build_model("1x16", timesteps=10, seed=7)
         with pytest.raises(ConfigError, match=r"epoch 2.*MAE.*learning rate 1000000\.0"):
-            sa.train(model, windows, sa.TrainConfig(epochs=2, learning_rate=1e6, seed=7))
+            sa.train(model, windows, TrainConfig(epochs=2, learning_rate=1e6, seed=7))
 
     def test_non_finite_parameter_raises_at_its_epoch(self):
         windows = sinusoid_windows(n=300)
         model = sa.build_model("1x16", timesteps=10, seed=8)
         model.head_b[0] = np.inf
         with pytest.raises(ConfigError, match=r"epoch 1: .*non-finite"):
-            sa.train(model, windows, sa.TrainConfig(epochs=3, seed=8))
+            sa.train(model, windows, TrainConfig(epochs=3, seed=8))
 
     def test_training_drops_the_old_threshold_record(self):
         model = with_threshold(sa.build_model("1x3", timesteps=10, seed=3))
-        sa.train(model, sinusoid_windows(n=40), sa.TrainConfig(epochs=1, seed=3))
+        sa.train(model, sinusoid_windows(n=40), TrainConfig(epochs=1, seed=3))
         assert model.threshold is None
 
     def test_no_validation_split(self):
@@ -487,7 +488,7 @@ class TestTrain:
         _, trace = sa.train(
             sa.build_model("1x16", timesteps=10, seed=3),
             windows,
-            sa.TrainConfig(epochs=2, validation_fraction=0.0, seed=3),
+            TrainConfig(epochs=2, validation_fraction=0.0, seed=3),
         )
         assert len(trace.val_loss) == 2
         assert all(np.isnan(v) for v in trace.val_loss)
@@ -506,7 +507,7 @@ class TestTrain:
         windows = sinusoid_windows(n=n, t=t_len, seed=9)
         assert len(windows) == 200
         model = sa.build_model(tag, timesteps=t_len, dropout_rate=0.2, seed=11)
-        sa.train(model, windows, sa.TrainConfig(epochs=3, batch_size=32, seed=12))
+        sa.train(model, windows, TrainConfig(epochs=3, batch_size=32, seed=12))
         assert sa.model_digest(model) == digest
 
 

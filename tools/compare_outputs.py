@@ -39,7 +39,16 @@ checkout path with a placeholder. The commands are:
   written through its own config file;
 - one `--config` file that `preprocess` and `train` share (`strict_nan`,
   `split_fraction`, `window` and `epochs`), a `preprocess` with no
-  `--input`, which must fail, and a `synth --breaks 100:200`.
+  `--input`, which must fail, and a `synth --breaks 100:200`;
+- preprocess of raw series whose timestamps take the scalar lane of the
+  timestamp codec, or whose rows take an error path: stamps a quarter
+  second apart, stamps with `Z` and `+01:00` offsets, stamps with a
+  space for the `T`, a series from the first second of the year 1 to
+  the last of the year 9999, quoted fields with CRLF line ends, a bad
+  timestamp on a line before a bad value (must fail naming the first),
+  and a field longer than `csv`'s 131,072-character limit (must fail
+  with exit 3; before the reader caught the `csv` error, it escaped
+  as a traceback with exit 1).
 
 Prints every difference and exits 1 if there is one, else exits 0.
 Uses the standard library only; the whole run takes about 70 s on a
@@ -162,6 +171,9 @@ STEPS = [
     ("shared config train", ["train", "--out", "shared", "--config", "shared.cfg"]),
     ("preprocess without --input", ["preprocess", "--out", "no_input"]),
     ("synth --breaks", ["synth", "--out", "breaks", "--length", "300", "--breaks", "100:200"]),
+    *((f"preprocess {name}", ["preprocess", "--out", name, "--input", f"{name}.csv"]) for name in (
+        "subsecond", "offsets", "space", "edge_years", "quoted_crlf", "bad_then_value", "long_field",
+    )),  # fmt: skip
 ]
 
 # the steps that run OpenBLAS on two threads; the rest run it on one
@@ -208,6 +220,32 @@ def _messy_csv(path: str) -> None:
         fh.write("nan,405\n2018-01-01T00:20:00,999\n")
 
 
+def _series_text(stamps: list, end: str = "\n", quote: bool = False) -> str:
+    """A raw series: the stamps, with values that vary in every four minutes."""
+    rows = [[stamp, str(400 + 3 * (i % 5))] for i, stamp in enumerate(stamps)]
+    if quote:
+        rows = [[f'"{cell}"' for cell in row] for row in rows]
+    return end.join(["timestamp,value", *map(",".join, rows)]) + end
+
+
+MINUTES = [f"2018-01-01T00:{i:02d}:00" for i in range(40)]
+
+# raw series `preprocess` reads, by name
+RAW = {
+    "subsecond.csv": _series_text([f"2018-01-01T00:00:{i / 4:09.6f}" for i in range(40)]),
+    "offsets.csv": _series_text(
+        [f"2018-01-01T01:{i:02d}:00{'Z' if i % 2 else '+01:00'}" for i in range(40)]
+    ),
+    "space.csv": _series_text([stamp.replace("T", " ") for stamp in MINUTES]),
+    "edge_years.csv": _series_text(["0001-01-01T00:00:00", *MINUTES, "9999-12-31T23:59:59"]),
+    "quoted_crlf.csv": _series_text(MINUTES, end="\r\n", quote=True),
+    "bad_then_value.csv": _series_text([*MINUTES[:5], "soon", *MINUTES[6:]]).replace(
+        f"{MINUTES[10]},400", f"{MINUTES[10]},lots"
+    ),
+    "long_field.csv": f"timestamp,value\n{MINUTES[0]},{'1' * 200_000}\n",
+}
+
+
 def run_side(checkout: str, workdir: str) -> tuple[dict, dict]:
     """Run every step in `workdir`. Returns ({label: (exit code, stdout,
     stderr)}, {relative path: bytes}), with `workdir` and `checkout`
@@ -218,7 +256,7 @@ def run_side(checkout: str, workdir: str) -> tuple[dict, dict]:
     _messy_csv(os.path.join(workdir, "messy.csv"))
     os.makedirs(os.path.join(workdir, "clash"))
     os.makedirs(os.path.join(workdir, "models"))
-    for name, text in CONFIGS.items():
+    for name, text in (*CONFIGS.items(), *RAW.items()):
         with open(os.path.join(workdir, name), "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
 
