@@ -41,8 +41,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-# each stage imports the model modules it uses, so that preprocess and synth,
-# which use none, do not pay to load them
+# each stage imports the model modules it uses, so that preprocess, synth and
+# evaluate, which use none, do not pay to load them
 from . import pipeline  # noqa: E402
 from .errors import ConfigError, DataError, ToolkitError  # noqa: E402
 
@@ -285,7 +285,7 @@ def cmd_detect(cfg: RunConfig, paths: dict) -> None:
 
     report = detector.detect(model, test_series, scaler)
 
-    detector.write_report_csv(paths["report.csv"], report)
+    pipeline.write_report_csv(paths["report.csv"], report)
     threshold = model.threshold
     summary = {
         "threshold": threshold.value,
@@ -305,9 +305,9 @@ def cmd_detect(cfg: RunConfig, paths: dict) -> None:
 
 
 def cmd_evaluate(cfg: RunConfig, paths: dict) -> None:
-    from . import detector, metrics
+    from . import metrics
 
-    report = detector.read_report_csv(paths["report.csv"])
+    report = pipeline.read_report_csv(paths["report.csv"])
     if report.labels is None:
         raise DataError("report has no ground-truth labels; cannot evaluate")
 
@@ -350,6 +350,7 @@ def cmd_sweep(cfg: RunConfig, paths: dict) -> None:
         raise DataError(f"series of length {shortest} is shorter than window length {longest}")
 
     scaled_train = pipeline.apply_scaler(train_series.values, scaler)
+    pipeline.apply_scaler(test_series.values, scaler)  # detect's check, made before any training
     rows = []
     for window in window_lengths:
         train_windows = windowing.make_windows(scaled_train, window)

@@ -7,10 +7,12 @@ that fits the scaler.
 Timestamps are UTC epoch seconds held as float64 (NaN marks an invalid
 timestamp in raw, pre-clean data only). Every file but the model is read
 through `open_text` and written through `write_csv` or `write_json`, as
-UTF-8 with LF. Series CSV files have a `timestamp,value[,label]` header.
-A CSV column of timestamps goes through `parse_timestamps` and
-`format_timestamps`, which give what `parse_timestamp` and
-`format_timestamp` give for each element.
+UTF-8 with LF. The two CSV tables, a series (`timestamp,value`) and a
+detection report (`timestamp,value,loss,verdict`), each with an optional
+`label` column, are read through `_read_table` and written through
+`_write_table`. A CSV column of timestamps goes through
+`parse_timestamps` and `format_timestamps`, which give what
+`parse_timestamp` and `format_timestamp` give for each element.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .errors import ConfigError, CsvParseError, DataError
 
 __all__ = [
     "TimeSeries",
+    "DetectionReport",
     "ScalerParams",
     "CleanReport",
     "SplitResult",
@@ -39,6 +42,8 @@ __all__ = [
     "format_timestamp",
     "read_series_csv",
     "write_series_csv",
+    "write_report_csv",
+    "read_report_csv",
     "clean_report",
     "fit_scaler",
     "apply_scaler",
@@ -49,6 +54,10 @@ __all__ = [
 _NAN_TOKENS = {"", "nan", "NaN", "NAN", "null", "NULL", "na", "NA"}
 _AS_NAN = dict.fromkeys(_NAN_TOKENS, "nan")  # a NaN token as text float() reads
 _BITS = {"0": 0, "1": 1}
+
+# each CSV table's columns, which an optional `label` column may follow
+_SERIES_COLUMNS = ("timestamp", "value")
+_REPORT_COLUMNS = ("timestamp", "value", "loss", "verdict")
 
 # the rows a CSV reader or writer holds as text at a time: enough that numpy
 # calls on whole columns cost little per row, few enough that the text adds
@@ -161,6 +170,15 @@ class TimeSeries:
         return TimeSeries(self.timestamps[mask_or_index], self.values[mask_or_index], labels)
 
 
+@dataclass
+class DetectionReport:
+    timestamps: np.ndarray
+    values: np.ndarray  # raw units
+    losses: np.ndarray  # normalized units
+    verdicts: np.ndarray  # 1 where loss > threshold
+    labels: np.ndarray | None = None
+
+
 @contextmanager
 def open_text(path: str, error: type[Exception], hint: str = ""):
     """A UTF-8 text file opened for reading. A file that cannot be opened
@@ -220,25 +238,46 @@ def parse_bits(texts: list) -> np.ndarray:
     return np.fromiter(bits, dtype=np.int64, count=len(texts))
 
 
-@contextmanager
-def read_csv(path: str, columns: tuple, optional: str, hint: str = ""):
-    """Whether the `optional` column follows `columns` in the stripped
-    header, and an iterator of CsvChunks over the rows. Any other header
-    raises CsvParseError on line 1, and an unreadable file DataError.
-    Lines are counted in rows, blank ones included, except that a row
-    `csv` cannot read is named by the reader's line."""
+def _read_table(path: str, columns: tuple, parse, hint: str = "") -> tuple[list, np.ndarray | None]:
+    """The arrays of a CSV table whose stripped header is `columns`,
+    optionally followed by `label`, and its labels, or None without that
+    column. `parse(*texts)` takes a chunk's text columns but the label
+    and gives their arrays and the failures `CsvChunk.check` takes; a
+    label other than 0 or 1 is the last failure of a row. Each array is
+    concatenated over the chunks. Any other header raises CsvParseError
+    on line 1, and an unreadable file DataError. Lines are counted in
+    rows, blank ones included, except that a row `csv` cannot read is
+    named by the reader's line."""
     with open_text(path, DataError, hint) as fh:
         reader = csv.reader(fh)
         try:
             header = [name.strip() for name in next(reader, [])]
         except csv.Error as exc:
             raise CsvParseError(str(exc), line=reader.line_num) from None
-        if header not in (list(columns), [*columns, optional]):
+        if header not in (list(columns), [*columns, "label"]):
             raise CsvParseError(
-                f"expected header '{','.join(columns)}[,{optional}]', got {','.join(header)!r}",
+                f"expected header '{','.join(columns)}[,label]', got {','.join(header)!r}",
                 line=1,
             )
-        yield len(header) > len(columns), _csv_chunks(reader, len(header))
+        chunks = _csv_chunks(reader, len(header))
+        parts = [_table_chunk(chunk, parse, len(columns)) for chunk in chunks]
+    arrays = list(map(np.concatenate, zip(*parts)))
+    return arrays, arrays.pop() if len(header) > len(columns) else None
+
+
+def _table_chunk(chunk: CsvChunk, parse, width: int) -> list:
+    """The arrays `parse` gives for a chunk's first `width` columns, then
+    its labels if it has them."""
+    arrays, failures = parse(*chunk.columns[:width])
+    if len(chunk.columns) > width:
+        label_texts = chunk.columns[width]
+        labels = parse_bits(label_texts)
+        arrays.append(labels)
+        failures.append(
+            (first_true(labels < 0), lambda i: f"bad label {label_texts[i]!r}, expected 0 or 1")
+        )
+    chunk.check(*failures)
+    return arrays
 
 
 def _csv_chunks(reader, width: int):
@@ -277,11 +316,19 @@ def write_csv(path: str, header: list, rows) -> None:
             fh.write("\n".join(map(",".join, chunk)) + "\n")
 
 
-def in_chunks(convert, array: np.ndarray):
-    """The elements of `convert(array)` for a `convert` that maps an
-    array to a list, converting CSV_CHUNK_ROWS elements at a time."""
-    starts = range(0, len(array), CSV_CHUNK_ROWS)
-    return itertools.chain.from_iterable(convert(array[i : i + CSV_CHUNK_ROWS]) for i in starts)
+def _write_table(path: str, columns: tuple, arrays: list, labels: np.ndarray | None) -> None:
+    """One row per point under the header `columns`, then `label` when
+    there are labels: the first array, the timestamps, through
+    `format_timestamps` CSV_CHUNK_ROWS at a time, and every other
+    float64 or int64 array, the labels among them, through `repr` of
+    its elements."""
+    if labels is not None:
+        columns, arrays = (*columns, "label"), [*arrays, labels]
+    timestamps, *rest = arrays
+    starts = range(0, len(timestamps), CSV_CHUNK_ROWS)
+    stamps = (format_timestamps(timestamps[i : i + CSV_CHUNK_ROWS]) for i in starts)
+    cells = [itertools.chain.from_iterable(stamps), *(map(repr, a.tolist()) for a in rest)]
+    write_csv(path, list(columns), zip(*cells))
 
 
 def write_json(path: str, doc: dict) -> None:
@@ -310,41 +357,63 @@ def read_series_csv(path: str) -> TimeSeries:
     and any other unparseable field raise CsvParseError with its line
     number. An unreadable or non-UTF-8 file raises DataError.
     """
-    with read_csv(path, ("timestamp", "value"), "label") as (has_labels, chunks):
-        parts = [_series_columns(chunk) for chunk in chunks]
-    timestamps, values, *labels = map(np.concatenate, zip(*parts))
-    return TimeSeries(timestamps, values, labels[0] if has_labels else None)
+    (timestamps, values), labels = _read_table(path, _SERIES_COLUMNS, _series_columns)
+    return TimeSeries(timestamps, values, labels)
 
 
-def _series_columns(chunk: CsvChunk) -> list:
-    """A chunk's timestamps and values, then its labels if it has them."""
-    ts_texts, val_texts, *label_texts = chunk.columns
+def _series_columns(ts_texts: list, val_texts: list) -> tuple[list, list]:
+    """A chunk's timestamps and values, and the failures of its rows."""
     timestamps = parse_timestamps(ts_texts)
     tokens = np.fromiter(map(_NAN_TOKENS.__contains__, ts_texts), dtype=bool, count=len(ts_texts))
     values, unreadable = parse_floats(map(_AS_NAN.get, val_texts, val_texts))
-    columns = [timestamps, values]
-    failures = [
+    return [timestamps, values], [
         (first_true(np.isnan(timestamps) & ~tokens), lambda i: f"bad timestamp {ts_texts[i]!r}"),
         (unreadable, lambda i: f"bad value {val_texts[i]!r}"),
         (first_true(np.isinf(values)), lambda i: f"non-finite value {val_texts[i]!r}"),
     ]
-    if label_texts:
-        labels = parse_bits(label_texts[0])
-        columns.append(labels)
-        failures.append(
-            (first_true(labels < 0), lambda i: f"bad label {label_texts[0][i]!r}, expected 0 or 1")
-        )
-    chunk.check(*failures)
-    return columns
 
 
 def write_series_csv(path: str, series: TimeSeries) -> None:
-    header = ["timestamp", "value"]
-    cells = [in_chunks(format_timestamps, series.timestamps), map(repr, series.values.tolist())]
-    if series.labels is not None:
-        header.append("label")
-        cells.append(map(str, series.labels.tolist()))
-    write_csv(path, header, zip(*cells))
+    """One row per point: timestamp,value[,label]."""
+    _write_table(path, _SERIES_COLUMNS, [series.timestamps, series.values], series.labels)
+
+
+def write_report_csv(path: str, report: DetectionReport) -> None:
+    """One row per point: timestamp,value,loss,verdict[,label]."""
+    arrays = [report.timestamps, report.values, report.losses, report.verdicts]
+    _write_table(path, _REPORT_COLUMNS, arrays, report.labels)
+
+
+def read_report_csv(path: str) -> DetectionReport:
+    """Load a persisted report; verdicts come back exactly as written.
+    A non-finite loss, or a verdict or label other than 0 or 1, would
+    change the metrics, so it raises CsvParseError naming its line."""
+    arrays, labels = _read_table(path, _REPORT_COLUMNS, _report_columns, "; run detect first")
+    return DetectionReport(*arrays, labels)
+
+
+def _report_columns(ts_texts, value_texts, loss_texts, verdict_texts) -> tuple[list, list]:
+    """A chunk's timestamps, values, losses and verdicts, and the
+    failures of its rows."""
+    timestamps = parse_timestamps(ts_texts)
+    values, bad_value = parse_floats(value_texts)
+    losses, bad_loss = parse_floats(loss_texts)
+    verdicts = parse_bits(verdict_texts)
+    return [timestamps, values, losses, verdicts], [
+        (first_true(np.isnan(timestamps)), lambda i: _rejection(parse_timestamp, ts_texts[i])),
+        (bad_value, lambda i: _rejection(float, value_texts[i])),
+        (bad_loss, lambda i: _rejection(float, loss_texts[i])),
+        (first_true(~np.isfinite(losses)), lambda i: f"non-finite loss {loss_texts[i]!r}"),
+        (first_true(verdicts < 0), lambda i: f"bad verdict {verdict_texts[i]!r}, expected 0 or 1"),
+    ]
+
+
+def _rejection(parse, text: str) -> str:
+    """The message of the ValueError `parse(text)` raises."""
+    try:
+        parse(text)
+    except ValueError as exc:
+        return str(exc)
 
 
 @dataclass
@@ -416,7 +485,19 @@ def fit_scaler(values: np.ndarray) -> ScalerParams:
 
 
 def apply_scaler(values: np.ndarray, scaler: ScalerParams) -> np.ndarray:
-    return (np.asarray(values, dtype=np.float64) - scaler.mean) / scaler.std
+    """(values - mean) / std. A value that this takes past float64, as
+    a subnormal std can, raises DataError naming the scaler and the
+    first such point."""
+    values = np.asarray(values, dtype=np.float64)
+    with np.errstate(over="ignore"):  # checked below
+        scaled = (values - scaler.mean) / scaler.std
+    bad = first_true(~np.isfinite(scaled))
+    if bad is not None:
+        raise DataError(
+            f"scaling by mean {scaler.mean!r} and std {scaler.std!r} overflows float64 "
+            f"at point {bad}, value {float(values[bad])!r}"
+        )
+    return scaled
 
 
 @dataclass

@@ -235,7 +235,7 @@ def _truth_on_test_period(out):
 
 def test_criterion_7_synthetic_end_to_end(e2e):
     out = e2e["out"]
-    rep = detector.read_report_csv(os.path.join(out, "report.csv"))
+    rep = pipeline.read_report_csv(os.path.join(out, "report.csv"))
 
     # no alarms on the training period: the threshold is that period's max,
     # so a false positive there is impossible by construction

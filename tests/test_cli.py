@@ -191,18 +191,16 @@ class TestDeterminism:
 
 
 class TestImportScope:
-    def test_preprocess_loads_no_model_module(self, tmp_path):
-        # in a fresh interpreter: this suite has imported every module already
-        raw = tmp_path / "raw.csv"
-        rows = [f"2018-01-01T00:{minute:02d}:00,{400 + minute % 7}" for minute in range(40)]
-        raw.write_text("\n".join(["timestamp,value", *rows]) + "\n")
-        models = ["seqad.seq_autoencoder", "seqad.lstm", "seqad.detector", "seqad.windowing"]
-        models += ["seqad.metrics", "hashlib"]
+    MODELS = ["seqad.seq_autoencoder", "seqad.lstm", "seqad.detector", "seqad.windowing", "hashlib"]
+
+    def loaded(self, argv, names):
+        """Which of `names` a successful `cli.main(argv)` leaves in sys.modules,
+        in a fresh interpreter: this suite has imported every module already."""
         code = (
             "import sys\n"
             "from seqad import cli\n"
-            f"assert cli.main(['preprocess', '--out', {str(tmp_path / 'o')!r}, '--input', {str(raw)!r}]) == 0\n"
-            f"print([name for name in {models!r} if name in sys.modules])\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            f"print([name for name in {names!r} if name in sys.modules])\n"
         )
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         done = subprocess.run(
@@ -210,7 +208,18 @@ class TestImportScope:
             capture_output=True, text=True, timeout=120,
         )  # fmt: skip
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "[]"
+        return done.stdout.splitlines()[-1]
+
+    def test_preprocess_loads_no_model_module(self, tmp_path):
+        raw = tmp_path / "raw.csv"
+        rows = [f"2018-01-01T00:{minute:02d}:00,{400 + minute % 7}" for minute in range(40)]
+        raw.write_text("\n".join(["timestamp,value", *rows]) + "\n")
+        argv = ["preprocess", "--out", str(tmp_path / "o"), "--input", str(raw)]
+        assert self.loaded(argv, [*self.MODELS, "seqad.metrics"]) == "[]"
+
+    def test_evaluate_loads_no_model_module(self, workspace, tmp_path):
+        out = copy_workspace(workspace, tmp_path)
+        assert self.loaded(["evaluate", "--out", out], self.MODELS) == "[]"
 
 
 class TestConfigFile:
@@ -580,6 +589,30 @@ class TestErrorCodes:
         assert code == cli.EXIT_DATA
         assert "overflows float64" in err
         for name in ("train.csv", "test.csv", "scaler.json"):
+            assert not os.path.exists(os.path.join(out, name)), name
+
+    @pytest.mark.parametrize(
+        "stage, extra, outputs",
+        [
+            ("train", ["--epochs", "1"], ["model.json", "training_trace.csv"]),
+            ("detect", [], ["report.csv", "detection_summary.json"]),
+            ("sweep", ["--sweep-windows", "6", "--epochs", "1"], ["sweep.csv"]),
+        ],
+    )
+    def test_subnormal_scaler_std_is_data_error_before_training_or_writing(
+        self, workspace, tmp_path, capsys, monkeypatch, stage, extra, outputs
+    ):
+        # once detect exited 0 with every loss inf, and train and sweep exited 2
+        # blaming the learning rate
+        monkeypatch.setattr(detector, "fit", lambda *a: pytest.fail("trained before the check"))
+        out = copy_workspace(workspace, tmp_path)
+        with open(os.path.join(out, "scaler.json"), "w") as fh:
+            json.dump({"mean": 452.38970947615906, "std": 1e-310}, fh)
+        code, _, err = run(capsys, stage, "--out", out, *extra)
+        assert code == cli.EXIT_DATA
+        scaler = "mean 452.38970947615906 and std 1e-310"
+        assert f"scaling by {scaler} overflows float64 at point 0" in err
+        for name in outputs:
             assert not os.path.exists(os.path.join(out, name)), name
 
     @pytest.mark.parametrize("key, value", [("features", 2), ("kind", "other")])

@@ -131,8 +131,8 @@ class TestReportPersistence:
     def test_round_trip(self, tmp_path, with_labels):
         report, _ = self.make_report(with_labels)
         path = tmp_path / "report.csv"
-        detector.write_report_csv(str(path), report)
-        back = detector.read_report_csv(str(path))
+        pipeline.write_report_csv(str(path), report)
+        back = pipeline.read_report_csv(str(path))
         assert np.array_equal(back.values, report.values)
         assert np.array_equal(back.losses, report.losses)
         assert np.array_equal(back.verdicts, report.verdicts)
@@ -144,8 +144,8 @@ class TestReportPersistence:
     def test_verdicts_recompute_identically_from_persisted_losses(self, tmp_path):
         report, model = self.make_report(with_labels=False)
         path = tmp_path / "report.csv"
-        detector.write_report_csv(str(path), report)
-        back = detector.read_report_csv(str(path))
+        pipeline.write_report_csv(str(path), report)
+        back = pipeline.read_report_csv(str(path))
         assert np.array_equal((back.losses > model.threshold.value).astype(int), back.verdicts)
 
 
@@ -158,7 +158,7 @@ class TestReportValidation:
     def read(self, tmp_path, text):
         path = tmp_path / "report.csv"
         path.write_text(text)
-        return detector.read_report_csv(str(path))
+        return pipeline.read_report_csv(str(path))
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
     def test_non_finite_loss_rejected(self, tmp_path, token):

@@ -80,7 +80,7 @@ class TestWriterBytes:
 
     @pytest.mark.parametrize("with_labels", [False, True])
     def test_report_csv(self, tmp_path, with_labels):
-        report = detector.DetectionReport(
+        report = pipeline.DetectionReport(
             timestamps=np.array([T0, T0 + 60.5]),
             values=np.array([450.0, 612.5]),
             losses=np.array([0.125, 2.5]),
@@ -88,7 +88,7 @@ class TestWriterBytes:
             labels=np.array([0, 1]) if with_labels else None,
         )
         path = str(tmp_path / "report.csv")
-        detector.write_report_csv(path, report)
+        pipeline.write_report_csv(path, report)
         if with_labels:
             expected = (
                 b"timestamp,value,loss,verdict,label\n"
@@ -145,7 +145,7 @@ class TestWriterBytes:
     def test_sweep_csv_with_undefined_metric(self, workspace, monkeypatch):
         # nothing flagged: precision and F1 have a zero denominator
         def flag_nothing(model, series, scaler):
-            return detector.DetectionReport(
+            return pipeline.DetectionReport(
                 timestamps=series.timestamps,
                 values=series.values,
                 losses=series.values.copy(),

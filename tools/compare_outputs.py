@@ -48,10 +48,21 @@ checkout path with a placeholder. The commands are:
   timestamp on a line before a bad value (must fail naming the first),
   and a field longer than `csv`'s 131,072-character limit (must fail
   with exit 3; before the reader caught the `csv` error, it escaped
-  as a traceback with exit 1).
+  as a traceback with exit 1);
+- `evaluate` on eight hand-written reports that must fail: a wrong
+  header, a row with a field too many, a bad timestamp, an unparseable
+  value, an infinite loss, a bad verdict, a bad label, and an
+  unparseable value on a line before a NaN loss (must fail naming the
+  first);
+- `detect` (with the seed-42 model), `train` and `sweep` in a
+  hand-written workspace whose `scaler.json` has a std of 1e-310, so
+  that scaling overflows float64 (must fail with exit 3 before any
+  training or output; before `apply_scaler` checked its result,
+  `detect` exited 0 with every loss `inf`, and `train` and `sweep`
+  exited 2 blaming the learning rate).
 
 Prints every difference and exits 1 if there is one, else exits 0.
-Uses the standard library only; the whole run takes about 70 s on a
+Uses the standard library only; the whole run takes about 50 s on a
 2-core host, most of it in the training runs.
 """
 
@@ -90,6 +101,31 @@ def _bench_workload(name: str, length: int, arch: str, epochs: int) -> list:
         (f"{name} evaluate", ["evaluate", *common]),
     ]
 
+
+def _report_text(*changes) -> str:
+    """A five-row report with labels, each (line, column, text) change
+    replacing one cell; the header is line 1."""
+    rows = [
+        ["timestamp", "value", "loss", "verdict", "label"],
+        *([f"2018-01-01T00:{i:02d}:00", str(400.0 + i), str(0.25 * i), str(i % 2), str(i % 2)]
+          for i in range(5)),
+    ]  # fmt: skip
+    for line, column, text in changes:
+        rows[line - 1][column] = text
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+# hand-written reports that `evaluate` must refuse, each as <name>/report.csv
+BAD_REPORTS = {
+    "report_header": _report_text((1, 4, "flag")),
+    "report_fields": _report_text((3, 4, "0,1")),
+    "report_timestamp": _report_text((3, 0, "2018-13-01T00:00:00")),
+    "report_value": _report_text((4, 1, "lots")),
+    "report_loss": _report_text((4, 2, "inf")),
+    "report_verdict": _report_text((5, 3, "2")),
+    "report_label": _report_text((5, 4, "yes")),
+    "report_value_then_loss": _report_text((3, 1, "lots"), (5, 2, "nan")),
+}
 
 S42 = ["--out", "s42", "--seed", "42"]
 CLASH_TRAIN = ["--out", "clash", "--window", "5", "--epochs", "1"]
@@ -174,6 +210,10 @@ STEPS = [
     *((f"preprocess {name}", ["preprocess", "--out", name, "--input", f"{name}.csv"]) for name in (
         "subsecond", "offsets", "space", "edge_years", "quoted_crlf", "bad_then_value", "long_field",
     )),  # fmt: skip
+    *((f"evaluate {name}", ["evaluate", "--out", name]) for name in BAD_REPORTS),
+    ("subnormal detect", ["detect", "--out", "subnormal", "--model", "s42/model.json"]),
+    ("subnormal train", ["train", "--out", "subnormal", "--epochs", "1"]),
+    ("subnormal sweep", ["sweep", "--out", "subnormal", "--sweep-windows", "5", "--epochs", "1"]),
 ]
 
 # the steps that run OpenBLAS on two threads; the rest run it on one
@@ -245,6 +285,16 @@ RAW = {
     "long_field.csv": f"timestamp,value\n{MINUTES[0]},{'1' * 200_000}\n",
 }
 
+# a workspace whose scaler's std is subnormal, so that scaling overflows
+# float64; its test side is labelled, with both classes, so `sweep` can score it
+SUBNORMAL = {
+    os.path.join("subnormal", "train.csv"): _series_text(MINUTES),
+    os.path.join("subnormal", "test.csv"): "timestamp,value,label\n" + "".join(
+        f"2018-01-01T01:{i:02d}:00,{400 + 3 * (i % 5)},{int(i % 10 == 0)}\n" for i in range(40)
+    ),
+    os.path.join("subnormal", "scaler.json"): '{"mean": 452.38970947615906, "std": 1e-310}\n',
+}
+
 
 def run_side(checkout: str, workdir: str) -> tuple[dict, dict]:
     """Run every step in `workdir`. Returns ({label: (exit code, stdout,
@@ -254,10 +304,12 @@ def run_side(checkout: str, workdir: str) -> tuple[dict, dict]:
     _constant_csv(os.path.join(workdir, "constant.csv"))
     _late_csv(os.path.join(workdir, "late.csv"))
     _messy_csv(os.path.join(workdir, "messy.csv"))
-    os.makedirs(os.path.join(workdir, "clash"))
     os.makedirs(os.path.join(workdir, "models"))
-    for name, text in (*CONFIGS.items(), *RAW.items()):
-        with open(os.path.join(workdir, name), "w", encoding="utf-8", newline="\n") as fh:
+    reports = {os.path.join(name, "report.csv"): text for name, text in BAD_REPORTS.items()}
+    for name, text in {**CONFIGS, **RAW, **SUBNORMAL, **reports}.items():
+        path = os.path.join(workdir, name)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
 
     def neutral(data: bytes) -> bytes:
