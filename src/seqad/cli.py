@@ -181,14 +181,21 @@ def _parse_int_list(text: str, key: str):
 
 def _read_workspace_series(path: str) -> pipeline.TimeSeries:
     """A series `preprocess` wrote. It writes no NaN, which `read_series_csv`
-    accepts for raw input, so a NaN timestamp or value is a data error."""
+    accepts for raw input, and strictly increasing timestamps, so a NaN
+    timestamp or value, or a timestamp not after the row before it, is a
+    data error naming the first such data row."""
     if not os.path.exists(path):
         raise DataError(f"{path} not found; run the earlier pipeline stages first")
     series = pipeline.read_series_csv(path)
-    for what, column in (("timestamp", series.timestamps), ("value", series.values)):
-        bad = np.flatnonzero(np.isnan(column))
+    stamps = series.timestamps
+    for problem, rows in (
+        ("a NaN timestamp", np.isnan(stamps)),
+        ("a NaN value", np.isnan(series.values)),
+        ("a timestamp not after the row before it", np.diff(stamps, prepend=-np.inf) <= 0),
+    ):
+        bad = np.flatnonzero(rows)
         if bad.size:
-            raise DataError(f"{path} data row {bad[0] + 1} has a NaN {what}; rerun preprocess")
+            raise DataError(f"{path} data row {bad[0] + 1} has {problem}; rerun preprocess")
     return series
 
 
@@ -197,8 +204,8 @@ def _read_scaler(path: str) -> pipeline.ScalerParams:
         with pipeline.open_text(path, DataError, "; run preprocess first") as fh:
             doc = json.load(fh)
         scaler = pipeline.ScalerParams(
-            mean=pipeline.json_number(doc, "mean", float, DataError, path),
-            std=pipeline.json_number(doc, "std", float, DataError, path),
+            mean=pipeline.json_number(doc, "mean", float, path),
+            std=pipeline.json_number(doc, "std", float, path),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed scaler file {path}: {exc}")

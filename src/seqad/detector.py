@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DataError, ModelFileError
+from .errors import DataError
 from .pipeline import DetectionReport, ScalerParams, TimeSeries, TrainConfig, apply_scaler
 from .seq_autoencoder import (
     SeqAutoencoderModel,
@@ -67,12 +67,12 @@ def detect(
     Every point receives a loss (edge points average over their partial
     window coverage); the verdict is 1 only for loss strictly greater
     than the threshold. Ground-truth labels, when present, ride along
-    for evaluation. Raises ModelFileError for a model without a
-    threshold record and DataError for a series shorter
-    than one window or one that the scaler takes past float64.
+    for evaluation. Raises DataError for a model without a threshold
+    record, a series shorter than one window, or one that the scaler
+    takes past float64.
     """
     if model.threshold is None:
-        raise ModelFileError("cannot score with a model without its threshold record")
+        raise DataError("cannot score with a model without its threshold record")
     scaled = apply_scaler(test_series.values, scaler)
     windows = make_windows(scaled, model.timesteps)
     losses = per_point_loss(windows, reconstruct_windows(model, windows))

@@ -1,9 +1,11 @@
 """Exception types shared across the toolkit.
 
-The CLI maps these onto exit codes: ConfigError for bad configuration,
-DataError and its subclasses for problems with the data itself, and
-everything else (including ShapeError escaping from the numeric core) is
-treated as an internal invariant violation.
+The CLI maps these onto exit codes: ConfigError for bad configuration
+(exit 2), DataError for a problem with the data itself, a model file's
+included (exit 3), and any other ToolkitError, such as a ShapeError
+escaping from the numeric core, as an internal invariant violation
+(exit 4).
+CsvParseError is the one DataError that carries a line number.
 """
 
 
@@ -29,10 +31,3 @@ class CsvParseError(DataError):
     def __init__(self, message, line):
         super().__init__(f"line {line}: {message}")
 
-
-class ModelFileError(DataError):
-    """Model file is malformed or internally inconsistent."""
-
-
-class ModelVersionError(ModelFileError):
-    """Model file format version is not supported."""

@@ -338,14 +338,14 @@ def write_json(path: str, doc: dict) -> None:
         fh.write("\n")
 
 
-def json_number(doc: dict, key: str, kind: type, error: type[Exception], where: str):
+def json_number(doc: dict, key: str, kind: type, where: str):
     """`doc[key]` as `kind`: int takes a JSON integer, float any JSON
-    number. A bool, string or other value raises `error` naming `where`
+    number. A bool, string or other value raises DataError naming `where`
     and the key; a missing key raises KeyError."""
     value = doc[key]
     if not (type(value) is int or (kind is float and type(value) is float)):
         wanted = "an integer" if kind is int else "a number"
-        raise error(f"{where}: {key!r} must be {wanted}, got {value!r}")
+        raise DataError(f"{where}: {key!r} must be {wanted}, got {value!r}")
     return kind(value)
 
 
@@ -400,20 +400,12 @@ def _report_columns(ts_texts, value_texts, loss_texts, verdict_texts) -> tuple[l
     losses, bad_loss = parse_floats(loss_texts)
     verdicts = parse_bits(verdict_texts)
     return [timestamps, values, losses, verdicts], [
-        (first_true(np.isnan(timestamps)), lambda i: _rejection(parse_timestamp, ts_texts[i])),
-        (bad_value, lambda i: _rejection(float, value_texts[i])),
-        (bad_loss, lambda i: _rejection(float, loss_texts[i])),
+        (first_true(np.isnan(timestamps)), lambda i: f"bad timestamp {ts_texts[i]!r}"),
+        (bad_value, lambda i: f"bad value {value_texts[i]!r}"),
+        (bad_loss, lambda i: f"bad loss {loss_texts[i]!r}"),
         (first_true(~np.isfinite(losses)), lambda i: f"non-finite loss {loss_texts[i]!r}"),
         (first_true(verdicts < 0), lambda i: f"bad verdict {verdict_texts[i]!r}, expected 0 or 1"),
     ]
-
-
-def _rejection(parse, text: str) -> str:
-    """The message of the ValueError `parse(text)` raises."""
-    try:
-        parse(text)
-    except ValueError as exc:
-        return str(exc)
 
 
 @dataclass

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .core_math import AdamState, adam_step, glorot_init, substream
-from .errors import ConfigError, DataError, ModelFileError, ModelVersionError, ShapeError
+from .errors import ConfigError, DataError, ShapeError
 from .lstm import LstmLayerParams, lstm_backward, lstm_forward, lstm_infer
 from .pipeline import TrainConfig, json_number
 
@@ -429,20 +429,20 @@ def train(
 
 def _threshold_from_doc(doc, path: str) -> ThresholdRecord:
     if doc is None:
-        raise ModelFileError(f"model file {path} has no threshold record; retrain the model")
+        raise DataError(f"model file {path} has no threshold record; retrain the model")
     where = f"threshold record of model file {path}"
     try:
         record = ThresholdRecord(
-            value=json_number(doc, "value", float, ModelFileError, where),
-            train_points=json_number(doc, "train_points", int, ModelFileError, where),
-            window_len=json_number(doc, "window_len", int, ModelFileError, where),
+            value=json_number(doc, "value", float, where),
+            train_points=json_number(doc, "train_points", int, where),
+            window_len=json_number(doc, "window_len", int, where),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ModelFileError(f"bad threshold record in model file {path}: {exc}") from exc
+        raise DataError(f"bad threshold record in model file {path}: {exc}") from exc
     if not math.isfinite(record.value):
-        raise ModelFileError(f"model file {path} has a non-finite threshold {record.value!r}")
+        raise DataError(f"model file {path} has a non-finite threshold {record.value!r}")
     if record.value < 0 or record.train_points < record.window_len:
-        raise ModelFileError(f"model file {path} has an impossible threshold record {doc!r}")
+        raise DataError(f"model file {path} has an impossible threshold record {doc!r}")
     return record
 
 
@@ -465,11 +465,11 @@ def save_model(model: SeqAutoencoderModel, path: str) -> None:
 
     A load returns bit-identical parameters. The write goes through a
     temp file + rename so a crashed save never leaves a partial model.
-    Raises ModelFileError for a model without a threshold record, which
+    Raises DataError for a model without a threshold record, which
     load_model would reject, and naming the path for a failed write.
     """
     if model.threshold is None:
-        raise ModelFileError("cannot save a model without its threshold record")
+        raise DataError("cannot save a model without its threshold record")
     tmp = path + TEMP_SUFFIX
     try:
         with open(tmp, "wb") as fh:
@@ -479,7 +479,7 @@ def save_model(model: SeqAutoencoderModel, path: str) -> None:
     except OSError as exc:
         with contextlib.suppress(OSError):
             os.remove(tmp)
-        raise ModelFileError(f"cannot write model file {path}: {exc}") from exc
+        raise DataError(f"cannot write model file {path}: {exc}") from exc
 
 
 def load_model(path: str) -> SeqAutoencoderModel:
@@ -491,7 +491,7 @@ def load_model(path: str) -> SeqAutoencoderModel:
     always writes. The format version, timesteps, init seed and the
     record's train points and window length must be JSON integers, the
     dropout rate and threshold value JSON numbers; a bool or string is
-    neither. Raises ModelFileError naming the path for any file that fails."""
+    neither. Raises DataError naming the path for any file that fails."""
     try:
         with open(path, "rb") as fh:
             payload_bytes = os.fstat(fh.fileno()).st_size
@@ -504,7 +504,7 @@ def load_model(path: str) -> SeqAutoencoderModel:
                 raise ValueError("the header line is not a JSON object")
             version = doc.get("format_version")
             if type(version) is not int or version != MODEL_FORMAT_VERSION:
-                raise ModelVersionError(
+                raise DataError(
                     f"model file {path} has format version {version!r}, "
                     f"this build supports {MODEL_FORMAT_VERSION}; retrain the model"
                 )
@@ -514,8 +514,8 @@ def load_model(path: str) -> SeqAutoencoderModel:
                     raise ValueError(f"{key!r} is {found!r}, expected {value!r}")
             threshold = _threshold_from_doc(doc.get("threshold"), path)
             arch = str(doc["arch"])
-            timesteps = json_number(doc, "timesteps", int, ModelFileError, path)
-            dropout_rate = json_number(doc, "dropout_rate", float, ModelFileError, path)
+            timesteps = json_number(doc, "timesteps", int, path)
+            dropout_rate = json_number(doc, "dropout_rate", float, path)
             sizes = _layer_sizes(arch, timesteps, dropout_rate)
             if threshold.window_len != timesteps:
                 raise ShapeError(
@@ -539,15 +539,15 @@ def load_model(path: str) -> SeqAutoencoderModel:
                 timesteps=timesteps,
                 dropout_rate=dropout_rate,
                 arch=arch,
-                init_seed=json_number(doc, "init_seed", int, ModelFileError, path),
+                init_seed=json_number(doc, "init_seed", int, path),
                 threshold=threshold,
             )
     except OSError as exc:
-        raise ModelFileError(f"cannot read model file {path}: {exc}") from exc
+        raise DataError(f"cannot read model file {path}: {exc}") from exc
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ModelFileError(f"malformed model file {path}: {exc}") from exc
+        raise DataError(f"malformed model file {path}: {exc}") from exc
     except (ShapeError, ConfigError) as exc:
-        raise ModelFileError(f"inconsistent model file {path}: {exc}") from exc
+        raise DataError(f"inconsistent model file {path}: {exc}") from exc
 
 
 def model_digest(model: SeqAutoencoderModel) -> str:

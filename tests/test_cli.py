@@ -29,6 +29,22 @@ def copy_workspace(workspace, tmp_path):
     return out
 
 
+def edit_rows(path, edit):
+    """Rewrite the CSV at `path` with its data rows replaced by `edit(rows)`."""
+    with open(path) as fh:
+        header, *rows = fh.read().splitlines()
+    with open(path, "w") as fh:
+        fh.write("\n".join([header, *edit(rows)]) + "\n")
+
+
+# each scoring stage's flags for a quick run on the shared workspace, and its outputs
+QUICK_RUN = {
+    "train": (["--epochs", "1"], ["model.json", "training_trace.csv"]),
+    "detect": ([], ["report.csv", "detection_summary.json"]),
+    "sweep": (["--sweep-windows", "6", "--epochs", "1"], ["sweep.csv"]),
+}
+
+
 def file_bytes(directory):
     """The bytes of every file in `directory`, by name."""
     return {path.name: path.read_bytes() for path in Path(directory).iterdir()}
@@ -376,31 +392,61 @@ class TestErrorCodes:
         assert "line 22" in err and "non-finite" in err
 
     @pytest.mark.parametrize(
-        "stage, name, field",
+        "stage, name, field, token",
         [
-            ("detect", "test.csv", "value"),
-            ("detect", "test.csv", "timestamp"),
-            ("train", "train.csv", "value"),
+            ("detect", "test.csv", "value", "nan"),
+            ("detect", "test.csv", "timestamp", "nan"),
+            ("train", "train.csv", "value", "nan"),
+            ("train", "train.csv", "timestamp", ""),
         ],
+        ids=[
+            "detect-test.csv-value", "detect-test.csv-timestamp", "train-train.csv-value",
+            "train-train.csv-empty-timestamp",
+        ],  # fmt: skip
     )
     def test_nan_in_workspace_series_is_data_error_naming_row(
-        self, workspace, tmp_path, capsys, stage, name, field
+        self, workspace, tmp_path, capsys, stage, name, field, token
     ):
         # preprocess writes no NaN, so one in its output is a damaged file
         out = copy_workspace(workspace, tmp_path)
         path = os.path.join(out, name)
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-        fields = lines[5].split(",")
-        fields[0 if field == "timestamp" else 1] = "nan"
-        lines[5] = ",".join(fields)
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        extra = ["--window", "6", "--epochs", "1"] if stage == "train" else []
+
+        def edit(rows):
+            fields = rows[4].split(",")
+            fields[0 if field == "timestamp" else 1] = token
+            return [*rows[:4], ",".join(fields), *rows[5:]]
+
+        edit_rows(path, edit)
+        extra, outputs = QUICK_RUN[stage]
         code, _, err = run(capsys, stage, "--out", out, *extra)
         assert code == cli.EXIT_DATA
-        assert path in err and "row 5" in err and f"NaN {field}" in err
-        outputs = ("model.json", "training_trace.csv") if stage == "train" else ("report.csv",)
+        assert f"{path} data row 5 has a NaN {field}; rerun preprocess" in err
+        for output in outputs:
+            assert not os.path.exists(os.path.join(out, output)), output
+
+    @pytest.mark.parametrize(
+        "stage, name, edit, row",
+        [
+            ("train", "train.csv", lambda rows: rows[:5] + rows[4:], 6),
+            ("detect", "test.csv", lambda rows: rows[::-1], 2),
+            ("sweep", "test.csv", lambda rows: [*rows[:9], rows[10], rows[9], *rows[11:]], 11),
+        ],
+        ids=["train-repeated-row", "detect-reversed", "sweep-swapped-rows"],
+    )
+    def test_workspace_series_out_of_time_order_is_data_error_naming_its_data_row(
+        self, workspace, tmp_path, capsys, monkeypatch, stage, name, edit, row
+    ):
+        # preprocess writes strictly increasing timestamps; detect once scored a
+        # reversed test.csv, and train trained on a repeated row, both exiting 0
+        monkeypatch.setattr(detector, "fit", lambda *a: pytest.fail("trained before the check"))
+        out = copy_workspace(workspace, tmp_path)
+        path = os.path.join(out, name)
+        edit_rows(path, edit)
+        extra, outputs = QUICK_RUN[stage]
+        code, _, err = run(capsys, stage, "--out", out, *extra)
+        assert code == cli.EXIT_DATA
+        problem = "has a timestamp not after the row before it; rerun preprocess"
+        assert f"{path} data row {row} {problem}" in err
         for output in outputs:
             assert not os.path.exists(os.path.join(out, output)), output
 

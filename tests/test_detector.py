@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from seqad import detector, metrics, pipeline, seq_autoencoder as sa
-from seqad.errors import CsvParseError, DataError, ModelFileError
+from seqad.errors import CsvParseError, DataError
 from seqad.windowing import make_windows
 
 
@@ -107,7 +107,7 @@ class TestDetect:
     def test_model_without_threshold_rejected(self):
         model = zero_model(1)
         assert model.threshold is None
-        with pytest.raises(ModelFileError):
+        with pytest.raises(DataError, match="without its threshold record"):
             detector.detect(model, series([0.2, 0.8, 0.3]), IDENTITY_SCALER)
 
     def test_labels_ride_along_into_confusion(self):
@@ -195,3 +195,18 @@ class TestReportValidation:
     def test_padded_header_accepted(self, tmp_path):
         report = self.read(tmp_path, " timestamp, value ,loss,verdict , label\n" + self.GOOD)
         assert report.labels.tolist() == [0]
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("2018-13-01T00:00:00,451.0,0.5,1,1", "bad timestamp '2018-13-01T00:00:00'"),
+            ("2018-01-01T00:01:00,lots,0.5,1,1", "bad value 'lots'"),
+            ("2018-01-01T00:01:00,451.0,high,1,1", "bad loss 'high'"),
+        ],
+        ids=["timestamp", "value", "loss"],
+    )
+    def test_unreadable_cell_rejected_naming_it(self, tmp_path, row, message):
+        # these once carried the parser's own text, which for a month of 13
+        # did not show the cell
+        with pytest.raises(CsvParseError, match=f"^line 3: {message}$"):
+            self.read(tmp_path, self.HEADER + self.GOOD + row + "\n")

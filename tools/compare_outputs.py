@@ -59,7 +59,13 @@ checkout path with a placeholder. The commands are:
   that scaling overflows float64 (must fail with exit 3 before any
   training or output; before `apply_scaler` checked its result,
   `detect` exited 0 with every loss `inf`, and `train` and `sweep`
-  exited 2 blaming the learning rate).
+  exited 2 blaming the learning rate);
+- `train` on a `train.csv` with one row repeated, `detect` (with the
+  seed-42 model) on a labelled `test.csv` in reverse time order, and
+  `sweep`, in a hand-written workspace of their own (each must fail
+  with exit 3 naming the first data row whose timestamp is not after
+  the row before it; before the workspace reader checked the order,
+  all three exited 0 and left their outputs).
 
 Prints every difference and exits 1 if there is one, else exits 0.
 Uses the standard library only; the whole run takes about 50 s on a
@@ -214,6 +220,9 @@ STEPS = [
     ("subnormal detect", ["detect", "--out", "subnormal", "--model", "s42/model.json"]),
     ("subnormal train", ["train", "--out", "subnormal", "--epochs", "1"]),
     ("subnormal sweep", ["sweep", "--out", "subnormal", "--sweep-windows", "5", "--epochs", "1"]),
+    ("unordered train", ["train", "--out", "unordered", "--epochs", "1"]),
+    ("unordered detect", ["detect", "--out", "unordered", "--model", "s42/model.json"]),
+    ("unordered sweep", ["sweep", "--out", "unordered", "--sweep-windows", "5", "--epochs", "1"]),
 ]
 
 # the steps that run OpenBLAS on two threads; the rest run it on one
@@ -285,14 +294,25 @@ RAW = {
     "long_field.csv": f"timestamp,value\n{MINUTES[0]},{'1' * 200_000}\n",
 }
 
-# a workspace whose scaler's std is subnormal, so that scaling overflows
-# float64; its test side is labelled, with both classes, so `sweep` can score it
+# the rows of a labelled test side, with both classes, so `sweep` can score it
+LABELLED = [
+    f"2018-01-01T01:{i:02d}:00,{400 + 3 * (i % 5)},{int(i % 10 == 0)}\n" for i in range(40)
+]
+
+# a workspace whose scaler's std is subnormal, so that scaling overflows float64
 SUBNORMAL = {
     os.path.join("subnormal", "train.csv"): _series_text(MINUTES),
-    os.path.join("subnormal", "test.csv"): "timestamp,value,label\n" + "".join(
-        f"2018-01-01T01:{i:02d}:00,{400 + 3 * (i % 5)},{int(i % 10 == 0)}\n" for i in range(40)
-    ),
+    os.path.join("subnormal", "test.csv"): "timestamp,value,label\n" + "".join(LABELLED),
     os.path.join("subnormal", "scaler.json"): '{"mean": 452.38970947615906, "std": 1e-310}\n',
+}
+
+# a workspace out of time order: data row 6 of train.csv is repeated, and
+# test.csv runs backwards; the scaler is the one preprocess fits to the values
+TRAIN_ROWS = _series_text(MINUTES).splitlines(keepends=True)
+UNORDERED = {
+    os.path.join("unordered", "train.csv"): "".join([*TRAIN_ROWS[:7], *TRAIN_ROWS[6:]]),
+    os.path.join("unordered", "test.csv"): "timestamp,value,label\n" + "".join(LABELLED[::-1]),
+    os.path.join("unordered", "scaler.json"): '{"mean": 406.0, "std": 4.242640687119285}\n',
 }
 
 
@@ -306,7 +326,7 @@ def run_side(checkout: str, workdir: str) -> tuple[dict, dict]:
     _messy_csv(os.path.join(workdir, "messy.csv"))
     os.makedirs(os.path.join(workdir, "models"))
     reports = {os.path.join(name, "report.csv"): text for name, text in BAD_REPORTS.items()}
-    for name, text in {**CONFIGS, **RAW, **SUBNORMAL, **reports}.items():
+    for name, text in {**CONFIGS, **RAW, **SUBNORMAL, **UNORDERED, **reports}.items():
         path = os.path.join(workdir, name)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
