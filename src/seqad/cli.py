@@ -92,7 +92,7 @@ KEYS = {
     "breaks": (str, "", "flat gaps as start:end index pairs, comma separated"),
 }
 
-def _convert(key: str, raw: str):
+def _convert(key: str, raw: str, where: str):
     typ = KEYS[key][0]
     try:
         if typ is bool:
@@ -104,7 +104,9 @@ def _convert(key: str, raw: str):
             raise ValueError(raw)
         return typ(raw)
     except ValueError:
-        raise ConfigError(f"bad value {raw!r} for config key {key!r} (expected {typ.__name__})")
+        raise ConfigError(
+            f"{where}: bad value {raw!r} for config key {key!r} (expected {typ.__name__})"
+        )
 
 
 def load_config_file(path: str) -> dict:
@@ -116,13 +118,14 @@ def load_config_file(path: str) -> dict:
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
+        where = f"{path} line {lineno}"
         if "=" not in stripped:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {stripped!r}")
+            raise ConfigError(f"{where}: expected 'key = value', got {stripped!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
         if key not in KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = _convert(key, raw.strip())
+            raise ConfigError(f"{where}: unknown config key {key!r}")
+        values[key] = _convert(key, raw.strip(), where)
     return values
 
 

@@ -4,8 +4,8 @@ The CLI maps these onto exit codes: ConfigError for bad configuration
 (exit 2), DataError for a problem with the data itself, a model file's
 included (exit 3), and any other ToolkitError, such as a ShapeError
 escaping from the numeric core, as an internal invariant violation
-(exit 4).
-CsvParseError is the one DataError that carries a line number.
+(exit 4). A fault in a file names the file, and the line when it is a
+text file read line by line: `<path> line N: <message>`.
 """
 
 
@@ -23,11 +23,3 @@ class ConfigError(ToolkitError):
 
 class DataError(ToolkitError):
     """The input data cannot be processed as requested."""
-
-
-class CsvParseError(DataError):
-    """Malformed CSV input; the message names the 1-based line number."""
-
-    def __init__(self, message, line):
-        super().__init__(f"line {line}: {message}")
-

@@ -9,10 +9,11 @@ timestamp in raw, pre-clean data only). Every file but the model is read
 through `open_text` and written through `write_csv` or `write_json`, as
 UTF-8 with LF. The two CSV tables, a series (`timestamp,value`) and a
 detection report (`timestamp,value,loss,verdict`), each with an optional
-`label` column, are read through `_read_table` and written through
-`_write_table`. A CSV column of timestamps goes through
-`parse_timestamps` and `format_timestamps`, which give what
-`parse_timestamp` and `format_timestamp` give for each element.
+`label` column, are read through `_read_table`, which names the file and
+line of the first fault, and written through `_write_table`. A CSV
+column of timestamps goes through `parse_timestamps` and
+`format_timestamps`, which give what `parse_timestamp` and
+`format_timestamp` give for each element.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .core_math import substream
-from .errors import ConfigError, CsvParseError, DataError
+from .errors import ConfigError, DataError
 
 __all__ = [
     "TimeSeries",
@@ -190,31 +191,6 @@ def open_text(path: str, error: type[Exception], hint: str = ""):
         raise error(f"cannot read {path}: {exc}{hint}") from exc
 
 
-@dataclass
-class CsvChunk:
-    """Consecutive non-blank rows of a CSV file, column by column. A
-    malformed row, one with the wrong number of fields or one `csv`
-    cannot read, or text that is not UTF-8, ends the last chunk of a
-    file and is its `error`."""
-
-    columns: list  # per column, the stripped text of every row
-    lines: np.ndarray  # the line number of every row
-    error: CsvParseError | UnicodeDecodeError | None
-
-    def check(self, *failures) -> None:
-        """Raise CsvParseError for the chunk's first bad line. Each
-        failure is (index of the first row a check rejects, or None, and
-        a function of that index giving the message), listed in the order
-        the checks apply within a row, so the earliest one wins a tie. A
-        chunk whose rows all pass raises its `error`, if any."""
-        found = [(index, message) for index, message in failures if index is not None]
-        if found:
-            index, message = min(found, key=lambda failure: failure[0])
-            raise CsvParseError(message(index), line=int(self.lines[index]))
-        if self.error is not None:
-            raise self.error
-
-
 def first_true(mask: np.ndarray):
     """The index of the first True in `mask`, or None."""
     hits = np.flatnonzero(mask)
@@ -241,69 +217,68 @@ def parse_bits(texts: list) -> np.ndarray:
 def _read_table(path: str, columns: tuple, parse, hint: str = "") -> tuple[list, np.ndarray | None]:
     """The arrays of a CSV table whose stripped header is `columns`,
     optionally followed by `label`, and its labels, or None without that
-    column. `parse(*texts)` takes a chunk's text columns but the label
-    and gives their arrays and the failures `CsvChunk.check` takes; a
-    label other than 0 or 1 is the last failure of a row. Each array is
-    concatenated over the chunks. Any other header raises CsvParseError
-    on line 1, and an unreadable file DataError. Lines are counted in
-    rows, blank ones included, except that a row `csv` cannot read is
-    named by the reader's line."""
+    column. Rows are read CSV_CHUNK_ROWS at a time, and blank ones are
+    skipped. `parse(*texts)` takes a chunk's stripped text columns but
+    the label and gives their arrays and each check's failure: the index
+    of the first row it rejects, or None, and a function of that index
+    giving the message, in the order the checks apply within a row; a
+    label other than 0 or 1 is the last. Each array is concatenated over
+    the chunks. The first bad line, of a wrong header, a wrong field
+    count, a row `csv` cannot read or a failure, raises DataError
+    `<path> line N: <message>`, and an unreadable file DataError. Lines
+    are counted in rows, blank ones included, except that a row `csv`
+    cannot read is named by the reader's line."""
     with open_text(path, DataError, hint) as fh:
         reader = csv.reader(fh)
         try:
             header = [name.strip() for name in next(reader, [])]
         except csv.Error as exc:
-            raise CsvParseError(str(exc), line=reader.line_num) from None
+            raise DataError(f"{path} line {reader.line_num}: {exc}") from None
         if header not in (list(columns), [*columns, "label"]):
-            raise CsvParseError(
-                f"expected header '{','.join(columns)}[,label]', got {','.join(header)!r}",
-                line=1,
-            )
-        chunks = _csv_chunks(reader, len(header))
-        parts = [_table_chunk(chunk, parse, len(columns)) for chunk in chunks]
+            expected = f"'{','.join(columns)}[,label]', got {','.join(header)!r}"
+            raise DataError(f"{path} line 1: expected header {expected}")
+        width = len(header)
+        parts = []
+        start = 2  # the line of the chunk's first row
+        while True:
+            rows, error = [], None
+            try:
+                rows.extend(itertools.islice(reader, CSV_CHUNK_ROWS))  # keeps rows before a failure
+            except csv.Error as exc:
+                error = DataError(f"{path} line {reader.line_num}: {exc}")
+            except UnicodeDecodeError as exc:  # re-raised below, where open_text names the file
+                error = exc
+            widths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+            wrong = first_true((widths != width) & (widths > 0))
+            if wrong is not None:
+                fields = f"expected {width} fields, got {widths[wrong]}"
+                error = DataError(f"{path} line {start + wrong}: {fields}")
+                del rows[wrong:]
+            lines = np.flatnonzero(widths[: len(rows)]) + start
+            if len(lines) < len(rows):
+                rows = list(filter(None, rows))  # drops the blank ones
+            texts = [list(map(str.strip, column)) for column in zip(*rows)] or [[]] * width
+            del rows
+            arrays, failures = parse(*texts[: len(columns)])
+            if width > len(columns):
+                labels = parse_bits(texts[-1])
+                arrays.append(labels)
+                bad = first_true(labels < 0)
+                failures.append((bad, lambda i: f"bad label {texts[-1][i]!r}, expected 0 or 1"))
+            # drops the checks that passed, whose messages hold the chunk's text
+            failures = [(index, message) for index, message in failures if index is not None]
+            if failures:
+                index, message = min(failures, key=lambda failure: failure[0])
+                raise DataError(f"{path} line {lines[index]}: {message(index)}")
+            if error is not None:
+                raise error
+            parts.append(arrays)
+            if len(widths) < CSV_CHUNK_ROWS:
+                break
+            start += CSV_CHUNK_ROWS
+        del texts  # frees the last chunk's text before the chunks are joined
     arrays = list(map(np.concatenate, zip(*parts)))
-    return arrays, arrays.pop() if len(header) > len(columns) else None
-
-
-def _table_chunk(chunk: CsvChunk, parse, width: int) -> list:
-    """The arrays `parse` gives for a chunk's first `width` columns, then
-    its labels if it has them."""
-    arrays, failures = parse(*chunk.columns[:width])
-    if len(chunk.columns) > width:
-        label_texts = chunk.columns[width]
-        labels = parse_bits(label_texts)
-        arrays.append(labels)
-        failures.append(
-            (first_true(labels < 0), lambda i: f"bad label {label_texts[i]!r}, expected 0 or 1")
-        )
-    chunk.check(*failures)
-    return arrays
-
-
-def _csv_chunks(reader, width: int):
-    start = 2  # the line of the chunk's first row
-    while True:
-        rows, error = [], None
-        try:
-            rows.extend(itertools.islice(reader, CSV_CHUNK_ROWS))  # keeps the rows before a failure
-        except csv.Error as exc:
-            error = CsvParseError(str(exc), line=reader.line_num)
-        except UnicodeDecodeError as exc:  # raised in open_text's scope, which names the file
-            error = exc
-        widths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-        wrong = first_true((widths != width) & (widths > 0))
-        if wrong is not None:
-            error = CsvParseError(f"expected {width} fields, got {widths[wrong]}", line=start + wrong)
-            del rows[wrong:]
-        lines = np.flatnonzero(widths[: len(rows)]) + start
-        if len(lines) < len(rows):
-            rows = list(filter(None, rows))  # drops the blank ones
-        fields = list(zip(*rows)) or [()] * width
-        del rows
-        yield CsvChunk([list(map(str.strip, texts)) for texts in fields], lines, error)
-        if error is not None or len(widths) < CSV_CHUNK_ROWS:
-            return
-        start += CSV_CHUNK_ROWS
+    return arrays, arrays.pop() if width > len(columns) else None
 
 
 def write_csv(path: str, header: list, rows) -> None:
@@ -354,8 +329,8 @@ def read_series_csv(path: str) -> TimeSeries:
 
     Empty/NaN tokens in either column become NaN for clean_report() to
     handle; infinite values (including overflowing ones such as 1e999)
-    and any other unparseable field raise CsvParseError with its line
-    number. An unreadable or non-UTF-8 file raises DataError.
+    and any other unparseable field raise DataError naming the file and
+    its line. An unreadable or non-UTF-8 file raises DataError.
     """
     (timestamps, values), labels = _read_table(path, _SERIES_COLUMNS, _series_columns)
     return TimeSeries(timestamps, values, labels)
@@ -387,7 +362,8 @@ def write_report_csv(path: str, report: DetectionReport) -> None:
 def read_report_csv(path: str) -> DetectionReport:
     """Load a persisted report; verdicts come back exactly as written.
     A non-finite loss, or a verdict or label other than 0 or 1, would
-    change the metrics, so it raises CsvParseError naming its line."""
+    change the metrics, so it raises DataError naming the file and its
+    line."""
     arrays, labels = _read_table(path, _REPORT_COLUMNS, _report_columns, "; run detect first")
     return DetectionReport(*arrays, labels)
 

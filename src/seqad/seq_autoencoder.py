@@ -514,8 +514,8 @@ def load_model(path: str) -> SeqAutoencoderModel:
                     raise ValueError(f"{key!r} is {found!r}, expected {value!r}")
             threshold = _threshold_from_doc(doc.get("threshold"), path)
             arch = str(doc["arch"])
-            timesteps = json_number(doc, "timesteps", int, path)
-            dropout_rate = json_number(doc, "dropout_rate", float, path)
+            timesteps = json_number(doc, "timesteps", int, f"model file {path}")
+            dropout_rate = json_number(doc, "dropout_rate", float, f"model file {path}")
             sizes = _layer_sizes(arch, timesteps, dropout_rate)
             if threshold.window_len != timesteps:
                 raise ShapeError(
@@ -539,7 +539,7 @@ def load_model(path: str) -> SeqAutoencoderModel:
                 timesteps=timesteps,
                 dropout_rate=dropout_rate,
                 arch=arch,
-                init_seed=json_number(doc, "init_seed", int, path),
+                init_seed=json_number(doc, "init_seed", int, f"model file {path}"),
                 threshold=threshold,
             )
     except OSError as exc:

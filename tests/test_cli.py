@@ -258,13 +258,15 @@ class TestConfigFile:
         cfg.write_text("windowlength = 10\n")
         code, _, err = run(capsys, "synth", "--config", str(cfg), "--out", str(tmp_path))
         assert code == cli.EXIT_CONFIG
-        assert "windowlength" in err
+        assert f"{cfg} line 1: unknown config key 'windowlength'" in err
 
     def test_bad_value_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("length = ten\n")
         code, _, err = run(capsys, "synth", "--config", str(cfg), "--out", str(tmp_path))
         assert code == cli.EXIT_CONFIG
+        message = f"{cfg} line 1: bad value 'ten' for config key 'length' (expected int)"
+        assert err == f"config error: {message}\n"
 
 
 class TestErrorCodes:
@@ -447,6 +449,37 @@ class TestErrorCodes:
         assert code == cli.EXIT_DATA
         problem = "has a timestamp not after the row before it; rerun preprocess"
         assert f"{path} data row {row} {problem}" in err
+        for output in outputs:
+            assert not os.path.exists(os.path.join(out, output)), output
+
+    @pytest.mark.parametrize(
+        "stage, name",
+        [
+            ("train", "train.csv"),
+            ("detect", "test.csv"),
+            ("sweep", "train.csv"),
+            ("sweep", "test.csv"),
+        ],
+        ids=["train-train.csv", "detect-test.csv", "sweep-train.csv", "sweep-test.csv"],
+    )
+    def test_bad_cell_in_workspace_series_is_data_error_naming_file_and_line(
+        self, workspace, tmp_path, capsys, monkeypatch, stage, name
+    ):
+        # the message once named only the line, though sweep reads two files
+        monkeypatch.setattr(detector, "fit", lambda *a: pytest.fail("trained before the check"))
+        out = copy_workspace(workspace, tmp_path)
+        path = os.path.join(out, name)
+
+        def edit(rows):
+            fields = rows[3].split(",")
+            fields[1] = "zz"
+            return [*rows[:3], ",".join(fields), *rows[4:]]
+
+        edit_rows(path, edit)
+        extra, outputs = QUICK_RUN[stage]
+        code, out_text, err = run(capsys, stage, "--out", out, *extra)
+        assert code == cli.EXIT_DATA
+        assert (out_text, err) == ("", f"data error: {path} line 5: bad value 'zz'\n")
         for output in outputs:
             assert not os.path.exists(os.path.join(out, output)), output
 
@@ -1136,7 +1169,7 @@ class TestValidationBranches:
         cfg.write_text("seed = 1\nlength 50\n")
         code, _, err = run(capsys, "synth", "--config", str(cfg), "--out", str(tmp_path / "o"))
         assert code == cli.EXIT_CONFIG
-        assert f"{cfg}:2: expected 'key = value'" in err
+        assert f"{cfg} line 2: expected 'key = value'" in err
 
     @pytest.mark.parametrize(
         "flag, value, message",

@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -703,7 +704,21 @@ class TestPersistence:
             (None, with_entry(-1, float("inf")), "a parameter has a non-finite value"),
             (lambda doc: doc.update(arch="1x100000000"), None, "'1x100000000' implies"),
             (None, lambda v: np.concatenate([v, v[-2129:-17]]), "payload is 43144 bytes"),
-            (lambda doc: doc.update(timesteps=float("inf")), None, "'timesteps' must be an"),
+            (
+                lambda doc: doc.update(timesteps=float("inf")),
+                None,
+                "model file {path}: 'timesteps' must be an integer, got inf$",
+            ),
+            (
+                lambda doc: doc.update(dropout_rate="0.2"),
+                None,
+                "model file {path}: 'dropout_rate' must be a number, got '0.2'$",
+            ),
+            (
+                lambda doc: doc.update(init_seed=True),
+                None,
+                "model file {path}: 'init_seed' must be an integer, got True$",
+            ),
             (
                 lambda doc: doc["threshold"].update(train_points=float("inf")),
                 None,
@@ -717,7 +732,8 @@ class TestPersistence:
         ],
         ids=[
             "nan-head-weight", "inf-head-bias", "huge-arch", "extra-decoder-layer",
-            "inf-timesteps", "inf-train-points", "other-kind", "no-kind", "two-features",
+            "inf-timesteps", "string-dropout-rate", "bool-init-seed", "inf-train-points",
+            "other-kind", "no-kind", "two-features",
         ],  # fmt: skip
     )
     def test_hostile_file_rejected_naming_path(self, tmp_path, header, vector, message):
@@ -727,7 +743,7 @@ class TestPersistence:
         rewrite_model_file(path, header=header, vector=vector)
         tracemalloc.start()
         try:
-            with pytest.raises(DataError, match=message) as info:
+            with pytest.raises(DataError, match=message.format(path=re.escape(str(path)))) as info:
                 sa.load_model(str(path))
             _, peak = tracemalloc.get_traced_memory()
         finally:

@@ -65,7 +65,11 @@ checkout path with a placeholder. The commands are:
   `sweep`, in a hand-written workspace of their own (each must fail
   with exit 3 naming the first data row whose timestamp is not after
   the row before it; before the workspace reader checked the order,
-  all three exited 0 and left their outputs).
+  all three exited 0 and left their outputs);
+- `sweep` and `detect` (with the seed-42 model) in a hand-written
+  workspace whose labelled `test.csv` has an unreadable value on line 5
+  (each must fail with exit 3 naming the file and the line; before the
+  CSV reader named its file, the message named only the line).
 
 Prints every difference and exits 1 if there is one, else exits 0.
 Uses the standard library only; the whole run takes about 50 s on a
@@ -223,6 +227,8 @@ STEPS = [
     ("unordered train", ["train", "--out", "unordered", "--epochs", "1"]),
     ("unordered detect", ["detect", "--out", "unordered", "--model", "s42/model.json"]),
     ("unordered sweep", ["sweep", "--out", "unordered", "--sweep-windows", "5", "--epochs", "1"]),
+    ("badcell sweep", ["sweep", "--out", "badcell", "--sweep-windows", "5", "--epochs", "1"]),
+    ("badcell detect", ["detect", "--out", "badcell", "--model", "s42/model.json"]),
 ]
 
 # the steps that run OpenBLAS on two threads; the rest run it on one
@@ -315,6 +321,14 @@ UNORDERED = {
     os.path.join("unordered", "scaler.json"): '{"mean": 406.0, "std": 4.242640687119285}\n',
 }
 
+# a workspace in time order whose test.csv has the value `zz` on line 5
+BADCELL = {
+    os.path.join("badcell", "train.csv"): "".join(TRAIN_ROWS),
+    os.path.join("badcell", "test.csv"): "timestamp,value,label\n"
+    + "".join([*LABELLED[:3], LABELLED[3].replace(",409,", ",zz,"), *LABELLED[4:]]),
+    os.path.join("badcell", "scaler.json"): '{"mean": 406.0, "std": 4.242640687119285}\n',
+}
+
 
 def run_side(checkout: str, workdir: str) -> tuple[dict, dict]:
     """Run every step in `workdir`. Returns ({label: (exit code, stdout,
@@ -326,7 +340,7 @@ def run_side(checkout: str, workdir: str) -> tuple[dict, dict]:
     _messy_csv(os.path.join(workdir, "messy.csv"))
     os.makedirs(os.path.join(workdir, "models"))
     reports = {os.path.join(name, "report.csv"): text for name, text in BAD_REPORTS.items()}
-    for name, text in {**CONFIGS, **RAW, **SUBNORMAL, **UNORDERED, **reports}.items():
+    for name, text in {**CONFIGS, **RAW, **SUBNORMAL, **UNORDERED, **BADCELL, **reports}.items():
         path = os.path.join(workdir, name)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
