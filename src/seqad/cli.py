@@ -11,11 +11,11 @@ and `detector.detect`, and `evaluate` reads only `report.csv`.
 Each stage is one row of `_STAGES`: its function, its help line, its
 keys besides `out` and `seed`, and the names of the files it reads and
 writes, which `RunConfig.path` resolves. Before the stage runs, `main`
-claims those files: it refuses an output path that resolves to a file
-the stage reads, the config file among them, or to another file it
-writes, then deletes the outputs, so a stage that fails leaves no
-earlier output for the next one, and hands the stage the paths. So a
-stage writes only the files its row declares.
+claims those files: it refuses an output that resolves to an input, the
+config file among them, or to another output; deletes the outputs, so a
+stage that fails leaves none for the next; names, for an input that is
+missing, the stage whose row writes it; and hands the stage the paths.
+So a stage writes only the files its row declares.
 
 Configuration is a flat `key = value` text file; every key is also a
 same-named command-line flag (dashes for underscores) and flags win.
@@ -144,6 +144,8 @@ class RunConfig:
             setattr(self, key, value)
         if self.seed < 0:
             raise ConfigError(f"config key 'seed' must be a non-negative integer, got {self.seed}")
+        if not self.out:
+            raise ConfigError("config key 'out' must name a directory, got ''")
 
     def path(self, name: str) -> str:
         """The file a stage reads or writes as `name`: `input` is --input,
@@ -187,8 +189,6 @@ def _read_workspace_series(path: str) -> pipeline.TimeSeries:
     accepts for raw input, and strictly increasing timestamps, so a NaN
     timestamp or value, or a timestamp not after the row before it, is a
     data error naming the first such data row."""
-    if not os.path.exists(path):
-        raise DataError(f"{path} not found; run the earlier pipeline stages first")
     series = pipeline.read_series_csv(path)
     stamps = series.timestamps
     for problem, rows in (
@@ -204,7 +204,7 @@ def _read_workspace_series(path: str) -> pipeline.TimeSeries:
 
 def _read_scaler(path: str) -> pipeline.ScalerParams:
     try:
-        with pipeline.open_text(path, DataError, "; run preprocess first") as fh:
+        with pipeline.open_text(path, DataError) as fh:
             doc = json.load(fh)
         scaler = pipeline.ScalerParams(
             mean=pipeline.json_number(doc, "mean", float, path),
@@ -218,9 +218,8 @@ def _read_scaler(path: str) -> pipeline.ScalerParams:
 
 
 def _train_config(cfg: RunConfig) -> pipeline.TrainConfig:
-    """The training settings `train` and `sweep` share: the training keys and the seed."""
-    keys = (*_TRAIN_KEYS, "seed")
-    return pipeline.TrainConfig(**{key: getattr(cfg, key) for key in keys})
+    """The training settings `train` and `sweep` share: TrainConfig's fields, seed included."""
+    return pipeline.TrainConfig(**{f.name: getattr(cfg, f.name) for f in fields(_TRAIN)})
 
 
 def cmd_preprocess(cfg: RunConfig, paths: dict) -> None:
@@ -266,10 +265,6 @@ def cmd_train(cfg: RunConfig, paths: dict) -> None:
     scaler = _read_scaler(paths["scaler.json"])
     scaled = pipeline.apply_scaler(train_series.values, scaler)
     windows = windowing.make_windows(scaled, cfg.window)
-    # a model path that is a directory already failed in the claim
-    model_dir = os.path.dirname(paths["model"]) or "."
-    if not os.path.isdir(model_dir):
-        raise DataError(f"cannot write model file {paths['model']}: no directory {model_dir}")
     model, trace = detector.fit(windows, cfg.arch, _train_config(cfg))
 
     seq_autoencoder.save_model(model, paths["model"])
@@ -369,17 +364,12 @@ def cmd_sweep(cfg: RunConfig, paths: dict) -> None:
             report = detector.detect(model, test_series, scaler)
             mets = metrics.prf1_accuracy(metrics.confusion(report.labels, report.verdicts))
             roc = metrics.roc_auc(report.labels, report.losses)
-            scores = (mets.accuracy, mets.precision, mets.recall, mets.f1)
-            cells = ("" if x is None else repr(x) for x in scores)  # None: zero denominator
-            rows.append([str(window), arch, repr(model.threshold.value), *cells, repr(roc.auc)])
-            print(
-                f"T={window:>3} arch={arch:<14} "
-                f"acc {metrics.format_percent(mets.accuracy)}  "
-                f"prec {metrics.format_percent(mets.precision)}  "
-                f"rec {metrics.format_percent(mets.recall)}  "
-                f"f1 {metrics.format_percent(mets.f1)}  "
-                f"auc {metrics.format_percent(roc.auc)}"
-            )
+            scores = [("acc", mets.accuracy), ("prec", mets.precision), ("rec", mets.recall),
+                      ("f1", mets.f1), ("auc", roc.auc)]  # fmt: skip
+            cells = ("" if x is None else repr(x) for _, x in scores)  # None: zero denominator
+            rows.append([str(window), arch, repr(model.threshold.value), *cells])
+            line = "  ".join(f"{name} {metrics.format_percent(x)}" for name, x in scores)
+            print(f"T={window:>3} arch={arch:<14} {line}")
 
     header = ["window", "arch", "threshold", "accuracy", "precision", "recall", "f1", "auc"]
     pipeline.write_csv(paths["sweep.csv"], header, rows)
@@ -434,11 +424,11 @@ _STAGES = {
 
 
 def _claim(cfg: RunConfig, command: str) -> dict:
-    """{name: path} for every file the stage reads and writes, after its earlier
-    outputs, the model's temp file among them, are deleted, so a failed stage
-    leaves none for a later one to read. An output that resolves to an input,
-    the config file among them, or to another output is a ConfigError naming
-    it, raised before anything is removed."""
+    """{name: path} for every file the stage reads and writes. An output that
+    resolves to an input, the config file among them, or to another output is
+    a ConfigError naming it. Then the stage's earlier outputs, the model's temp
+    file among them, are deleted, so a failed stage leaves none to read, and a
+    missing input, named with the stage that writes it, is a DataError."""
     stage = _STAGES[command]
     paths = {name: cfg.path(name) for name in (*stage.reads, *stage.writes)}
     outputs = [paths[name] for name in stage.writes]
@@ -463,6 +453,14 @@ def _claim(cfg: RunConfig, command: str) -> dict:
             pass
         except OSError as exc:
             raise DataError(f"cannot remove earlier output {path}: {exc}") from exc
+    for name in stage.reads:
+        if not os.path.exists(paths[name]):
+            writer = [f"; run {step} first" for step, row in _STAGES.items() if name in row.writes]
+            raise DataError(f"{paths[name]} not found{''.join(writer)}")
+    if "model" in stage.writes:  # a model path that is a directory failed above
+        model_dir = os.path.dirname(paths["model"]) or "."
+        if not os.path.isdir(model_dir):
+            raise DataError(f"cannot write model file {paths['model']}: no directory {model_dir}")
     return paths
 
 

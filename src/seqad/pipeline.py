@@ -181,14 +181,14 @@ class DetectionReport:
 
 
 @contextmanager
-def open_text(path: str, error: type[Exception], hint: str = ""):
-    """A UTF-8 text file opened for reading. A file that cannot be opened
-    or read as UTF-8 raises `error` naming the path, `hint` appended."""
+def open_text(path: str, error: type[Exception]):
+    """A UTF-8 text file opened for reading. A file that cannot be opened (a
+    directory, say) or read as UTF-8 raises `error` naming the path."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             yield fh
     except (OSError, UnicodeDecodeError) as exc:
-        raise error(f"cannot read {path}: {exc}{hint}") from exc
+        raise error(f"cannot read {path}: {exc}") from exc
 
 
 def first_true(mask: np.ndarray):
@@ -214,7 +214,7 @@ def parse_bits(texts: list) -> np.ndarray:
     return np.fromiter(bits, dtype=np.int64, count=len(texts))
 
 
-def _read_table(path: str, columns: tuple, parse, hint: str = "") -> tuple[list, np.ndarray | None]:
+def _read_table(path: str, columns: tuple, parse) -> tuple[list, np.ndarray | None]:
     """The arrays of a CSV table whose stripped header is `columns`,
     optionally followed by `label`, and its labels, or None without that
     column. Rows are read CSV_CHUNK_ROWS at a time, and blank ones are
@@ -228,7 +228,7 @@ def _read_table(path: str, columns: tuple, parse, hint: str = "") -> tuple[list,
     `<path> line N: <message>`, and an unreadable file DataError. Lines
     are counted in rows, blank ones included, except that a row `csv`
     cannot read is named by the reader's line."""
-    with open_text(path, DataError, hint) as fh:
+    with open_text(path, DataError) as fh:
         reader = csv.reader(fh)
         try:
             header = [name.strip() for name in next(reader, [])]
@@ -364,7 +364,7 @@ def read_report_csv(path: str) -> DetectionReport:
     A non-finite loss, or a verdict or label other than 0 or 1, would
     change the metrics, so it raises DataError naming the file and its
     line."""
-    arrays, labels = _read_table(path, _REPORT_COLUMNS, _report_columns, "; run detect first")
+    arrays, labels = _read_table(path, _REPORT_COLUMNS, _report_columns)
     return DetectionReport(*arrays, labels)
 
 
@@ -548,6 +548,12 @@ class SynthProfile:
                 f"length {self.length} at step_minutes {self.step_minutes!r} from {self.start} "
                 f"runs past the UTC year 9999, the last a series CSV can hold"
             ) from None
+        # generate_synthetic's last cycle phase, in its order (tau is exactly 2.0 * pi)
+        if not math.isfinite(math.tau * (self.length - 1) * self.step_minutes / self.period_minutes):
+            raise ConfigError(
+                f"length {self.length} at step_minutes {self.step_minutes!r} and period_minutes "
+                f"{self.period_minutes!r} gives a cycle phase that overflows float64"
+            )
         for pair in self.breaks:
             if len(pair) != 2 or not (0 <= pair[0] < pair[1] <= self.length):
                 raise ConfigError(f"bad break range {pair!r}")

@@ -308,6 +308,53 @@ class TestErrorCodes:
         code, _, err = run(capsys, "detect", "--out", out, "--model", str(tmp_path / "nope.json"))
         assert code == cli.EXIT_DATA
 
+    @pytest.mark.parametrize(
+        "command, missing, writer",
+        [
+            ("train", "train.csv", "preprocess"),
+            ("train", "scaler.json", "preprocess"),
+            ("detect", "model.json", "train"),
+            ("detect", "test.csv", "preprocess"),
+            ("sweep", "test.csv", "preprocess"),
+            ("evaluate", "report.csv", "detect"),
+            ("preprocess", "raw.csv", None),
+        ],
+        ids=lambda value: value or "input",
+    )
+    def test_missing_input_is_data_error_naming_the_stage_that_writes_it(
+        self, workspace, tmp_path, capsys, command, missing, writer
+    ):
+        out = copy_workspace(workspace, tmp_path)
+        outputs = TestStageOutputs.OUTPUTS[command]
+        for name in outputs:
+            with open(os.path.join(out, name), "wb") as fh:
+                fh.write(b"earlier output\n")
+        path = os.path.join(out, missing)
+        if os.path.exists(path):
+            os.remove(path)
+        argv = ["--input", path] if command == "preprocess" else []
+        code, stdout, err = run(capsys, command, "--out", out, *argv)
+        assert code == cli.EXIT_DATA
+        tail = f"; run {writer} first" if writer else ""
+        assert (stdout, err) == ("", f"data error: {path} not found{tail}\n")
+        for name in outputs:
+            assert not os.path.exists(os.path.join(out, name)), name
+
+    @pytest.mark.parametrize("command", list(cli._STAGES))
+    def test_empty_out_is_config_error_removing_nothing(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        # once preprocess and synth removed their outputs from the current
+        # directory and then crashed, and the other stages used that directory
+        monkeypatch.chdir(tmp_path)
+        decoy = tmp_path / TestStageOutputs.OUTPUTS[command][-1]
+        decoy.write_bytes(b"not the stage's to remove\n")
+        argv = ["--input", "raw.csv"] if command == "preprocess" else []
+        code, _, err = run(capsys, command, "--out", "", *argv)
+        assert code == cli.EXIT_CONFIG
+        assert err == "config error: config key 'out' must name a directory, got ''\n"
+        assert decoy.read_bytes() == b"not the stage's to remove\n"
+
     def test_corrupt_scaler_is_data_error(self, workspace, tmp_path, capsys):
         out = str(tmp_path / "broken")
         shutil.copytree(workspace, out)
@@ -571,7 +618,10 @@ class TestErrorCodes:
         assert "line 5: field larger than field limit" in err
         assert not os.path.exists(os.path.join(out, "roc.csv"))
 
-    @pytest.mark.parametrize("key, value", [("step_minutes", "1e9"), ("noise_sigma", "1e308")])
+    @pytest.mark.parametrize(
+        "key, value",
+        [("step_minutes", "1e9"), ("noise_sigma", "1e308"), ("period_minutes", "1e-320")],
+    )
     def test_synth_profile_it_cannot_write_is_config_error_naming_key(
         self, tmp_path, capsys, key, value
     ):
@@ -791,7 +841,7 @@ class TestErrorCodes:
             assert not os.path.exists(os.path.join(out, name)), name
         code, _, err = run(capsys, "train", "--out", out, "--epochs", "1")
         assert code == cli.EXIT_DATA
-        assert "train.csv" in err and "run the earlier pipeline stages first" in err
+        assert "train.csv" in err and "run preprocess first" in err
 
     @pytest.mark.parametrize("name", ["train.csv", "test.csv", "scaler.json"])
     def test_preprocess_input_that_is_its_own_output_is_config_error(
@@ -1078,6 +1128,13 @@ class TestStageOutputs:
             assert name not in after, name
         kept = {name: data for name, data in before.items() if name not in self.OUTPUTS[stage]}
         assert after == kept
+
+    def test_each_stage_input_is_written_by_exactly_one_stage(self):
+        # a missing input's message names that stage; `input` is the operator's
+        for command, stage in cli._STAGES.items():
+            for name in stage.reads:
+                writers = [other for other, row in cli._STAGES.items() if name in row.writes]
+                assert len(writers) == (0 if name == "input" else 1), (command, name, writers)
 
 
 class TestValidationBranches:

@@ -142,7 +142,7 @@ class TestWriterBytes:
             "auc                    87.50\n"
         )
 
-    def test_sweep_csv_with_undefined_metric(self, workspace, monkeypatch):
+    def test_sweep_csv_with_undefined_metric(self, workspace, monkeypatch, capsys):
         # nothing flagged: precision and F1 have a zero denominator
         def flag_nothing(model, series, scaler):
             return pipeline.DetectionReport(
@@ -162,6 +162,9 @@ class TestWriterBytes:
         assert read_bytes(os.path.join(workspace, "sweep.csv")) == (
             b"window,arch,threshold,accuracy,precision,recall,f1,auc\n"
             b"3,1x4,0.5,0.5,,0.0,,0.75\n"
+        )
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "T=  3 arch=1x4            acc 50.00  prec undefined  rec 0.00  f1 undefined  auc 75.00"
         )
 
     def test_anomalies_csv(self, tmp_path):

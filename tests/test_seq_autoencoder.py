@@ -237,6 +237,31 @@ class TestThreadedPass:
         assert len(threads) == (2 if count > 4 else 0)
         assert threading.active_count() == before
 
+    @pytest.mark.parametrize(
+        "affinity, cpus", [({0}, None), (None, 1), (None, None)],
+        ids=["affinity-one", "cpu-count-one", "cpu-count-none"],
+    )  # fmt: skip
+    def test_one_cpu_scores_every_chunk_on_the_calling_thread(self, monkeypatch, affinity, cpus):
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+        model = perturbed(sa.build_model("3x8-6-4", timesteps=7, seed=45), 46)
+        windows = np.random.default_rng(47).normal(0, 1, (10, 7, 1))
+        expected = serial_reconstruct(model, windows, chunk=4)
+        threads = set()
+
+        def infer(*args):
+            threads.add(threading.get_ident())
+            return lstm_infer(*args)
+
+        monkeypatch.setattr(sa, "lstm_infer", infer)
+        monkeypatch.setattr(sa, "CHUNK_WINDOWS", 4)
+        got = sa.reconstruct_windows(model, windows)
+        assert got.tobytes() == expected.tobytes()
+        assert threads == {threading.get_ident()}
+
     def test_default_chunks_equal_the_serial_pass(self, two_cpus):
         model = perturbed(sa.build_model("2x16-4", timesteps=5, seed=48), 49)
         windows = np.random.default_rng(50).normal(0, 1, (700, 5, 1))

@@ -69,7 +69,16 @@ checkout path with a placeholder. The commands are:
 - `sweep` and `detect` (with the seed-42 model) in a hand-written
   workspace whose labelled `test.csv` has an unreadable value on line 5
   (each must fail with exit 3 naming the file and the line; before the
-  CSV reader named its file, the message named only the line).
+  CSV reader named its file, the message named only the line);
+- four stages whose input is missing, with `--out missing`, a directory
+  that does not exist: `train`, `detect --model missing/m.json`,
+  `evaluate` and `preprocess --input missing/raw.csv` (each must fail
+  with exit 3 naming the file and, but for `--input`, the stage that
+  writes it);
+- `synth --out ""` in the work directory, and a `synth` whose
+  `--period-minutes 1e-320` overflows the cycle phase (each must fail
+  with exit 2 naming the key; before, the first exited 1 with a
+  traceback, and the second blamed four other keys).
 
 Prints every difference and exits 1 if there is one, else exits 0.
 Uses the standard library only; the whole run takes about 50 s on a
@@ -229,6 +238,12 @@ STEPS = [
     ("unordered sweep", ["sweep", "--out", "unordered", "--sweep-windows", "5", "--epochs", "1"]),
     ("badcell sweep", ["sweep", "--out", "badcell", "--sweep-windows", "5", "--epochs", "1"]),
     ("badcell detect", ["detect", "--out", "badcell", "--model", "s42/model.json"]),
+    ("missing train", ["train", "--out", "missing"]),
+    ("missing detect", ["detect", "--out", "missing", "--model", "missing/m.json"]),
+    ("missing evaluate", ["evaluate", "--out", "missing"]),
+    ("missing preprocess", ["preprocess", "--out", "missing", "--input", "missing/raw.csv"]),
+    ("synth --out empty", ["synth", "--out", ""]),
+    ("synth period", ["synth", "--out", "period", "--length", "50", "--period-minutes", "1e-320"]),
 ]
 
 # the steps that run OpenBLAS on two threads; the rest run it on one
