@@ -5,6 +5,7 @@ Heavy artifacts (the full synthetic pipeline) are built once in a
 module-scoped fixture and shared by the criteria that need them.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -45,6 +46,25 @@ def run_pipeline(out):
     assert cli.main(["train", *base, "--window", str(E2E_ARGS["window"])]) == 0
     assert cli.main(["detect", *base]) == 0
     assert cli.main(["evaluate", *base]) == 0
+
+
+# the sha256 of each file `run_pipeline` writes, with BLAS on one thread as
+# the CLI runs it: same-seed reruns are byte-identical on any host, so a change
+# that moves one of them changes an output, and says so
+E2E_SHA256 = {
+    "synthetic.csv": "65c782506aa797aaea2cd9c28c14f5255da8d15cecee4162382f659b1f9f62dd",
+    "anomalies.csv": "4bd907fd42ce709e72ff4673452a55925a8f229d8c0dc412c8fdb3a66dca9025",
+    "train.csv": "d9052a9b8e50f7b808dfc2cdabeff81ae98f89d744fa5fd95d8fb3595c05c3e2",
+    "test.csv": "f8f0c6619cdf73f98ce6ef93148137483806eb1e40ef9705d42c580defb5a0e8",
+    "scaler.json": "6c54a36d3b4ff28b54d9d4e54391fde58d735ca464465e7ab149723a0ec37477",
+    "model.json": "a0b809877ac17ee929523cd75f1c613d9750618c964b08ee323e2b4be04089e3",
+    "training_trace.csv": "5da8982f6a7f41c4b8a2f71d5a6505f2127f6a78f23c222ba92452beb4f672c4",
+    "report.csv": "850ac59ab0d9457ac472d1d5306ba4cbad7f60e773c4792ad0a98cd05d5bfafc",
+    "detection_summary.json": "0ff82f198e81fd68d3de995cd78bc5cc644b0d05b855a0c9f8c2f4fc68144c51",
+    "roc.csv": "ff3715e2caee265c66837ce5c6d1f9ec1956974a4bc1df1f118058e495bc8870",
+    "evaluation.json": "edfe7ed8be320b6888b49893d4ac831730076144f2725b6d25d45829f742f090",
+}
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @pytest.fixture(scope="module")
@@ -312,3 +332,16 @@ def test_criterion_9_determinism(e2e, tmp_path):
         grads_ok and all(same.values()),
         f"gradients bit-identical: {grads_ok}; files identical: {same}",
     )
+
+
+def test_seed_42_outputs_keep_their_bytes(e2e):
+    moved = []
+    for name, expected in E2E_SHA256.items():
+        with open(os.path.join(e2e["out"], name), "rb") as fh:
+            if hashlib.sha256(fh.read()).hexdigest() != expected:
+                moved.append(name)
+    if moved:  # the host facts a model's bytes depend on
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        threads = ", ".join(f"{var}={os.environ.get(var)}" for var in BLAS_THREADS)
+        host = f"numpy {np.__version__}, BLAS {blas['name']} {blas['version']}, {threads}"
+        pytest.fail(f"seed-42 outputs moved: {', '.join(moved)} ({host})")
