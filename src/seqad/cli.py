@@ -39,8 +39,6 @@ from dataclasses import asdict, fields
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-import numpy as np  # noqa: E402
-
 # each stage imports the model modules it uses, so that preprocess, synth and
 # evaluate, which use none, do not pay to load them
 from . import pipeline  # noqa: E402
@@ -184,24 +182,6 @@ def _parse_int_list(text: str, key: str):
     return items
 
 
-def _read_workspace_series(path: str) -> pipeline.TimeSeries:
-    """A series `preprocess` wrote. It writes no NaN, which `read_series_csv`
-    accepts for raw input, and strictly increasing timestamps, so a NaN
-    timestamp or value, or a timestamp not after the row before it, is a
-    data error naming the first such data row."""
-    series = pipeline.read_series_csv(path)
-    stamps = series.timestamps
-    for problem, rows in (
-        ("a NaN timestamp", np.isnan(stamps)),
-        ("a NaN value", np.isnan(series.values)),
-        ("a timestamp not after the row before it", np.diff(stamps, prepend=-np.inf) <= 0),
-    ):
-        bad = np.flatnonzero(rows)
-        if bad.size:
-            raise DataError(f"{path} data row {bad[0] + 1} has {problem}; rerun preprocess")
-    return series
-
-
 def _read_scaler(path: str) -> pipeline.ScalerParams:
     try:
         with pipeline.open_text(path, DataError) as fh:
@@ -261,7 +241,7 @@ def cmd_train(cfg: RunConfig, paths: dict) -> None:
 
     if cfg.window < 1:
         raise ConfigError(f"window length must be >= 1, got {cfg.window}")
-    train_series = _read_workspace_series(paths["train.csv"])
+    train_series = pipeline.read_series_csv(paths["train.csv"], workspace=True)
     scaler = _read_scaler(paths["scaler.json"])
     scaled = pipeline.apply_scaler(train_series.values, scaler)
     windows = windowing.make_windows(scaled, cfg.window)
@@ -285,7 +265,7 @@ def cmd_detect(cfg: RunConfig, paths: dict) -> None:
     from . import detector, metrics, seq_autoencoder
 
     model = seq_autoencoder.load_model(paths["model"])
-    test_series = _read_workspace_series(paths["test.csv"])
+    test_series = pipeline.read_series_csv(paths["test.csv"], workspace=True)
     scaler = _read_scaler(paths["scaler.json"])
 
     report = detector.detect(model, test_series, scaler)
@@ -337,8 +317,8 @@ def cmd_evaluate(cfg: RunConfig, paths: dict) -> None:
 def cmd_sweep(cfg: RunConfig, paths: dict) -> None:
     from . import detector, metrics, seq_autoencoder, windowing
 
-    train_series = _read_workspace_series(paths["train.csv"])
-    test_series = _read_workspace_series(paths["test.csv"])
+    train_series = pipeline.read_series_csv(paths["train.csv"], workspace=True)
+    test_series = pipeline.read_series_csv(paths["test.csv"], workspace=True)
     scaler = _read_scaler(paths["scaler.json"])
     if test_series.labels is None:
         raise DataError("test.csv has no labels; cannot score sweep configurations")

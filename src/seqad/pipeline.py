@@ -7,13 +7,15 @@ that fits the scaler.
 Timestamps are UTC epoch seconds held as float64 (NaN marks an invalid
 timestamp in raw, pre-clean data only). Every file but the model is read
 through `open_text` and written through `write_csv` or `write_json`, as
-UTF-8 with LF. The two CSV tables, a series (`timestamp,value`) and a
-detection report (`timestamp,value,loss,verdict`), each with an optional
-`label` column, are read through `_read_table`, which names the file and
-line of the first fault, and written through `_write_table`. A CSV
-column of timestamps goes through `parse_timestamps` and
-`format_timestamps`, which give what `parse_timestamp` and
-`format_timestamp` give for each element.
+UTF-8 with LF. The three CSV tables, a raw series and the workspace
+series `preprocess` writes from it (`timestamp,value`), and a detection
+report (`timestamp,value,loss,verdict`), each with an optional `label`
+column, are tuples of (name, kind) columns, a kind being the function
+that parses and checks a column's text. They are read through
+`_read_table`, which names the file and line of the first fault, and
+written through `_write_table`. A CSV column of timestamps goes through
+`parse_timestamps` and `format_timestamps`, which give what
+`parse_timestamp` and `format_timestamp` give for each element.
 """
 
 from __future__ import annotations
@@ -55,10 +57,6 @@ __all__ = [
 _NAN_TOKENS = {"", "nan", "NaN", "NAN", "null", "NULL", "na", "NA"}
 _AS_NAN = dict.fromkeys(_NAN_TOKENS, "nan")  # a NaN token as text float() reads
 _BITS = {"0": 0, "1": 1}
-
-# each CSV table's columns, which an optional `label` column may follow
-_SERIES_COLUMNS = ("timestamp", "value")
-_REPORT_COLUMNS = ("timestamp", "value", "loss", "verdict")
 
 # the rows a CSV reader or writer holds as text at a time: enough that numpy
 # calls on whole columns cost little per row, few enough that the text adds
@@ -208,37 +206,33 @@ def parse_floats(texts) -> tuple[np.ndarray, int | None]:
     return np.array(values, dtype=np.float64), None
 
 
-def parse_bits(texts: list) -> np.ndarray:
-    """Each text "0" or "1" as int64 0 or 1, and any other as -1."""
-    bits = map(_BITS.get, texts, itertools.repeat(-1))
-    return np.fromiter(bits, dtype=np.int64, count=len(texts))
-
-
-def _read_table(path: str, columns: tuple, parse) -> tuple[list, np.ndarray | None]:
-    """The arrays of a CSV table whose stripped header is `columns`,
-    optionally followed by `label`, and its labels, or None without that
-    column. Rows are read CSV_CHUNK_ROWS at a time, and blank ones are
-    skipped. `parse(*texts)` takes a chunk's stripped text columns but
-    the label and gives their arrays and each check's failure: the index
-    of the first row it rejects, or None, and a function of that index
-    giving the message, in the order the checks apply within a row; a
-    label other than 0 or 1 is the last. Each array is concatenated over
-    the chunks. The first bad line, of a wrong header, a wrong field
-    count, a row `csv` cannot read or a failure, raises DataError
-    `<path> line N: <message>`, and an unreadable file DataError. Lines
-    are counted in rows, blank ones included, except that a row `csv`
-    cannot read is named by the reader's line."""
+def _read_table(path: str, table: tuple) -> list:
+    """The arrays of a CSV table whose stripped header names the columns
+    of `table`, a tuple of (name, kind) pairs, optionally followed by
+    `label`, the column _LABEL reads. Rows are read CSV_CHUNK_ROWS at a
+    time, and blank ones are skipped. A kind takes a chunk's stripped
+    texts of its column and the last value read from it (-inf before the
+    first), and gives the chunk's array and its checks: the first row
+    each rejects, or None, and a message template over the column's
+    `name` and that row's `text`, in the order they apply within a row.
+    Each array is concatenated over the chunks. The first bad line, of a
+    wrong header, a wrong field count, a row `csv` cannot read or a
+    check, raises DataError `<path> line N: <message>`, and an
+    unreadable file DataError. Lines are counted in rows, blank ones
+    included, except that a row `csv` cannot read is named by the
+    reader's line."""
     with open_text(path, DataError) as fh:
         reader = csv.reader(fh)
         try:
             header = [name.strip() for name in next(reader, [])]
         except csv.Error as exc:
             raise DataError(f"{path} line {reader.line_num}: {exc}") from None
-        if header not in (list(columns), [*columns, "label"]):
-            expected = f"'{','.join(columns)}[,label]', got {','.join(header)!r}"
+        names = [name for name, _ in table]
+        if header not in (names, [*names, "label"]):
+            expected = f"'{','.join(names)}[,label]', got {','.join(header)!r}"
             raise DataError(f"{path} line 1: expected header {expected}")
-        width = len(header)
-        parts = []
+        table, width = (*table, _LABEL)[: len(header)], len(header)
+        parts, last = [], [-np.inf] * width
         start = 2  # the line of the chunk's first row
         while True:
             rows, error = [], None
@@ -259,26 +253,25 @@ def _read_table(path: str, columns: tuple, parse) -> tuple[list, np.ndarray | No
                 rows = list(filter(None, rows))  # drops the blank ones
             texts = [list(map(str.strip, column)) for column in zip(*rows)] or [[]] * width
             del rows
-            arrays, failures = parse(*texts[: len(columns)])
-            if width > len(columns):
-                labels = parse_bits(texts[-1])
-                arrays.append(labels)
-                bad = first_true(labels < 0)
-                failures.append((bad, lambda i: f"bad label {texts[-1][i]!r}, expected 0 or 1"))
-            # drops the checks that passed, whose messages hold the chunk's text
-            failures = [(index, message) for index, message in failures if index is not None]
+            parsed = [kind(column, before) for (_, kind), column, before in zip(table, texts, last)]
+            failures = [
+                (index, template.format(name=name, text=column[index]))
+                for (name, _), column, (_, checks) in zip(table, texts, parsed)
+                for index, template in checks
+                if index is not None
+            ]
             if failures:
                 index, message = min(failures, key=lambda failure: failure[0])
-                raise DataError(f"{path} line {lines[index]}: {message(index)}")
+                raise DataError(f"{path} line {lines[index]}: {message}")
             if error is not None:
                 raise error
-            parts.append(arrays)
+            parts.append([array for array, _ in parsed])
+            last = [array[-1] if len(array) else before for array, before in zip(parts[-1], last)]
             if len(widths) < CSV_CHUNK_ROWS:
                 break
             start += CSV_CHUNK_ROWS
         del texts  # frees the last chunk's text before the chunks are joined
-    arrays = list(map(np.concatenate, zip(*parts)))
-    return arrays, arrays.pop() if width > len(columns) else None
+    return list(map(np.concatenate, zip(*parts)))
 
 
 def write_csv(path: str, header: list, rows) -> None:
@@ -291,19 +284,19 @@ def write_csv(path: str, header: list, rows) -> None:
             fh.write("\n".join(map(",".join, chunk)) + "\n")
 
 
-def _write_table(path: str, columns: tuple, arrays: list, labels: np.ndarray | None) -> None:
-    """One row per point under the header `columns`, then `label` when
-    there are labels: the first array, the timestamps, through
+def _write_table(path: str, table: tuple, arrays: list, labels: np.ndarray | None) -> None:
+    """One row per point under the names of `table`'s columns, then
+    `label` when there are labels: the first array, the timestamps, through
     `format_timestamps` CSV_CHUNK_ROWS at a time, and every other
     float64 or int64 array, the labels among them, through `repr` of
     its elements."""
     if labels is not None:
-        columns, arrays = (*columns, "label"), [*arrays, labels]
+        table, arrays = (*table, _LABEL), [*arrays, labels]
     timestamps, *rest = arrays
     starts = range(0, len(timestamps), CSV_CHUNK_ROWS)
     stamps = (format_timestamps(timestamps[i : i + CSV_CHUNK_ROWS]) for i in starts)
     cells = [itertools.chain.from_iterable(stamps), *(map(repr, a.tolist()) for a in rest)]
-    write_csv(path, list(columns), zip(*cells))
+    write_csv(path, [name for name, _ in table], zip(*cells))
 
 
 def write_json(path: str, doc: dict) -> None:
@@ -324,64 +317,84 @@ def json_number(doc: dict, key: str, kind: type, where: str):
     return kind(value)
 
 
-def read_series_csv(path: str) -> TimeSeries:
-    """Read a raw series; tolerates NaN markers, rejects garbage fields.
+# The column kinds of _read_table. Each message names the cell's column and text.
+_BAD, _NON_FINITE = "bad {name} {text!r}", "non-finite {name} {text!r}"
 
-    Empty/NaN tokens in either column become NaN for clean_report() to
-    handle; infinite values (including overflowing ones such as 1e999)
-    and any other unparseable field raise DataError naming the file and
-    its line. An unreadable or non-UTF-8 file raises DataError.
+
+def _raw_timestamps(texts: list, last) -> tuple:
+    """Timestamps, NaN for a NaN token."""
+    stamps = parse_timestamps(texts)
+    tokens = np.fromiter(map(_NAN_TOKENS.__contains__, texts), dtype=bool, count=len(texts))
+    return stamps, [(first_true(np.isnan(stamps) & ~tokens), _BAD)]
+
+
+def _timestamps(texts: list, last) -> tuple:
+    stamps = parse_timestamps(texts)
+    return stamps, [(first_true(np.isnan(stamps)), _BAD)]
+
+
+def _rising_timestamps(texts: list, last) -> tuple:
+    """Timestamps, each after the one before it."""
+    stamps, checks = _timestamps(texts, last)
+    rise = first_true(np.diff(stamps, prepend=last) <= 0)
+    return stamps, [*checks, (rise, "{name} {text!r} is not after the row before it")]
+
+
+def _raw_floats(texts: list, last) -> tuple:
+    """Values, NaN for a NaN token; an infinite one is refused."""
+    values, unreadable = parse_floats(map(_AS_NAN.get, texts, texts))
+    return values, [(unreadable, _BAD), (first_true(np.isinf(values)), _NON_FINITE)]
+
+
+def _floats(texts: list, last) -> tuple:
+    """Values, each finite."""
+    values, unreadable = parse_floats(texts)
+    return values, [(unreadable, _BAD), (first_true(~np.isfinite(values)), _NON_FINITE)]
+
+
+def _bits(texts: list, last) -> tuple:
+    bits = np.fromiter(map(_BITS.get, texts, itertools.repeat(-1)), np.int64, len(texts))
+    return bits, [(first_true(bits < 0), _BAD + ", expected 0 or 1")]
+
+
+# the CSV tables, each of which an optional `label` column may follow
+_RAW_SERIES = (("timestamp", _raw_timestamps), ("value", _raw_floats))
+_WORKSPACE_SERIES = (("timestamp", _rising_timestamps), ("value", _floats))
+_REPORT = (("timestamp", _timestamps), ("value", _floats), ("loss", _floats), ("verdict", _bits))
+_LABEL = ("label", _bits)
+
+
+def read_series_csv(path: str, workspace: bool = False) -> TimeSeries:
+    """Read a series; rejects garbage fields.
+
+    A raw series, by default, may hold empty/NaN tokens in either
+    column, which become NaN for clean_report() to handle. A
+    `workspace` series, one `preprocess` wrote, holds no NaN, and each
+    timestamp comes after the one before it. An infinite value
+    (including an overflowing one such as 1e999), and any other field
+    that breaks these rules, raise DataError naming the file and its
+    line. An unreadable or non-UTF-8 file raises DataError.
     """
-    (timestamps, values), labels = _read_table(path, _SERIES_COLUMNS, _series_columns)
-    return TimeSeries(timestamps, values, labels)
-
-
-def _series_columns(ts_texts: list, val_texts: list) -> tuple[list, list]:
-    """A chunk's timestamps and values, and the failures of its rows."""
-    timestamps = parse_timestamps(ts_texts)
-    tokens = np.fromiter(map(_NAN_TOKENS.__contains__, ts_texts), dtype=bool, count=len(ts_texts))
-    values, unreadable = parse_floats(map(_AS_NAN.get, val_texts, val_texts))
-    return [timestamps, values], [
-        (first_true(np.isnan(timestamps) & ~tokens), lambda i: f"bad timestamp {ts_texts[i]!r}"),
-        (unreadable, lambda i: f"bad value {val_texts[i]!r}"),
-        (first_true(np.isinf(values)), lambda i: f"non-finite value {val_texts[i]!r}"),
-    ]
+    return TimeSeries(*_read_table(path, _WORKSPACE_SERIES if workspace else _RAW_SERIES))
 
 
 def write_series_csv(path: str, series: TimeSeries) -> None:
     """One row per point: timestamp,value[,label]."""
-    _write_table(path, _SERIES_COLUMNS, [series.timestamps, series.values], series.labels)
+    _write_table(path, _RAW_SERIES, [series.timestamps, series.values], series.labels)
 
 
 def write_report_csv(path: str, report: DetectionReport) -> None:
     """One row per point: timestamp,value,loss,verdict[,label]."""
     arrays = [report.timestamps, report.values, report.losses, report.verdicts]
-    _write_table(path, _REPORT_COLUMNS, arrays, report.labels)
+    _write_table(path, _REPORT, arrays, report.labels)
 
 
 def read_report_csv(path: str) -> DetectionReport:
     """Load a persisted report; verdicts come back exactly as written.
-    A non-finite loss, or a verdict or label other than 0 or 1, would
-    change the metrics, so it raises DataError naming the file and its
-    line."""
-    arrays, labels = _read_table(path, _REPORT_COLUMNS, _report_columns)
-    return DetectionReport(*arrays, labels)
-
-
-def _report_columns(ts_texts, value_texts, loss_texts, verdict_texts) -> tuple[list, list]:
-    """A chunk's timestamps, values, losses and verdicts, and the
-    failures of its rows."""
-    timestamps = parse_timestamps(ts_texts)
-    values, bad_value = parse_floats(value_texts)
-    losses, bad_loss = parse_floats(loss_texts)
-    verdicts = parse_bits(verdict_texts)
-    return [timestamps, values, losses, verdicts], [
-        (first_true(np.isnan(timestamps)), lambda i: f"bad timestamp {ts_texts[i]!r}"),
-        (bad_value, lambda i: f"bad value {value_texts[i]!r}"),
-        (bad_loss, lambda i: f"bad loss {loss_texts[i]!r}"),
-        (first_true(~np.isfinite(losses)), lambda i: f"non-finite loss {loss_texts[i]!r}"),
-        (first_true(verdicts < 0), lambda i: f"bad verdict {verdict_texts[i]!r}, expected 0 or 1"),
-    ]
+    A non-finite value or loss, or a verdict or label other than 0 or 1,
+    would change the metrics, so it raises DataError naming the file and
+    its line."""
+    return DetectionReport(*_read_table(path, _REPORT))
 
 
 @dataclass

@@ -37,6 +37,14 @@ def edit_rows(path, edit):
         fh.write("\n".join([header, *edit(rows)]) + "\n")
 
 
+def with_cell(rows, line, column, text):
+    """CSV data rows with the cell in `column` of file line `line` (the
+    header is line 1) replaced by `text`."""
+    fields = rows[line - 2].split(",")
+    fields[column] = text
+    return [*rows[: line - 2], ",".join(fields), *rows[line - 1 :]]
+
+
 # each scoring stage's flags for a quick run on the shared workspace, and its outputs
 QUICK_RUN = {
     "train": (["--epochs", "1"], ["model.json", "training_trace.csv"]),
@@ -453,7 +461,7 @@ class TestErrorCodes:
             "train-train.csv-empty-timestamp",
         ],  # fmt: skip
     )
-    def test_nan_in_workspace_series_is_data_error_naming_row(
+    def test_nan_in_workspace_series_is_data_error_naming_line(
         self, workspace, tmp_path, capsys, stage, name, field, token
     ):
         # preprocess writes no NaN, so one in its output is a damaged file
@@ -469,21 +477,22 @@ class TestErrorCodes:
         extra, outputs = QUICK_RUN[stage]
         code, _, err = run(capsys, stage, "--out", out, *extra)
         assert code == cli.EXIT_DATA
-        assert f"{path} data row 5 has a NaN {field}; rerun preprocess" in err
+        problem = "non-finite value" if field == "value" else "bad timestamp"
+        assert f"{path} line 6: {problem} {token!r}" in err
         for output in outputs:
             assert not os.path.exists(os.path.join(out, output)), output
 
     @pytest.mark.parametrize(
-        "stage, name, edit, row",
+        "stage, name, edit, line",
         [
-            ("train", "train.csv", lambda rows: rows[:5] + rows[4:], 6),
-            ("detect", "test.csv", lambda rows: rows[::-1], 2),
-            ("sweep", "test.csv", lambda rows: [*rows[:9], rows[10], rows[9], *rows[11:]], 11),
+            ("train", "train.csv", lambda rows: rows[:5] + rows[4:], 7),
+            ("detect", "test.csv", lambda rows: rows[::-1], 3),
+            ("sweep", "test.csv", lambda rows: [*rows[:9], rows[10], rows[9], *rows[11:]], 12),
         ],
         ids=["train-repeated-row", "detect-reversed", "sweep-swapped-rows"],
     )
-    def test_workspace_series_out_of_time_order_is_data_error_naming_its_data_row(
-        self, workspace, tmp_path, capsys, monkeypatch, stage, name, edit, row
+    def test_workspace_series_out_of_time_order_is_data_error_naming_its_line(
+        self, workspace, tmp_path, capsys, monkeypatch, stage, name, edit, line
     ):
         # preprocess writes strictly increasing timestamps; detect once scored a
         # reversed test.csv, and train trained on a repeated row, both exiting 0
@@ -494,10 +503,31 @@ class TestErrorCodes:
         extra, outputs = QUICK_RUN[stage]
         code, _, err = run(capsys, stage, "--out", out, *extra)
         assert code == cli.EXIT_DATA
-        problem = "has a timestamp not after the row before it; rerun preprocess"
-        assert f"{path} data row {row} {problem}" in err
+        stamp = Path(path).read_text().splitlines()[line - 1].split(",")[0]
+        assert f"{path} line {line}: timestamp {stamp!r} is not after the row before it" in err
         for output in outputs:
             assert not os.path.exists(os.path.join(out, output)), output
+
+    @pytest.mark.parametrize(
+        "edit, line",
+        [
+            (lambda rows: with_cell(with_cell(rows, 5, 1, "nan"), 10, 1, "zz"), 5),
+            (lambda rows: with_cell(rows[::-1], 21, 1, "zz"), 3),
+            (lambda rows: [*rows[:2], "", *with_cell(rows, 6, 1, "nan")[2:]], 7),
+        ],
+        ids=["nan-then-bad-value", "reversed-then-bad-value", "blank-line-then-nan"],
+    )
+    def test_first_bad_line_of_a_workspace_series_is_named_whatever_its_fault(
+        self, workspace, tmp_path, capsys, edit, line
+    ):
+        # the reader once checked the workspace rules after every cell,
+        # so a bad cell further down was named before a NaN or a reversal
+        out = copy_workspace(workspace, tmp_path)
+        path = os.path.join(out, "test.csv")
+        edit_rows(path, edit)
+        code, _, err = run(capsys, "detect", "--out", out)
+        assert code == cli.EXIT_DATA
+        assert err.startswith(f"data error: {path} line {line}: ")
 
     @pytest.mark.parametrize(
         "stage, name",

@@ -172,6 +172,14 @@ class TestReportValidation:
         with pytest.raises(DataError, match=self.line(tmp_path, 3) + "non-finite loss "):
             self.read(tmp_path, self.HEADER + self.GOOD + bad)
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, tmp_path, token):
+        # detect never writes one; evaluate once read it and exited 0
+        bad = f"2018-01-01T00:01:00,{token},0.5,1,1\n"
+        message = f"non-finite value '{token}'$"
+        with pytest.raises(DataError, match=self.line(tmp_path, 3) + message):
+            self.read(tmp_path, self.HEADER + self.GOOD + bad)
+
     @pytest.mark.parametrize("token", ["2", "-1", "1.0", ""])
     def test_verdict_other_than_0_or_1_rejected(self, tmp_path, token):
         bad = f"2018-01-01T00:01:00,451.0,0.5,{token},1\n"

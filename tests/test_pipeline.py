@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -6,6 +7,18 @@ import pytest
 
 from seqad.errors import ConfigError, DataError
 from seqad import pipeline as pl
+
+
+# a fault of one cell of a workspace series: its column, and its text, or None
+# for the timestamp of the row before
+WORKSPACE_FAULTS = {
+    "nan-value": (1, "nan"),
+    "bad-value": (1, "zz"),
+    "nan-timestamp": (0, "nan"),
+    "repeated-timestamp": (0, None),
+    "bad-label": (2, "2"),
+}
+FAULT_PAIRS = list(itertools.permutations(WORKSPACE_FAULTS, 2))
 
 
 def at_line(path, number):
@@ -228,6 +241,56 @@ class TestCsv:
         path.write_bytes(data[:9000] + b"\xff" + data[9000:])
         with pytest.raises(DataError, match=r"cannot read .*can't decode byte 0xff"):
             pl.read_series_csv(str(path))
+
+    @pytest.mark.parametrize("chunk_rows", [pl.CSV_CHUNK_ROWS, 2])
+    @pytest.mark.parametrize("blank_lines", [0, 2], ids=["no-blank", "blank-chunk"])
+    def test_workspace_row_not_after_the_one_before_is_named_across_chunks(
+        self, tmp_path, monkeypatch, chunk_rows, blank_lines
+    ):
+        # with 2-row chunks the repeated row opens a chunk, after a chunk
+        # of blank lines in the second case
+        monkeypatch.setattr(pl, "CSV_CHUNK_ROWS", chunk_rows)
+        rows = [f"2018-01-01T00:{minute:02d}:00,{400 + minute}" for minute in range(6)]
+        rows = [*rows[:2], *[""] * blank_lines, rows[1], *rows[2:]]
+        path = tmp_path / "train.csv"
+        path.write_text("\n".join(["timestamp,value", *rows]) + "\n")
+        problem = r"timestamp '2018-01-01T00:01:00' is not after the row before it$"
+        with pytest.raises(DataError, match=at_line(path, 4 + blank_lines) + problem):
+            pl.read_series_csv(str(path), workspace=True)
+        assert len(pl.read_series_csv(str(path))) == 7  # a raw series leaves order to clean_report
+
+    @pytest.mark.parametrize("chunk_rows", [pl.CSV_CHUNK_ROWS, 2])
+    @pytest.mark.parametrize(
+        "first, then", FAULT_PAIRS, ids=[f"{first}-then-{then}" for first, then in FAULT_PAIRS]
+    )
+    def test_first_bad_line_of_a_workspace_series_is_named_whatever_its_fault(
+        self, tmp_path, monkeypatch, chunk_rows, first, then
+    ):
+        # on lines 3 and 6, which 2-row chunks put in different chunks
+        monkeypatch.setattr(pl, "CSV_CHUNK_ROWS", chunk_rows)
+        rows = [[f"2018-01-01T00:{minute:02d}:00", str(400 + minute), "0"] for minute in range(7)]
+        for line, fault in ((3, first), (6, then)):
+            column, text = WORKSPACE_FAULTS[fault]
+            rows[line - 2][column] = text if text is not None else rows[line - 3][0]
+        path = tmp_path / "test.csv"
+        path.write_text("\n".join(["timestamp,value,label", *map(",".join, rows)]) + "\n")
+        message = {
+            "nan-value": "non-finite value 'nan'",
+            "bad-value": "bad value 'zz'",
+            "nan-timestamp": "bad timestamp 'nan'",
+            "repeated-timestamp": "timestamp '2018-01-01T00:00:00' is not after the row before it",
+            "bad-label": "bad label '2', expected 0 or 1",
+        }[first]
+        with pytest.raises(DataError, match=at_line(path, 3) + re.escape(message) + "$"):
+            pl.read_series_csv(str(path), workspace=True)
+
+    @pytest.mark.parametrize("token", ["nan", "NaN", "null", "", "inf"])
+    def test_workspace_value_must_be_finite(self, tmp_path, token):
+        path = tmp_path / "test.csv"
+        path.write_text(f"timestamp,value\n2018-01-01T00:00:00,400\n2018-01-01T00:01:00,{token}\n")
+        problem = "non-finite" if token in ("nan", "NaN", "inf") else "bad"
+        with pytest.raises(DataError, match=at_line(path, 3) + f"{problem} value {token!r}$"):
+            pl.read_series_csv(str(path), workspace=True)
 
     def test_nan_tokens_become_nan(self, tmp_path):
         path = tmp_path / "raw.csv"

@@ -49,11 +49,11 @@ checkout path with a placeholder. The commands are:
   and a field longer than `csv`'s 131,072-character limit (must fail
   with exit 3; before the reader caught the `csv` error, it escaped
   as a traceback with exit 1);
-- `evaluate` on eight hand-written reports that must fail: a wrong
+- `evaluate` on nine hand-written reports that must fail: a wrong
   header, a row with a field too many, a bad timestamp, an unparseable
-  value, an infinite loss, a bad verdict, a bad label, and an
-  unparseable value on a line before a NaN loss (must fail naming the
-  first);
+  value, an infinite loss, a bad verdict, a bad label, an unparseable
+  value on a line before a NaN loss (must fail naming the first), and
+  a NaN value (before the report reader checked values, it exited 0);
 - `detect` (with the seed-42 model), `train` and `sweep` in a
   hand-written workspace whose `scaler.json` has a std of 1e-310, so
   that scaling overflows float64 (must fail with exit 3 before any
@@ -63,13 +63,17 @@ checkout path with a placeholder. The commands are:
 - `train` on a `train.csv` with one row repeated, `detect` (with the
   seed-42 model) on a labelled `test.csv` in reverse time order, and
   `sweep`, in a hand-written workspace of their own (each must fail
-  with exit 3 naming the first data row whose timestamp is not after
+  with exit 3 naming the first line whose timestamp is not after
   the row before it; before the workspace reader checked the order,
   all three exited 0 and left their outputs);
 - `sweep` and `detect` (with the seed-42 model) in a hand-written
   workspace whose labelled `test.csv` has an unreadable value on line 5
   (each must fail with exit 3 naming the file and the line; before the
   CSV reader named its file, the message named only the line);
+- `detect` (with the seed-42 model) in a hand-written workspace whose
+  labelled `test.csv` has a NaN value on line 5 and an unreadable one
+  on line 10 (must fail with exit 3 naming line 5; before the reader
+  checked the workspace rules with every other cell, it named line 10);
 - four stages whose input is missing, with `--out missing`, a directory
   that does not exist: `train`, `detect --model missing/m.json`,
   `evaluate` and `preprocess --input missing/raw.csv` (each must fail
@@ -144,6 +148,7 @@ BAD_REPORTS = {
     "report_verdict": _report_text((5, 3, "2")),
     "report_label": _report_text((5, 4, "yes")),
     "report_value_then_loss": _report_text((3, 1, "lots"), (5, 2, "nan")),
+    "report_value_nan": _report_text((3, 1, "nan")),
 }
 
 S42 = ["--out", "s42", "--seed", "42"]
@@ -238,6 +243,7 @@ STEPS = [
     ("unordered sweep", ["sweep", "--out", "unordered", "--sweep-windows", "5", "--epochs", "1"]),
     ("badcell sweep", ["sweep", "--out", "badcell", "--sweep-windows", "5", "--epochs", "1"]),
     ("badcell detect", ["detect", "--out", "badcell", "--model", "s42/model.json"]),
+    ("twofault detect", ["detect", "--out", "twofault", "--model", "s42/model.json"]),
     ("missing train", ["train", "--out", "missing"]),
     ("missing detect", ["detect", "--out", "missing", "--model", "missing/m.json"]),
     ("missing evaluate", ["evaluate", "--out", "missing"]),
@@ -344,6 +350,14 @@ BADCELL = {
     os.path.join("badcell", "scaler.json"): '{"mean": 406.0, "std": 4.242640687119285}\n',
 }
 
+# a workspace whose test.csv has the value `nan` on line 5 and `zz` on line 10
+TWOFAULT = {
+    os.path.join("twofault", "test.csv"): "timestamp,value,label\n"
+    + "".join([*LABELLED[:3], LABELLED[3].replace(",409,", ",nan,"), *LABELLED[4:8],
+               LABELLED[8].replace(",409,", ",zz,"), *LABELLED[9:]]),
+    os.path.join("twofault", "scaler.json"): '{"mean": 406.0, "std": 4.242640687119285}\n',
+}  # fmt: skip
+
 
 def run_side(checkout: str, workdir: str) -> tuple[dict, dict]:
     """Run every step in `workdir`. Returns ({label: (exit code, stdout,
@@ -355,7 +369,8 @@ def run_side(checkout: str, workdir: str) -> tuple[dict, dict]:
     _messy_csv(os.path.join(workdir, "messy.csv"))
     os.makedirs(os.path.join(workdir, "models"))
     reports = {os.path.join(name, "report.csv"): text for name, text in BAD_REPORTS.items()}
-    for name, text in {**CONFIGS, **RAW, **SUBNORMAL, **UNORDERED, **BADCELL, **reports}.items():
+    workspaces = {**SUBNORMAL, **UNORDERED, **BADCELL, **TWOFAULT}
+    for name, text in {**CONFIGS, **RAW, **workspaces, **reports}.items():
         path = os.path.join(workdir, name)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
