@@ -342,6 +342,7 @@ def test_seed_42_outputs_keep_their_bytes(e2e):
                 moved.append(name)
     if moved:  # the host facts a model's bytes depend on
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        # as set now: BLAS read them when numpy loaded, which may have been before
         threads = ", ".join(f"{var}={os.environ.get(var)}" for var in BLAS_THREADS)
         host = f"numpy {np.__version__}, BLAS {blas['name']} {blas['version']}, {threads}"
         pytest.fail(f"seed-42 outputs moved: {', '.join(moved)} ({host})")

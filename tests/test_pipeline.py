@@ -9,14 +9,16 @@ from seqad.errors import ConfigError, DataError
 from seqad import pipeline as pl
 
 
-# a fault of one cell of a workspace series: its column, and its text, or None
-# for the timestamp of the row before
+# a fault of one cell of a workspace series: its column, its text (None for
+# the timestamp of the row before) and its message on line 3 of the series below
 WORKSPACE_FAULTS = {
-    "nan-value": (1, "nan"),
-    "bad-value": (1, "zz"),
-    "nan-timestamp": (0, "nan"),
-    "repeated-timestamp": (0, None),
-    "bad-label": (2, "2"),
+    "nan-value": (1, "nan", "non-finite value 'nan'"),
+    "bad-value": (1, "zz", "bad value 'zz'"),
+    "nan-timestamp": (0, "nan", "bad timestamp 'nan'"),
+    "repeated-timestamp": (
+        0, None, "timestamp '2018-01-01T00:00:00' is not after the row before it"
+    ),
+    "bad-label": (2, "2", "bad label '2', expected 0 or 1"),
 }
 FAULT_PAIRS = list(itertools.permutations(WORKSPACE_FAULTS, 2))
 
@@ -270,17 +272,11 @@ class TestCsv:
         monkeypatch.setattr(pl, "CSV_CHUNK_ROWS", chunk_rows)
         rows = [[f"2018-01-01T00:{minute:02d}:00", str(400 + minute), "0"] for minute in range(7)]
         for line, fault in ((3, first), (6, then)):
-            column, text = WORKSPACE_FAULTS[fault]
+            column, text, _ = WORKSPACE_FAULTS[fault]
             rows[line - 2][column] = text if text is not None else rows[line - 3][0]
         path = tmp_path / "test.csv"
         path.write_text("\n".join(["timestamp,value,label", *map(",".join, rows)]) + "\n")
-        message = {
-            "nan-value": "non-finite value 'nan'",
-            "bad-value": "bad value 'zz'",
-            "nan-timestamp": "bad timestamp 'nan'",
-            "repeated-timestamp": "timestamp '2018-01-01T00:00:00' is not after the row before it",
-            "bad-label": "bad label '2', expected 0 or 1",
-        }[first]
+        message = WORKSPACE_FAULTS[first][2]
         with pytest.raises(DataError, match=at_line(path, 3) + re.escape(message) + "$"):
             pl.read_series_csv(str(path), workspace=True)
 
